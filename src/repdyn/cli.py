@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from . import experiments, flows, mdp
-from .errors import ConfigurationError, DivergenceError, DomainError, NumericalError
+from .errors import (ConfigurationError, DivergenceError, DomainError, NumericalError,
+                     RankDeficiencyError)
 from .report import _atomic_write
 from .svg import emit_svg
 
@@ -38,10 +39,12 @@ def _coerce_like(default, text: str):
         if low in ("false", "0", "no"):
             return False
         raise ConfigurationError(f"expected a boolean, got {text!r}")
-    if isinstance(default, int):
-        return int(text)
-    if isinstance(default, float):
-        return float(text)
+    if isinstance(default, (int, float)):
+        try:
+            return type(default)(text)
+        except ValueError:
+            raise ConfigurationError(
+                f"expected {type(default).__name__}, got {text!r}") from None
     if isinstance(default, (tuple, list)):
         element = default[0] if len(default) else 0.0
         return tuple(_coerce_like(element, part) for part in text.split(","))
@@ -62,8 +65,11 @@ def _parse_overrides(pairs, defaults: dict) -> dict:
 
 
 def _default_seed() -> int:
-    env = os.environ.get("REPDYN_SEED")
-    return int(env) if env else 0
+    env = os.environ.get("REPDYN_SEED") or "0"
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigurationError(f"REPDYN_SEED must be an integer, got {env!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,15 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_chain(which: str, policy: str, gamma: float) -> mdp.MarkovChain:
     if which == "chain":
-        base = mdp.build_chain_mdp(experiments.CHAIN_N, experiments.CHAIN_SLIP,
-                                   experiments.CHAIN_LEFT_REWARD,
-                                   experiments.CHAIN_RIGHT_REWARD)
         if policy == "uniform":
-            pol = mdp.Policy.uniform(base.n_states, base.n_actions)
-        else:
-            pol = mdp.Policy.deterministic(
-                np.full(base.n_states, 0 if policy == "left" else 1), base.n_actions)
-        return mdp.induce(base, pol, gamma)
+            return experiments.chain_uniform(gamma)
+        return experiments.chain_drift(gamma, left_prob=1.0 if policy == "left" else 0.0)
     if which == "four-rooms":
         rooms, pol = mdp.build_four_rooms()
         return mdp.induce(rooms, pol, gamma)
@@ -120,6 +120,11 @@ def _build_chain(which: str, policy: str, gamma: float) -> mdp.MarkovChain:
 
 def _run_flow_command(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    if seed < 0:
+        raise ConfigurationError("seed must be nonnegative")
+    for flag in ("k", "m"):
+        if getattr(args, flag) < 1:
+            raise ConfigurationError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     chain = _build_chain(args.mdp, args.policy, args.gamma)
     times = np.linspace(0.0, args.t_max, args.samples)
     n = chain.n_states
@@ -198,7 +203,7 @@ def main(argv=None) -> int:
             print(f"{len(failed)} check(s) failed", file=sys.stderr)
             return 2
         return 0
-    except (ConfigurationError, DomainError) as exc:
+    except (ConfigurationError, DomainError, RankDeficiencyError) as exc:
         print(f"repdyn: error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, DivergenceError) as exc:

@@ -8,6 +8,8 @@ from its own config reproduces the tables byte for byte.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from . import flows, mdp, spectral
@@ -205,8 +207,8 @@ def run_four_rooms_features(config: dict | None = None) -> ReportBundle:
     head leaves the features nearly untouched.
     """
     cfg = _finalize_config(FOUR_ROOMS_DEFAULTS, config)
-    if cfg["K"] > 105:
-        raise ConfigurationError("K cannot exceed the 105 four-rooms states")
+    if not 1 <= cfg["K"] <= 105:
+        raise ConfigurationError("K must lie between 1 and the 105 four-rooms states")
     bundle = ReportBundle("four-rooms", dict(cfg))
     rooms, policy = mdp.build_four_rooms()
     coords = mdp.four_rooms_coords()
@@ -328,12 +330,10 @@ def run_chain_transfer(config: dict | None = None) -> ReportBundle:
                      np.array([[float(J), float(trace.converged)]]))
 
     feature_sets = {"ebf": [], "rsbf": [], "rf": []}
-    import warnings as _warnings
-
     for j, policy in enumerate(trace.policies):
         chain = mdp.induce(chain_mdp, policy, cfg["gamma"])
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             feature_sets["ebf"].append(spectral.ebf(chain.transition, K))
         feature_sets["rsbf"].append(spectral.rsbf(chain.transition, cfg["gamma"], K))
         g = _stream(cfg["seed"], "random features", j).standard_normal((n, K))
@@ -401,7 +401,6 @@ LIMIT_CHECKS_DEFAULTS = {
     "gamma": 0.9,
     "t_max": 5.0,
     "n_gap_samples": 26,
-    "step": 1e-3,
     "gap_tol": 0.02,          # absolute gate at the largest M
     "cov_seeds": 2000,
     "cov_tol": 0.10,
@@ -442,8 +441,7 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
         limits = [op @ phi0 for op in limit_ops]
         for m in m_list:
             w = flows.sample_weights(m, K, 1.0 / m, _stream(cfg["seed"], "heads", i, m))
-            traj = flows.ensemble_flow(
-                chain, flows.EnsembleState(phi0, w), 1.0, 0.0, times, cfg["step"])
+            traj = flows.ensemble_flow(chain, flows.EnsembleState(phi0, w), 1.0, 0.0, times)
             gap = max(
                 float(np.linalg.norm(s - ref)) for s, ref in zip(traj.states, limits))
             rows.append([float(m), float(i), gap])
@@ -468,9 +466,8 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
         # single-head reduction: identical to the single-head joint flow
         phi0 = _normalized_phi0(_stream(cfg["seed"], "phi0", 0), CHAIN_N, K)
         w = flows.sample_weights(1, K, 1.0, _stream(cfg["seed"], "heads", 0, 1))
-        ens = flows.ensemble_flow(chain, flows.EnsembleState(phi0, w), 1.0, 0.0,
-                                  times, cfg["step"])
-        joint = flows.joint_flow(chain, phi0, w[0], 1.0, 0.0, times, cfg["step"])
+        ens = flows.ensemble_flow(chain, flows.EnsembleState(phi0, w), 1.0, 0.0, times)
+        joint = flows.joint_flow(chain, phi0, w[0], 1.0, 0.0, times)
         diff = max(float(np.abs(a - b[:CHAIN_N]).max())
                    for a, b in zip(ens.states, joint.states))
         bundle.add_check("single_head_reduces_to_joint_flow", diff < 1e-12, diff, 1e-12,
@@ -605,7 +602,6 @@ MULTI_TASK_DEFAULTS = {
     "discounts": (0.8, 0.99),  # used by mode="discounts"
     "t_max": 5.0,
     "n_gap_samples": 26,
-    "step": 1e-3,
     "t_subspace": 200.0,
     "t_finite_span": 120.0,
     "gap_tol": 0.05,
@@ -659,8 +655,7 @@ def run_multi_task(config: dict | None = None) -> ReportBundle:
 
     times = np.linspace(0.0, cfg["t_max"], cfg["n_gap_samples"])
     sample_times = np.unique(np.concatenate([times, [t_fin]]))
-    finite = flows.multi_task_flow(chains, weights, phi0, sample_times, cfg["mode"],
-                                   cfg["step"])
+    finite = flows.multi_task_flow(chains, weights, phi0, sample_times, cfg["mode"])
     limit = flows.linear_limit_flow(
         flows.LinearFlowSpec(op_bar, np.zeros_like(phi0), phi0), times)
     by_time = dict(zip(finite.times, finite.states))
@@ -672,7 +667,7 @@ def run_multi_task(config: dict | None = None) -> ReportBundle:
 
     if L == 1:
         ens = flows.ensemble_flow(chains[0], flows.EnsembleState(phi0, weights), 1.0,
-                                  0.0, times, cfg["step"])
+                                  0.0, times)
         diff = max(float(np.abs(a - by_time[t]).max())
                    for a, t in zip(ens.states, times))
         bundle.add_check("single_task_reduces_to_plain_ensemble", diff < 1e-12, diff,
@@ -681,16 +676,14 @@ def run_multi_task(config: dict | None = None) -> ReportBundle:
     # limiting span of the averaged flow vs candidate eigen spans; meaningful
     # for genuine task splits (L >= 2), where the averaged operator differs
     # from each task's own
-    import warnings as _warnings
-
     if L > 1:
         p_bar = np.mean([c.transition for c in chains], axis=0)
         limit_state = flows.linear_limit_flow(
             flows.LinearFlowSpec(op_bar, np.zeros_like(phi0), phi0),
             np.array([t_span])).final()
         limit_span = spectral.orthonormalize(limit_state)
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             ebf_bar = spectral.ebf(
                 p_bar if cfg["mode"] == "policies" else chains[0].transition, K)
             ebf_first = spectral.ebf(chains[0].transition, K)
@@ -712,12 +705,11 @@ def run_multi_task(config: dict | None = None) -> ReportBundle:
     if cfg["block_variant"] and K % L == 0 and cfg["mode"] == "policies" and L > 1:
         wb = flows.sample_block_orthogonal_weights(
             M, K, L, 1.0 / M, _stream(cfg["seed"], "block heads"))
-        traj_b = flows.multi_task_flow(chains, wb, phi0, np.array([t_fin]),
-                                       cfg["mode"], cfg["step"])
+        traj_b = flows.multi_task_flow(chains, wb, phi0, np.array([t_fin]), cfg["mode"])
         block = K // L
         rows = []
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             for i, chain_i in enumerate(chains):
                 cols = slice(i * block, (i + 1) * block)
                 span_i = spectral.orthonormalize(traj_b.final()[:, cols])

@@ -1,18 +1,21 @@
-"""Continuous-time learning flows: closed forms and RK4 integration.
+"""Continuous-time learning flows: closed forms for frozen heads, RK4 for trained heads.
 
 Value flows (one-step, n-step, lambda-return bootstrapping and Monte Carlo)
 have exact matrix-exponential solutions and are evaluated in closed form.
-The joint representation/weight flow and its multi-head variants are smooth
-bilinear ODEs integrated with a fixed-step classical Runge-Kutta scheme;
-determinism is preferred over adaptivity here. With frozen heads (beta = 0)
-the multi-head right-hand side collapses to a K x K coupling, which the
-integrator exploits so that head counts in the tens of thousands cost the
-same as a single head.
+Every flow that is linear in Phi -- the joint and multi-head flows with frozen
+heads (beta = 0), the multi-task head split and the infinite-head limits --
+has the form d/dt Phi = sum_i A_i Phi W_i + F and is evaluated exactly by one
+augmented matrix exponential per sample interval. With frozen heads the head
+weights enter only through the K x K second moment W, so head counts in the
+tens of thousands cost the same as a single head. Only trained heads
+(beta > 0) make the flow bilinear; those are integrated with a fixed-step
+classical Runge-Kutta scheme, preferring determinism over adaptivity.
 """
 
 from __future__ import annotations
 
 import io
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -86,7 +89,7 @@ class EnsembleState:
 
 @dataclass(frozen=True)
 class LinearFlowSpec:
-    """d/dt Phi = A Phi + B with initial condition phi0; fixed point -A^{-1} B."""
+    """d/dt Phi = A Phi + B from phi0; fixed point -A^{-1} B when A is invertible."""
 
     A: np.ndarray
     B: np.ndarray
@@ -200,6 +203,58 @@ def td_lambda_value_flow(chain: MarkovChain, lam: float, v0, times) -> Trajector
     )
 
 
+def _affine_path(G: np.ndarray, f: np.ndarray, x0: np.ndarray, times: np.ndarray) -> list:
+    """x(t) of x' = G x + f at ``times``, starting from x(0) = x0.
+
+    (x, 1) follows the linear flow of the augmented generator [[G, f], [0, 0]]
+    (Van Loan 1978), so each step between samples is one matrix exponential;
+    equal sample intervals share it.
+    """
+    m = len(x0)
+    aug = np.zeros((m + 1, m + 1))
+    aug[:m, :m] = G
+    aug[:m, m] = f
+    x = np.append(x0, 1.0)
+    propagators = {}
+    out = []
+    t = 0.0
+    for target in times:
+        dt = target - t
+        if dt > 0.0:
+            if dt not in propagators:
+                propagators[dt] = matrix_exponential(aug, dt)
+            x = propagators[dt] @ x
+            if not np.all(np.isfinite(x)):
+                raise NumericalError(f"flow overflowed at t = {target:.6g}")
+        out.append(x[:m])
+        t = target
+    return out
+
+
+def _linear_flow(terms: list, forcing: np.ndarray, phi0: np.ndarray, times: np.ndarray) -> list:
+    """Exact states of d/dt Phi = sum_i A_i Phi W_i + F at ``times``; every W_i symmetric.
+
+    ``terms`` lists the (A_i, W_i) pairs. One term decouples in the eigenbasis
+    of W into K column problems of size n + 1. Several terms act on vec(Phi)
+    through the Kronecker generator sum_i W_i (x) A_i. A state at t = 0 is
+    ``phi0`` itself.
+    """
+    n, k = phi0.shape
+    if len(terms) == 1:
+        (A, W), = terms
+        omega, V = np.linalg.eigh(W)
+        paths = [_affine_path(w * A, f, c, times)
+                 for w, c, f in zip(omega, (phi0 @ V).T, (forcing @ V).T)]
+        states = [np.column_stack(cols) @ V.T for cols in zip(*paths)]
+    else:
+        G = sum(np.kron(W, A) for A, W in terms)
+        path = _affine_path(G, forcing.T.ravel(), phi0.T.ravel(), times)
+        states = [x.reshape(k, n).T for x in path]
+    if times[0] == 0.0:
+        states[0] = phi0.copy()
+    return states
+
+
 def _rk4_integrate(
     rhs: Callable[[np.ndarray], np.ndarray],
     y0: np.ndarray,
@@ -249,6 +304,8 @@ def joint_flow(
     The bootstrap target is treated as a constant (no gradient flows through
     it); that convention is already baked into these right-hand sides.
     Trajectory states stack Phi over w: shape (n + 1, K) with the last row w^T.
+    With beta = 0 this is the one-head frozen ``ensemble_flow``, solved in
+    closed form (``step`` is unused); otherwise RK4 integrates it.
     """
     times = _check_times(times)
     if alpha < 0 or beta < 0:
@@ -260,6 +317,12 @@ def joint_flow(
         raise ConfigurationError("phi0/w0 shapes do not match the chain")
     P, R = chain.transition, chain.reward
     gamma = chain.gamma
+    meta = {"flow": "joint", "alpha": alpha, "beta": beta, "gamma": gamma,
+            "step": step if beta > 0 else None}
+    if beta == 0.0:
+        frozen = ensemble_flow(chain, EnsembleState(phi0, w0[None, :]), alpha, 0.0, times)
+        states = [np.vstack([phi, w0[None, :]]) for phi in frozen.states]
+        return Trajectory(times=times, states=states, meta=meta)
 
     def rhs(state):
         phi, w = state[:n], state[n]
@@ -270,7 +333,6 @@ def joint_flow(
 
     y0 = np.vstack([phi0, w0[None, :]])
     states = _rk4_integrate(rhs, y0, times, step)
-    meta = {"flow": "joint", "alpha": alpha, "beta": beta, "gamma": gamma, "step": step}
     return Trajectory(times=times, states=states, meta=meta)
 
 
@@ -289,9 +351,10 @@ def ensemble_flow(
 
     Every head predicts from the same Phi; r^m is the chain's expected reward
     unless per-head cumulants are attached to ``state0``. With beta = 0 the
-    weights are frozen and the Phi equation reduces to
-    (gamma P - I) Phi W + F with W = sum_m w^m (w^m)^T and F = sum_m r^m (w^m)^T,
-    which is what gets integrated (identical dynamics, head-count-free cost).
+    weights are frozen and the Phi equation reduces to the linear flow
+    alpha ((gamma P - I) Phi W + F) with W = sum_m w^m (w^m)^T and
+    F = sum_m r^m (w^m)^T, evaluated in closed form at a head-count-free cost
+    (``step`` is unused). Trained heads (beta > 0) are integrated with RK4.
     Trajectory states are the Phi matrices.
     """
     times = _check_times(times)
@@ -309,7 +372,7 @@ def ensemble_flow(
         "beta": beta,
         "gamma": gamma,
         "M": state0.n_heads,
-        "step": step,
+        "step": step if beta > 0 else None,
         "cumulants": rewards is not None,
     }
 
@@ -319,11 +382,8 @@ def ensemble_flow(
             forcing = rewards @ state0.weights
         else:
             forcing = np.outer(chain.reward, state0.weights.sum(axis=0))
-
-        def rhs(phi):
-            return alpha * ((gamma * (P @ phi) - phi) @ W + forcing)
-
-        states = _rk4_integrate(rhs, phi0, times, step)
+        op = alpha * (gamma * P - np.eye(n))
+        states = _linear_flow([(op, W)], alpha * forcing, phi0, times)
         return Trajectory(times=times, states=states, meta=meta)
 
     # Trained heads: carry the (K, M) weight matrix alongside Phi, padded to
@@ -392,28 +452,19 @@ def sample_cumulants(M: int, sigma: np.ndarray, seed) -> np.ndarray:
 
 
 def linear_limit_flow(spec: LinearFlowSpec, times) -> Trajectory:
-    """Closed form of d/dt Phi = A Phi + B: Phi_t = e^{tA} Phi_0 + (I - e^{tA})(-A^{-1}B).
+    """Closed form of d/dt Phi = A Phi + B; A may be singular.
 
     Instantiates every infinite-head limit: A = -(I - gamma P) with B = 0 or a
     Gaussian forcing matrix, and the averaged operators for multi-policy /
     multi-discount head splits.
     """
     times = _check_times(times)
-    import warnings as _warnings
-
     if not spec.stable():
-        _warnings.warn("A has eigenvalues with nonnegative real part; flow will not settle",
-                       RuntimeWarning, stacklevel=2)
-    try:
-        fixed_point = -np.linalg.solve(spec.A, spec.B)
-    except np.linalg.LinAlgError as exc:
-        raise ConfigurationError(f"A is singular: {exc}") from exc
-    states = []
-    for t in times:
-        E = matrix_exponential(spec.A, t)
-        states.append(E @ spec.phi0 + (np.eye(spec.A.shape[0]) - E) @ fixed_point)
-    meta = {"flow": "linear_limit"}
-    return Trajectory(times=times, states=states, meta=meta)
+        warnings.warn("A has eigenvalues with nonnegative real part; flow will not settle",
+                      RuntimeWarning, stacklevel=2)
+    terms = [(spec.A, np.eye(spec.phi0.shape[1]))]
+    states = _linear_flow(terms, spec.B, spec.phi0, times)
+    return Trajectory(times=times, states=states, meta={"flow": "linear_limit"})
 
 
 def build_multi_task_operator(chains: list, mode: str) -> np.ndarray:
@@ -462,7 +513,9 @@ def multi_task_flow(
     """Frozen-weight multi-head flow with heads split evenly over L tasks, zero reward.
 
     d/dt Phi = sum_i (gamma_i P_i - I) Phi W_i with W_i the second-moment
-    matrix of task i's heads. Reduces to the single-task frozen flow at L = 1.
+    matrix of task i's heads, evaluated in closed form. Reduces to the
+    single-task frozen flow at L = 1. ``step`` is unused; it stays in the
+    signature for callers that pass it.
     """
     times = _check_times(times)
     L = len(chains)
@@ -470,15 +523,9 @@ def multi_task_flow(
     assign = split_heads(M, L)
     ops = [c.gamma * c.transition - np.eye(c.n_states) for c in chains]
     Ws = [weights[assign == i].T @ weights[assign == i] for i in range(L)]
-
-    def rhs(phi):
-        out = np.zeros_like(phi)
-        for op, W in zip(ops, Ws):
-            out += (op @ phi) @ W
-        return out
-
-    states = _rk4_integrate(rhs, np.asarray(phi0, dtype=float), times, step)
-    meta = {"flow": "multi_task", "mode": mode, "L": L, "M": M, "step": step}
+    phi0 = np.asarray(phi0, dtype=float)
+    states = _linear_flow(list(zip(ops, Ws)), np.zeros_like(phi0), phi0, times)
+    meta = {"flow": "multi_task", "mode": mode, "L": L, "M": M, "step": None}
     return Trajectory(times=times, states=states, meta=meta)
 
 

@@ -17,13 +17,7 @@ from .errors import ConfigurationError
 
 _STOCHASTIC_TOL = 1e-12
 
-#: Repo-convention parameters for the two-state example chain (the source
-#: figure does not state them): self-transition probabilities and per-state
-#: rewards, evaluated at gamma=0.9 by the experiment that uses them.
-TWO_STATE_DEFAULTS = {"stay_prob_a": 0.9, "stay_prob_b": 0.1, "rewards": (1.0, 0.0)}
-
-#: Actions of the gridworld builders, in index order.
-GRID_ACTIONS = ("up", "right", "down", "left")
+# gridworld actions in index order: up, right, down, left
 _GRID_MOVES = ((-1, 0), (0, 1), (1, 0), (0, -1))
 
 

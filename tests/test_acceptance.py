@@ -58,20 +58,22 @@ def test_criterion_1_closed_forms_match_rk4():
             power = power @ op
         return total
 
+    # the series are constant, so they are built once, outside the right-hand sides
+    three_step_forcing = series_k(gp, 2, lambda k: 1.0) @ R
+    gp3 = np.linalg.matrix_power(gp, 3)
+    # sum_k (lambda gamma P)^k, truncated far past float precision
+    lambda_series = series_k(0.5 * gp, 300, lambda k: 1.0)
     cases = {
         "one-step": (
             lambda v: R + gp @ v - v,
             lambda: rd.td_value_flow(chain, v0, targets),
         ),
         "three-step": (
-            lambda v: series_k(gp, 2, lambda k: 1.0) @ R
-            + np.linalg.matrix_power(gp, 3) @ v - v,
+            lambda v: three_step_forcing + gp3 @ v - v,
             lambda: rd.nstep_value_flow(chain, 3, v0, targets),
         ),
         "lambda-return": (
-            # sum_k (lambda gamma P)^k (R + gamma P v - v), truncated far past
-            # float precision
-            lambda v: series_k(0.5 * gp, 300, lambda k: 1.0) @ (R + gp @ v - v),
+            lambda v: lambda_series @ (R + gp @ v - v),
             lambda: rd.td_lambda_value_flow(chain, 0.5, v0, targets),
         ),
     }
@@ -234,7 +236,7 @@ def test_criterion_12_cli_determinism_and_exit_codes(tmp_path):
         "--set", "M_list=100", "--set", "n_seeds=1", "--set", "gap_tol=1e-12",
         "--set", "cov_seeds=20", "--set", "weight_M=1000", "--set", "weight_seeds=1",
         "--set", "weight_tol=1.0", "--set", "rewmat_seeds=20",
-        "--set", "rewmat_tol=1.0", "--set", "step=5e-3",
+        "--set", "rewmat_tol=1.0",
     ]).returncode
     ok = identical and usage == 1 and fail == 2
     _report(12, "CLI reruns are byte-identical; exit codes 0/1/2 honored", ok,

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from repdyn import cli
+
 CLI = [sys.executable, "-m", "repdyn.cli"]
 
 # keep CLI runs light: overrides for the fast bayes-opt configuration
@@ -71,7 +73,6 @@ def test_failed_check_exits_two(tmp_path):
         "--set", "M_list=100", "--set", "n_seeds=1", "--set", "gap_tol=1e-12",
         "--set", "cov_seeds=20", "--set", "weight_M=1000", "--set", "weight_seeds=1",
         "--set", "weight_tol=1.0", "--set", "rewmat_seeds=20", "--set", "rewmat_tol=1.0",
-        "--set", "step=5e-3",
     ])
     assert result.returncode == 2, result.stdout + result.stderr
     assert "[FAIL]" in result.stdout
@@ -95,3 +96,32 @@ def test_flow_command_variants(flow, tmp_path):
                       "--m", "8", "--k", "2", "--step", "0.01", "--out", str(out)])
     assert result.returncode == 0, result.stderr
     assert (out / "tables" / "trajectory.csv").exists()
+
+
+def test_step_override_on_limit_checks_is_rejected(tmp_path):
+    # limit-checks evaluates its frozen-head flows exactly and has no step to set
+    result = run_cli(["limit-checks", "--set", "step=5e-3", "--out", str(tmp_path / "x")])
+    assert result.returncode == 1
+    assert "unknown override" in result.stderr
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["two-state", "--set", "gamma=abc"], {}, "expected float"),
+    (["two-state"], {"REPDYN_SEED": "x"}, "REPDYN_SEED"),
+    (["chain-transfer", "--set", "K=30"], {}, "numerically dependent"),
+    (["flow", "--flow", "ensemble", "--m", "0"], {}, "--m must be at least 1"),
+    (["flow", "--flow", "joint", "--k", "0"], {}, "--k must be at least 1"),
+    (["four-rooms", "--set", "K=0"], {}, "K must lie between 1"),
+    (["flow", "--flow", "td", "--seed", "-1"], {}, "seed must be nonnegative"),
+], ids=["override-not-a-number", "env-seed-not-an-integer", "chain-transfer-rank",
+        "flow-zero-heads", "flow-zero-features", "four-rooms-zero-features",
+        "flow-negative-seed"])
+def test_bad_input_is_one_error_line_and_exit_one(argv, env, message, tmp_path,
+                                                   monkeypatch, capsys):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("repdyn: error: ")
+    assert message in err
+    assert not (tmp_path / "out").exists()

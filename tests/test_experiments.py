@@ -16,10 +16,9 @@ FAST_CONFIGS = {
     "chain-transfer": {},
     "limit-checks": {"M_list": (100, 2000), "n_seeds": 3, "gap_tol": 0.05,
                      "cov_seeds": 400, "weight_M": 20000, "weight_seeds": 3,
-                     "weight_tol": 0.12, "rewmat_seeds": 300, "rewmat_tol": 0.2,
-                     "step": 5e-3},
+                     "weight_tol": 0.12, "rewmat_seeds": 300, "rewmat_tol": 0.2},
     "bayes-opt": {"n_random_subspaces": 50, "mc_samples": 20000},
-    "multi-task": {"M": 2000, "step": 5e-3, "t_finite_span": 60.0},
+    "multi-task": {"M": 2000, "t_finite_span": 60.0},
 }
 
 
@@ -110,15 +109,13 @@ def test_limit_checks_single_head_reduction():
     bundle = rd.run_limit_checks({"M_list": (1,), "n_seeds": 1, "gap_tol": 10.0,
                                   "cov_seeds": 50, "weight_M": 1000,
                                   "weight_seeds": 1, "weight_tol": 1.0,
-                                  "rewmat_seeds": 50, "rewmat_tol": 1.0,
-                                  "step": 5e-3})
+                                  "rewmat_seeds": 50, "rewmat_tol": 1.0})
     names = {c.name: c for c in bundle.checks}
     assert names["single_head_reduces_to_joint_flow"].passed
 
 
 def test_multi_task_discount_mode():
-    bundle = rd.run_multi_task({"mode": "discounts", "M": 2000, "step": 5e-3,
-                                "t_finite_span": 60.0})
+    bundle = rd.run_multi_task({"mode": "discounts", "M": 2000, "t_finite_span": 60.0})
     names = {c.name: c for c in bundle.checks}
     assert names["limit_span_is_averaged_operator_ebf"].passed
     assert "limit_span_distinct_from_first_task_ebf" not in names
@@ -128,8 +125,7 @@ def test_failed_check_is_recorded_not_raised():
     bundle = rd.run_limit_checks({"M_list": (100,), "n_seeds": 2, "gap_tol": 1e-9,
                                   "cov_seeds": 50, "weight_M": 1000,
                                   "weight_seeds": 1, "weight_tol": 1.0,
-                                  "rewmat_seeds": 50, "rewmat_tol": 1.0,
-                                  "step": 5e-3})
+                                  "rewmat_seeds": 50, "rewmat_tol": 1.0})
     assert not bundle.all_passed()
     failed = [c for c in bundle.checks if not c.passed]
     assert all(c.threshold is not None for c in failed)

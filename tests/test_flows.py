@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import repdyn as rd
-from repdyn.errors import ConfigurationError, DivergenceError
-from repdyn.experiments import chain_uniform, frozen_ensemble_span
+from repdyn.errors import ConfigurationError, DivergenceError, NumericalError
+from repdyn.experiments import chain_drift, chain_uniform, frozen_ensemble_span
 from repdyn.flows import td_lambda_series_operator, trajectory_to_csv
 
 
@@ -261,12 +261,20 @@ def test_ensemble_cumulants_enter_per_head():
     w = rd.sample_weights(4, 2, 0.25, 19)
     cums = rd.sample_cumulants(4, np.eye(30), 20)
     state0 = rd.EnsembleState(phi0, w, cums)
-    traj = rd.ensemble_flow(chain, state0, 1.0, 0.0, [1.0], step=1e-2)
-    # oracle: frozen-head closed coupling d/dt phi = (gP - I) phi W + C W_heads
-    W = w.T @ w
-    forcing = cums @ w
-    oracle = rk4_oracle(
-        lambda p: (0.9 * chain.transition @ p - p) @ W + forcing, phi0, 1.0, 1e-2)
+    traj = rd.ensemble_flow(chain, state0, 1.0, 0.0, [1.0])
+    # oracle: frozen-head closed coupling d/dt phi = (gP - I) phi W + C W_heads,
+    # solved column by column in the eigenbasis of W with a Taylor-series
+    # exponential of each column's augmented generator [[omega_j (gP - I), f_j], [0, 0]]
+    op = 0.9 * chain.transition - np.eye(30)
+    omega, V = np.linalg.eigh(w.T @ w)
+    psi0, f = phi0 @ V, cums @ w @ V
+    cols = []
+    for j in range(2):
+        G = np.zeros((31, 31))
+        G[:30, :30] = omega[j] * op
+        G[:30, 30] = f[:, j]
+        cols.append((taylor_expm_oracle(G) @ np.append(psi0[:, j], 1.0))[:30])
+    oracle = np.column_stack(cols) @ V.T
     assert np.abs(traj.final() - oracle).max() < 1e-12
 
 
@@ -338,10 +346,25 @@ def test_linear_limit_flow_fixed_points():
     assert np.abs(rd.linear_limit_flow(spec2, [500.0]).final() - target).max() < 1e-8
 
 
-def test_linear_limit_flow_warns_on_unstable_operator():
+def test_linear_limit_flow_accepts_singular_operator():
+    # A = 0: no fixed point exists and the flow is the straight line phi0 + t B
+    rng = np.random.default_rng(24)
+    phi0 = rng.standard_normal((5, 2))
+    B = rng.standard_normal((5, 2))
     with pytest.warns(RuntimeWarning):
-        rd.linear_limit_flow(rd.LinearFlowSpec(np.eye(2), np.zeros((2, 1)),
-                                               np.ones((2, 1))), [1.0])
+        traj = rd.linear_limit_flow(rd.LinearFlowSpec(np.zeros((5, 5)), B, phi0),
+                                    [0.0, 1.0, 2.5, 7.25])
+    for t, state in zip(traj.times, traj.states):
+        np.testing.assert_allclose(state, phi0 + t * B, rtol=0.0, atol=1e-14)
+
+
+def test_linear_limit_flow_warns_on_unstable_operator():
+    spec = rd.LinearFlowSpec(np.eye(2), np.zeros((2, 1)), np.ones((2, 1)))
+    with pytest.warns(RuntimeWarning):
+        rd.linear_limit_flow(spec, [1.0])
+    # each step's exponential is finite, but the state overflows by t = 1000
+    with pytest.warns(RuntimeWarning), pytest.raises(NumericalError):
+        rd.linear_limit_flow(spec, [500.0, 1000.0])
 
 
 def test_multi_task_operator_reduction_and_average():
@@ -378,6 +401,26 @@ def test_multi_task_operator_ebf_is_average_chain_ebf():
         vals, vecs = np.linalg.eig(op)
         top = rd.orthonormalize(np.real(vecs[:, np.argsort(vals.real)[::-1][:4]]))
         assert rd.grassmann_distance(top, rd.ebf(p_bar, 4)).distance < 1e-8
+
+
+def test_multi_task_flow_matches_rk4_oracle_with_two_tasks():
+    zero = np.zeros(30)
+    chains = [chain_drift(0.9, p).with_reward(zero) for p in (0.75, 0.25)]
+    rng = np.random.default_rng(50)
+    phi0 = rng.standard_normal((30, 3))
+    w = rd.sample_weights(6, 3, 1.0 / 6, 51)
+    Ws = [w[:3].T @ w[:3], w[3:].T @ w[3:]]
+    assert np.abs(Ws[0] @ Ws[1] - Ws[1] @ Ws[0]).max() > 1e-2  # the terms do not commute
+    ops = [c.gamma * c.transition - np.eye(30) for c in chains]
+
+    def rhs(phi):
+        return sum(op @ phi @ W for op, W in zip(ops, Ws))
+
+    times = [0.0, 0.5, 2.0]
+    traj = rd.multi_task_flow(chains, w, phi0, times)
+    for t, state in zip(times, traj.states):
+        assert np.abs(state - rk4_oracle(rhs, phi0, t, 1e-3)).max() < 1e-10
+    assert traj.meta["step"] is None
 
 
 def test_split_heads_blocks():
