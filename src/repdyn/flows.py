@@ -9,7 +9,10 @@ augmented matrix exponential per sample interval. With frozen heads the head
 weights enter only through the K x K second moment W, so head counts in the
 tens of thousands cost the same as a single head. Only trained heads
 (beta > 0) make the flow bilinear; those are integrated with a fixed-step
-classical Runge-Kutta scheme, preferring determinism over adaptivity.
+classical Runge-Kutta scheme, preferring determinism over adaptivity. RK4
+steps the representation and the head weights as a tuple of arrays, and it
+stops computing once its state is a bit-for-bit fixed point of the step: the
+skipped steps would have returned the same state, so the output is unchanged.
 """
 
 from __future__ import annotations
@@ -135,12 +138,17 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def _exponential_value_flow(op: np.ndarray, chain: MarkovChain, v0, times, meta: dict) -> Trajectory:
-    """Shared closed form V_t = exp(t*op)(V_0 - V^pi) + V^pi."""
-    times = _check_times(times)
+def _check_v0(chain: MarkovChain, v0) -> np.ndarray:
     v0 = np.asarray(v0, dtype=float).reshape(-1)
     if v0.shape[0] != chain.n_states:
         raise ConfigurationError("v0 length must match the chain")
+    return v0
+
+
+def _exponential_value_flow(op: np.ndarray, chain: MarkovChain, v0, times, meta: dict) -> Trajectory:
+    """Shared closed form V_t = exp(t*op)(V_0 - V^pi) + V^pi."""
+    times = _check_times(times)
+    v0 = _check_v0(chain, v0)
     v_star = exact_value(chain)
     delta0 = v0 - v_star
     states = []
@@ -167,7 +175,7 @@ def mc_value_flow(chain: MarkovChain, v0, times) -> Trajectory:
     transition structure enters the trajectory.
     """
     times = _check_times(times)
-    v0 = np.asarray(v0, dtype=float).reshape(-1)
+    v0 = _check_v0(chain, v0)
     v_star = exact_value(chain)
     delta0 = v0 - v_star
     states = [v0[:, None].copy() if t == 0.0 else (v_star + np.exp(-t) * delta0)[:, None]
@@ -255,36 +263,52 @@ def _linear_flow(terms: list, forcing: np.ndarray, phi0: np.ndarray, times: np.n
     return states
 
 
-def _rk4_integrate(
-    rhs: Callable[[np.ndarray], np.ndarray],
-    y0: np.ndarray,
-    times: np.ndarray,
-    step: float,
-) -> list:
+def _rk4_integrate(rhs: Callable, y0, times: np.ndarray, step: float) -> tuple[list, int]:
     """Classical RK4 with fixed step; sample times are hit exactly.
 
-    The state norm is monitored; exceeding 1e12 raises DivergenceError with
-    the time of blowup.
+    The state is an array or a tuple of arrays, and ``rhs`` maps it to a
+    derivative of the same structure. The state norm (the root of the summed
+    squares of all parts) is monitored; exceeding 1e12 raises DivergenceError
+    with the time of blowup. Returns the sampled states and the number of
+    steps computed.
+
+    A step is a pure function of (y, h). Once a step of size h returns y bit
+    for bit, later steps of that size are skipped until a computed step moves
+    y; the time still advances step by step, so the sample grid and every
+    sampled state are exactly those of computing each step.
     """
-    if step <= 0:
-        raise ConfigurationError(f"step must be positive, got {step}")
-    y = y0.copy()
-    t = 0.0
+    if not (step > 0 and np.isfinite(step)):
+        raise ConfigurationError(f"step must be finite and positive, got {step}")
+    if isinstance(y0, np.ndarray):
+        states, steps = _rk4_integrate(lambda y: (rhs(y[0]),), (y0,), times, step)
+        return [y for y, in states], steps
+    y = tuple(part.copy() for part in y0)
+    t, steps = 0.0, 0
+    still = set()  # step sizes whose last computed step returned y bit for bit
     out = []
     for target in times:
         while t < target - 1e-12:
             h = min(step, target - t)
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += h
-            norm = np.linalg.norm(y)
+            if h in still:
+                continue
+            k1 = rhs(y)
+            k2 = rhs(tuple(a + 0.5 * h * k for a, k in zip(y, k1)))
+            k3 = rhs(tuple(a + 0.5 * h * k for a, k in zip(y, k2)))
+            k4 = rhs(tuple(a + h * k for a, k in zip(y, k3)))
+            moved = tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                          for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+            steps += 1
+            norm = np.sqrt(sum(np.vdot(part, part) for part in moved))
             if not np.isfinite(norm) or norm > _DIVERGENCE_NORM:
                 raise DivergenceError(f"flow diverged at t = {t:.6g}", time=t)
-        out.append(y.copy())
-    return out
+            if all(a.tobytes() == b.tobytes() for a, b in zip(moved, y)):
+                still.add(h)
+            else:
+                still.clear()
+            y = moved
+        out.append(tuple(part.copy() for part in y))
+    return out, steps
 
 
 def joint_flow(
@@ -305,7 +329,8 @@ def joint_flow(
     it); that convention is already baked into these right-hand sides.
     Trajectory states stack Phi over w: shape (n + 1, K) with the last row w^T.
     With beta = 0 this is the one-head frozen ``ensemble_flow``, solved in
-    closed form (``step`` is unused); otherwise RK4 integrates it.
+    closed form (``step`` is unused); otherwise RK4 integrates it and ``meta``
+    records the steps it computed (``rk4_steps``) and ``rhs_evals``.
     """
     times = _check_times(times)
     if alpha < 0 or beta < 0:
@@ -325,14 +350,13 @@ def joint_flow(
         return Trajectory(times=times, states=states, meta=meta)
 
     def rhs(state):
-        phi, w = state[:n], state[n]
+        phi, w = state
         delta = R + gamma * (P @ (phi @ w)) - phi @ w
-        dphi = alpha * np.outer(delta, w)
-        dw = beta * (phi.T @ delta)
-        return np.vstack([dphi, dw[None, :]])
+        return alpha * np.outer(delta, w), beta * (phi.T @ delta)
 
-    y0 = np.vstack([phi0, w0[None, :]])
-    states = _rk4_integrate(rhs, y0, times, step)
+    path, steps = _rk4_integrate(rhs, (phi0, w0), times, step)
+    meta.update(rk4_steps=steps, rhs_evals=4 * steps)
+    states = [np.vstack([phi, w[None, :]]) for phi, w in path]
     return Trajectory(times=times, states=states, meta=meta)
 
 
@@ -354,8 +378,9 @@ def ensemble_flow(
     weights are frozen and the Phi equation reduces to the linear flow
     alpha ((gamma P - I) Phi W + F) with W = sum_m w^m (w^m)^T and
     F = sum_m r^m (w^m)^T, evaluated in closed form at a head-count-free cost
-    (``step`` is unused). Trained heads (beta > 0) are integrated with RK4.
-    Trajectory states are the Phi matrices.
+    (``step`` is unused). Trained heads (beta > 0) are integrated with RK4,
+    and ``meta`` records the steps it computed (``rk4_steps``) and
+    ``rhs_evals``. Trajectory states are the Phi matrices.
     """
     times = _check_times(times)
     if alpha < 0 or beta < 0:
@@ -386,27 +411,18 @@ def ensemble_flow(
         states = _linear_flow([(op, W)], alpha * forcing, phi0, times)
         return Trajectory(times=times, states=states, meta=meta)
 
-    # Trained heads: carry the (K, M) weight matrix alongside Phi, padded to
-    # n rows so the integrator sees one rectangular state (n >= K here).
-    if n < k:
-        raise ConfigurationError("trained-head integration expects n >= K")
-    m = state0.n_heads
-    wmat0 = state0.weights.T
-    rmat = rewards if rewards is not None else np.broadcast_to(chain.reward[:, None], (n, m)).copy()
-    pad = np.zeros((n - k, m))
-
-    def pack(phi, wmat):
-        return np.hstack([phi, np.vstack([wmat, pad])])
+    # Trained heads: RK4 on the pair (Phi, W^T), W^T the (K, M) weight matrix.
+    rmat = rewards if rewards is not None else chain.reward[:, None]
 
     def rhs(state):
-        phi, wmat = state[:, :k], state[:k, k:]
+        phi, wmat = state
         pred = phi @ wmat
         delta = rmat + gamma * (P @ pred) - pred
-        return pack(alpha * (delta @ wmat.T), beta * (phi.T @ delta))
+        return alpha * (delta @ wmat.T), beta * (phi.T @ delta)
 
-    states_packed = _rk4_integrate(rhs, pack(phi0, wmat0), times, step)
-    states = [s[:, :k].copy() for s in states_packed]
-    return Trajectory(times=times, states=states, meta=meta)
+    path, steps = _rk4_integrate(rhs, (phi0, state0.weights.T), times, step)
+    meta.update(rk4_steps=steps, rhs_evals=4 * steps)
+    return Trajectory(times=times, states=[phi for phi, _ in path], meta=meta)
 
 
 def sample_weights(M: int, K: int, variance: float, seed) -> np.ndarray:
@@ -518,12 +534,23 @@ def multi_task_flow(
     signature for callers that pass it.
     """
     times = _check_times(times)
+    if mode not in ("policies", "discounts"):
+        raise ConfigurationError(f"unknown mode {mode!r}; expected 'policies' or 'discounts'")
+    if not chains:
+        raise ConfigurationError("need at least one chain")
+    weights = np.atleast_2d(np.asarray(weights, dtype=float))
+    phi0 = np.asarray(phi0, dtype=float)
+    if phi0.ndim != 2 or any(c.n_states != phi0.shape[0] for c in chains):
+        raise ConfigurationError("phi0 must have one row per state of every chain")
+    if weights.ndim != 2 or weights.shape[1] != phi0.shape[1]:
+        raise ConfigurationError(
+            f"weights must be (M, K) with K = {phi0.shape[1]} phi0 columns, got {weights.shape}"
+        )
     L = len(chains)
     M = weights.shape[0]
     assign = split_heads(M, L)
     ops = [c.gamma * c.transition - np.eye(c.n_states) for c in chains]
     Ws = [weights[assign == i].T @ weights[assign == i] for i in range(L)]
-    phi0 = np.asarray(phi0, dtype=float)
     states = _linear_flow(list(zip(ops, Ws)), np.zeros_like(phi0), phi0, times)
     meta = {"flow": "multi_task", "mode": mode, "L": L, "M": M, "step": None}
     return Trajectory(times=times, states=states, meta=meta)

@@ -113,9 +113,13 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
     (["flow", "--flow", "joint", "--k", "0"], {}, "--k must be at least 1"),
     (["four-rooms", "--set", "K=0"], {}, "K must lie between 1"),
     (["flow", "--flow", "td", "--seed", "-1"], {}, "seed must be nonnegative"),
+    (["flow", "--flow", "joint", "--beta", "1", "--step", "nan"], {},
+     "step must be finite and positive"),
+    (["flow", "--flow", "joint", "--beta", "1", "--step", "inf"], {},
+     "step must be finite and positive"),
 ], ids=["override-not-a-number", "env-seed-not-an-integer", "chain-transfer-rank",
         "flow-zero-heads", "flow-zero-features", "four-rooms-zero-features",
-        "flow-negative-seed"])
+        "flow-negative-seed", "flow-step-nan", "flow-step-inf"])
 def test_bad_input_is_one_error_line_and_exit_one(argv, env, message, tmp_path,
                                                    monkeypatch, capsys):
     for key, value in env.items():

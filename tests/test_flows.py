@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repdyn as rd
 from repdyn.errors import ConfigurationError, DivergenceError, NumericalError
 from repdyn.experiments import chain_drift, chain_uniform, frozen_ensemble_span
-from repdyn.flows import td_lambda_series_operator, trajectory_to_csv
+from repdyn.flows import _rk4_integrate, td_lambda_series_operator, trajectory_to_csv
 
 
 def rk4_oracle(rhs, y0, t_end, step):
@@ -20,6 +22,35 @@ def rk4_oracle(rhs, y0, t_end, step):
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
     return y
+
+
+def plain_rk4_path(rhs, y0, times, step):
+    """Fixed-step RK4 on a tuple of arrays that computes every step; returns (samples, steps)."""
+    y = tuple(np.array(part, dtype=float) for part in y0)
+    t, steps, out = 0.0, 0, []
+    for target in times:
+        while t < target - 1e-12:
+            h = min(step, target - t)
+            k1 = rhs(y)
+            k2 = rhs(tuple(a + 0.5 * h * k for a, k in zip(y, k1)))
+            k3 = rhs(tuple(a + 0.5 * h * k for a, k in zip(y, k2)))
+            k4 = rhs(tuple(a + h * k for a, k in zip(y, k3)))
+            y = tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+            t += h
+            steps += 1
+        out.append(y)
+    return out, steps
+
+
+def trained_heads_rhs(chain, rewards):
+    """The trained-head ensemble right-hand side on (Phi, W^T) at alpha = beta = 1."""
+    def rhs(state):
+        phi, wmat = state
+        pred = phi @ wmat
+        delta = rewards + chain.gamma * (chain.transition @ pred) - pred
+        return delta @ wmat.T, phi.T @ delta
+    return rhs
 
 
 def taylor_expm_oracle(A, terms=60):
@@ -149,6 +180,13 @@ def test_td_lambda_matches_rk4_oracle():
     assert np.abs(traj.final()[:, 0] - oracle).max() < 1e-6
 
 
+@pytest.mark.parametrize("v0, times", [(np.ones(1), [1.0]), (np.ones(5), [0.0, 1.0])],
+                         ids=["broadcast-length-1", "length-5"])
+def test_mc_flow_rejects_v0_of_the_wrong_length(v0, times):
+    with pytest.raises(ConfigurationError, match="v0 length must match the chain"):
+        rd.mc_value_flow(chain_uniform(), v0, times)
+
+
 def test_value_flow_semigroup_property():
     chain = chain_uniform()
     rng = np.random.default_rng(8)
@@ -252,6 +290,81 @@ def test_ensemble_flow_matches_rk4_oracle_with_trained_heads():
     oracle = rk4_oracle(rhs, y0, 2.0, 1e-3)[:30]
     traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 1.0, [2.0], step=1e-3)
     assert np.abs(traj.final() - oracle).max() < 1e-10
+
+
+@pytest.mark.parametrize("rewarded", [False, True], ids=["zero-reward", "rewarded"])
+def test_trained_heads_stop_computing_at_a_bitwise_fixed_point(rewarded):
+    # both flows stop moving in float64 before t = 150 (zero reward drives the
+    # head weights to zero); the samples after that include shortened steps
+    chain = chain_uniform()
+    if not rewarded:
+        chain = chain.with_reward(np.zeros(30))
+    rng = np.random.default_rng(0)
+    phi0 = rng.standard_normal((30, 2))
+    w = rd.sample_weights(3, 2, 1.0 / 3, 1)
+    times = [0.0, 10.05, 150.3, 200.0]
+    traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 1.0, times, step=0.1)
+    path, steps = plain_rk4_path(trained_heads_rhs(chain, chain.reward[:, None]),
+                                 (phi0, w.T), times, 0.1)
+    for state, (phi, _) in zip(traj.states, path):
+        assert np.array_equal(state, phi)
+    assert all(np.array_equal(a, b) for a, b in zip(path[2], path[3]))
+    assert traj.meta["rk4_steps"] < steps // 2
+    assert traj.meta["rhs_evals"] == 4 * traj.meta["rk4_steps"]
+
+
+def test_rewarded_trained_heads_compute_every_step():
+    chain = chain_uniform()
+    rng = np.random.default_rng(2)
+    phi0 = rng.standard_normal((30, 2))
+    w = rd.sample_weights(3, 2, 1.0 / 3, 3)
+    times = [0.0, 0.5, 1.25, 2.0]
+    traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 1.0, times, step=0.1)
+    path, steps = plain_rk4_path(trained_heads_rhs(chain, chain.reward[:, None]),
+                                 (phi0, w.T), times, 0.1)
+    for state, (phi, _) in zip(traj.states, path):
+        assert np.array_equal(state, phi)
+    assert traj.meta["rk4_steps"] == steps
+    assert traj.meta["rhs_evals"] == 4 * steps
+    joint = rd.joint_flow(chain, phi0, w[0], 1.0, 1.0, times, step=0.1)
+    assert joint.meta["rk4_steps"] == steps
+
+
+def test_rk4_skip_is_keyed_by_step_size_and_cleared_when_the_state_moves():
+    # at y = 1 a step of 2^-10 rounds back to 1, a step of 0.5 does not; once
+    # y has moved, the 2^-10 step that ends at the last sample moves it again
+    def rhs(y):
+        return np.where(y == 1.0, 1e-14, 1.0)
+
+    times = [2.0 ** -10, 2.0 ** -9, 1.0, 1.0 + 2.0 ** -10]
+    states, steps = _rk4_integrate(rhs, np.ones(1), np.array(times), 0.5)
+    path, every = plain_rk4_path(lambda y: (rhs(y[0]),), (np.ones(1),), times, 0.5)
+    assert [s.tobytes() for s in states] == [y.tobytes() for y, in path]
+    assert states[1][0] == 1.0 and states[2][0] > 1.0
+    assert (steps, every) == (4, 5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), k=st.integers(1, 4),
+       m=st.integers(1, 3), gamma=st.sampled_from([0.0, 0.5, 0.9]), rewarded=st.booleans())
+def test_trained_heads_match_every_step_rk4_bit_for_bit(seed, n, k, m, gamma, rewarded):
+    # symmetric stochastic P keeps the flow stable; K may exceed n
+    rng = np.random.default_rng(seed)
+    sym = rng.random((n, n))
+    sym = sym + sym.T
+    scale = sym.sum(axis=1).max()
+    P = sym / scale + np.diag(1.0 - sym.sum(axis=1) / scale)
+    reward = rng.standard_normal(n) if rewarded else np.zeros(n)
+    chain = rd.MarkovChain(P, reward, gamma)
+    phi0 = rng.standard_normal((n, k))
+    w = rng.standard_normal((m, k)) / np.sqrt(m)
+    times = np.sort(rng.uniform(0.0, 60.0, 3))
+    traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 1.0, times, step=0.125)
+    path, steps = plain_rk4_path(trained_heads_rhs(chain, reward[:, None]), (phi0, w.T),
+                                 times, 0.125)
+    for state, (phi, _) in zip(traj.states, path):
+        assert np.array_equal(state, phi)
+    assert traj.meta["rk4_steps"] <= steps
 
 
 def test_ensemble_cumulants_enter_per_head():
@@ -421,6 +534,19 @@ def test_multi_task_flow_matches_rk4_oracle_with_two_tasks():
     for t, state in zip(times, traj.states):
         assert np.abs(state - rk4_oracle(rhs, phi0, t, 1e-3)).max() < 1e-10
     assert traj.meta["step"] is None
+
+
+@pytest.mark.parametrize("n_chains, weights_shape, phi0_shape, mode, message", [
+    (2, (4, 3), (30, 3), "bogus", "unknown mode"),
+    (0, (4, 3), (30, 3), "policies", "at least one chain"),
+    (2, (4, 2), (30, 3), "policies", "weights must be"),
+    (2, (4, 3), (29, 3), "discounts", "one row per state"),
+], ids=["bogus-mode", "no-chains", "weights-columns", "phi0-rows"])
+def test_multi_task_flow_rejects_bad_mode_and_shapes(n_chains, weights_shape, phi0_shape, mode,
+                                                     message):
+    chains = [chain_drift(0.9, p).with_reward(np.zeros(30)) for p in (0.75, 0.25)][:n_chains]
+    with pytest.raises(ConfigurationError, match=message):
+        rd.multi_task_flow(chains, np.ones(weights_shape), np.ones(phi0_shape), [1.0], mode)
 
 
 def test_split_heads_blocks():
