@@ -122,9 +122,11 @@ def _run_flow_command(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if seed < 0:
         raise ConfigurationError("seed must be nonnegative")
-    for flag in ("k", "m"):
+    for flag in ("k", "m", "samples"):
         if getattr(args, flag) < 1:
             raise ConfigurationError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    if not np.isfinite(args.t_max):
+        raise ConfigurationError(f"--t-max must be finite, got {args.t_max}")
     chain = _build_chain(args.mdp, args.policy, args.gamma)
     times = np.linspace(0.0, args.t_max, args.samples)
     n = chain.n_states
@@ -166,8 +168,7 @@ def _run_flow_command(args) -> int:
                   json.dumps(config, sort_keys=True, indent=2, default=str) + "\n")
     _atomic_write(os.path.join(out_dir, "tables", "trajectory.csv"),
                   flows.trajectory_to_csv(traj))
-    k = traj.states[0].shape[1]
-    if k == 1:
+    if traj.states.shape[2] == 1:
         figure = emit_svg(np.column_stack([traj.times, traj.values()]), "line",
                           title=f"{args.flow} value flow")
     else:
@@ -189,8 +190,6 @@ def main(argv=None) -> int:
         overrides = _parse_overrides(args.overrides, defaults)
         overrides["seed"] = args.seed if args.seed is not None else \
             overrides.get("seed", _default_seed())
-        if overrides["seed"] < 0:
-            raise ConfigurationError("seed must be nonnegative")
         bundle = experiments.EXPERIMENTS[args.command](overrides)
         out_dir = args.out or os.path.join("out", args.command)
         bundle.save(out_dir)

@@ -8,6 +8,8 @@ from its own config reproduces the tables byte for byte.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 
 import numpy as np
@@ -24,6 +26,11 @@ CHAIN_RIGHT_REWARD = 1.0
 
 
 def _finalize_config(defaults: dict, config: dict | None) -> dict:
+    """``defaults`` overridden by ``config``, checked entry by entry.
+
+    Every int entry (also inside a tuple) other than ``seed`` is a count and
+    must be at least 1; ``seed`` must be nonnegative; every float must be finite.
+    """
     merged = dict(defaults)
     for key, value in (config or {}).items():
         if key not in defaults:
@@ -31,6 +38,16 @@ def _finalize_config(defaults: dict, config: dict | None) -> dict:
                 f"unknown config key {key!r}; known keys: {sorted(defaults)}"
             )
         merged[key] = value
+    for key, value in merged.items():
+        for x in value if isinstance(value, (tuple, list)) else (value,):
+            if isinstance(x, bool):
+                continue
+            if isinstance(x, numbers.Integral) and key == "seed" and x < 0:
+                raise ConfigurationError(f"seed must be nonnegative, got {value!r}")
+            if isinstance(x, numbers.Integral) and key != "seed" and x < 1:
+                raise ConfigurationError(f"{key} must be at least 1, got {value!r}")
+            if isinstance(x, numbers.Real) and not math.isfinite(x):
+                raise ConfigurationError(f"{key} must be finite, got {value!r}")
     return merged
 
 
@@ -235,7 +252,7 @@ def run_four_rooms_features(config: dict | None = None) -> ReportBundle:
 
     for t_snap in cfg["snapshot_times"]:
         idx = int(np.argmin(np.abs(sample_times - t_snap)))
-        col = traj.states[idx][:, 0]
+        col = traj.states[idx, :, 0]
         bundle.figures[f"feature0_t{t_snap:g}"] = emit_svg(
             col, "gridworld", coords=coords, shape=(11, 11),
             title=f"feature 0 at t={t_snap:g}",
@@ -246,7 +263,7 @@ def run_four_rooms_features(config: dict | None = None) -> ReportBundle:
         U[:, -1], "gridworld", coords=coords, shape=(11, 11), title="eigenfunction 105")
 
     # dot products of each feature with every eigenfunction over time
-    proj = np.stack([U.T @ s for s in traj.states])  # (T, n_eig, K)
+    proj = U.T @ traj.states  # (T, n_eig, K)
     for k in range(K):
         cols = ["t"] + [f"u{i + 1}" for i in range(n)]
         bundle.add_table(f"projections_feature{k}", cols,

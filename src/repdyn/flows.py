@@ -9,10 +9,15 @@ augmented matrix exponential per sample interval. With frozen heads the head
 weights enter only through the K x K second moment W, so head counts in the
 tens of thousands cost the same as a single head. Only trained heads
 (beta > 0) make the flow bilinear; those are integrated with a fixed-step
-classical Runge-Kutta scheme, preferring determinism over adaptivity. RK4
-steps the representation and the head weights as a tuple of arrays, and it
-stops computing once its state is a bit-for-bit fixed point of the step: the
-skipped steps would have returned the same state, so the output is unchanged.
+classical Runge-Kutta scheme, preferring determinism over adaptivity. One
+right-hand side on (Phi, W^T) serves every trained-head flow: the single-head
+``joint_flow`` is the one-head ensemble flow. RK4 steps the representation and
+the head weights as a tuple of arrays, and it stops computing once its state
+is a bit-for-bit fixed point of the step: the skipped steps would have
+returned the same state, so the output is unchanged.
+
+Every flow returns a ``Trajectory`` whose states are one (T, n, K) array,
+state t at ``states[t]``.
 """
 
 from __future__ import annotations
@@ -34,29 +39,31 @@ _DIVERGENCE_NORM = 1e12
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-stamped states of a flow; states are (n, K) matrices, K=1 for value flows."""
+    """Time-stamped states of a flow: one (T, n, K) array, K = 1 for value flows."""
 
     times: np.ndarray
-    states: list
+    states: np.ndarray
     meta: dict
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or len(times) != len(self.states):
-            raise ConfigurationError("times and states must have matching lengths")
-        if len(times) > 1 and np.any(np.diff(times) <= 0):
-            raise ConfigurationError("times must be strictly increasing")
-        shapes = {s.shape for s in self.states}
-        if len(shapes) > 1:
-            raise ConfigurationError(f"state shapes differ: {shapes}")
+        try:
+            states = np.asarray(self.states, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigurationError("states must form one (T, n, K) array") from None
+        if states.ndim != 3 or times.ndim != 1 or len(times) != len(states):
+            raise ConfigurationError(
+                f"states must be (T, n, K) with one state per time; got {states.shape} "
+                f"for times of shape {times.shape}")
         object.__setattr__(self, "times", times)
+        object.__setattr__(self, "states", states)
 
     def final(self) -> np.ndarray:
         return self.states[-1]
 
     def values(self) -> np.ndarray:
         """(T, n) array for value flows (K = 1)."""
-        return np.stack([s[:, 0] for s in self.states])
+        return self.states[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -102,10 +109,6 @@ class LinearFlowSpec:
         A = np.asarray(self.A, dtype=float)
         B = np.atleast_2d(np.asarray(self.B, dtype=float))
         phi0 = np.atleast_2d(np.asarray(self.phi0, dtype=float))
-        if phi0.ndim == 2 and phi0.shape[0] == 1 and A.shape[0] != 1:
-            phi0 = phi0.T
-        if B.shape[0] == 1 and A.shape[0] != 1:
-            B = B.T
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ConfigurationError("A must be square")
         if B.shape != phi0.shape or B.shape[0] != A.shape[0]:
@@ -133,6 +136,8 @@ def _check_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ConfigurationError("times must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(times)):
+        raise ConfigurationError("times must be finite")
     if times[0] < 0 or (len(times) > 1 and np.any(np.diff(times) <= 0)):
         raise ConfigurationError("times must be nonnegative and strictly increasing")
     return times
@@ -151,13 +156,9 @@ def _exponential_value_flow(op: np.ndarray, chain: MarkovChain, v0, times, meta:
     v0 = _check_v0(chain, v0)
     v_star = exact_value(chain)
     delta0 = v0 - v_star
-    states = []
-    for t in times:
-        if t == 0.0:
-            states.append(v0[:, None].copy())
-            continue
-        drift = matrix_exponential(op, t) @ delta0
-        states.append((v_star + drift)[:, None])
+    states = np.empty((len(times), len(v0), 1))
+    for i, t in enumerate(times):
+        states[i, :, 0] = v0 if t == 0.0 else v_star + matrix_exponential(op, t) @ delta0
     return Trajectory(times=times, states=states, meta=meta)
 
 
@@ -178,8 +179,9 @@ def mc_value_flow(chain: MarkovChain, v0, times) -> Trajectory:
     v0 = _check_v0(chain, v0)
     v_star = exact_value(chain)
     delta0 = v0 - v_star
-    states = [v0[:, None].copy() if t == 0.0 else (v_star + np.exp(-t) * delta0)[:, None]
-              for t in times]
+    states = np.empty((len(times), len(v0), 1))
+    for i, t in enumerate(times):
+        states[i, :, 0] = v0 if t == 0.0 else v_star + np.exp(-t) * delta0
     return Trajectory(times=times, states=states, meta={"flow": "mc", "gamma": chain.gamma})
 
 
@@ -211,8 +213,8 @@ def td_lambda_value_flow(chain: MarkovChain, lam: float, v0, times) -> Trajector
     )
 
 
-def _affine_path(G: np.ndarray, f: np.ndarray, x0: np.ndarray, times: np.ndarray) -> list:
-    """x(t) of x' = G x + f at ``times``, starting from x(0) = x0.
+def _affine_path(G: np.ndarray, f: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(T, m) array of x(t) of x' = G x + f at ``times``, starting from x(0) = x0.
 
     (x, 1) follows the linear flow of the augmented generator [[G, f], [0, 0]]
     (Van Loan 1978), so each step between samples is one matrix exponential;
@@ -224,9 +226,9 @@ def _affine_path(G: np.ndarray, f: np.ndarray, x0: np.ndarray, times: np.ndarray
     aug[:m, m] = f
     x = np.append(x0, 1.0)
     propagators = {}
-    out = []
+    out = np.empty((len(times), m))
     t = 0.0
-    for target in times:
+    for i, target in enumerate(times):
         dt = target - t
         if dt > 0.0:
             if dt not in propagators:
@@ -234,13 +236,13 @@ def _affine_path(G: np.ndarray, f: np.ndarray, x0: np.ndarray, times: np.ndarray
             x = propagators[dt] @ x
             if not np.all(np.isfinite(x)):
                 raise NumericalError(f"flow overflowed at t = {target:.6g}")
-        out.append(x[:m])
+        out[i] = x[:m]
         t = target
     return out
 
 
-def _linear_flow(terms: list, forcing: np.ndarray, phi0: np.ndarray, times: np.ndarray) -> list:
-    """Exact states of d/dt Phi = sum_i A_i Phi W_i + F at ``times``; every W_i symmetric.
+def _linear_flow(terms: list, forcing: np.ndarray, phi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Exact (T, n, K) states of d/dt Phi = sum_i A_i Phi W_i + F at ``times``; W_i symmetric.
 
     ``terms`` lists the (A_i, W_i) pairs. One term decouples in the eigenbasis
     of W into K column problems of size n + 1. Several terms act on vec(Phi)
@@ -253,24 +255,25 @@ def _linear_flow(terms: list, forcing: np.ndarray, phi0: np.ndarray, times: np.n
         omega, V = np.linalg.eigh(W)
         paths = [_affine_path(w * A, f, c, times)
                  for w, c, f in zip(omega, (phi0 @ V).T, (forcing @ V).T)]
-        states = [np.column_stack(cols) @ V.T for cols in zip(*paths)]
+        states = np.stack(paths, axis=-1) @ V.T
     else:
         G = sum(np.kron(W, A) for A, W in terms)
         path = _affine_path(G, forcing.T.ravel(), phi0.T.ravel(), times)
-        states = [x.reshape(k, n).T for x in path]
+        states = path.reshape(-1, k, n).transpose(0, 2, 1)
     if times[0] == 0.0:
-        states[0] = phi0.copy()
+        states[0] = phi0
     return states
 
 
-def _rk4_integrate(rhs: Callable, y0, times: np.ndarray, step: float) -> tuple[list, int]:
+def _rk4_integrate(rhs: Callable, y0, times: np.ndarray, step: float) -> tuple:
     """Classical RK4 with fixed step; sample times are hit exactly.
 
     The state is an array or a tuple of arrays, and ``rhs`` maps it to a
     derivative of the same structure. The state norm (the root of the summed
     squares of all parts) is monitored; exceeding 1e12 raises DivergenceError
-    with the time of blowup. Returns the sampled states and the number of
-    steps computed.
+    with the time of blowup. Returns the sampled states, one (T, ...) array
+    per part (a single array for a bare-array state), and the number of
+    steps computed. No step changes ``y`` in place.
 
     A step is a pure function of (y, h). Once a step of size h returns y bit
     for bit, later steps of that size are skipped until a computed step moves
@@ -280,13 +283,13 @@ def _rk4_integrate(rhs: Callable, y0, times: np.ndarray, step: float) -> tuple[l
     if not (step > 0 and np.isfinite(step)):
         raise ConfigurationError(f"step must be finite and positive, got {step}")
     if isinstance(y0, np.ndarray):
-        states, steps = _rk4_integrate(lambda y: (rhs(y[0]),), (y0,), times, step)
-        return [y for y, in states], steps
-    y = tuple(part.copy() for part in y0)
+        (path,), steps = _rk4_integrate(lambda y: (rhs(y[0]),), (y0,), times, step)
+        return path, steps
+    y = tuple(part.copy() for part in y0)  # C order: BLAS rounds a transposed view differently
+    paths = tuple(np.empty((len(times),) + part.shape) for part in y)
     t, steps = 0.0, 0
     still = set()  # step sizes whose last computed step returned y bit for bit
-    out = []
-    for target in times:
+    for i, target in enumerate(times):
         while t < target - 1e-12:
             h = min(step, target - t)
             t += h
@@ -307,8 +310,22 @@ def _rk4_integrate(rhs: Callable, y0, times: np.ndarray, step: float) -> tuple[l
             else:
                 still.clear()
             y = moved
-        out.append(tuple(part.copy() for part in y))
-    return out, steps
+        for path, part in zip(paths, y):
+            path[i] = part
+    return paths, steps
+
+
+def _trained_heads_rhs(chain: MarkovChain, rewards: np.ndarray, alpha: float, beta: float):
+    """Right-hand side of the trained-head flow on (Phi, W^T); W^T is (K, M), rewards (n, M)."""
+    P, gamma = chain.transition, chain.gamma
+
+    def rhs(state):
+        phi, wmat = state
+        pred = phi @ wmat
+        delta = rewards + gamma * (P @ pred) - pred
+        return alpha * (delta @ wmat.T), beta * (phi.T @ delta)
+
+    return rhs
 
 
 def joint_flow(
@@ -327,10 +344,11 @@ def joint_flow(
 
     The bootstrap target is treated as a constant (no gradient flows through
     it); that convention is already baked into these right-hand sides.
-    Trajectory states stack Phi over w: shape (n + 1, K) with the last row w^T.
-    With beta = 0 this is the one-head frozen ``ensemble_flow``, solved in
-    closed form (``step`` is unused); otherwise RK4 integrates it and ``meta``
-    records the steps it computed (``rk4_steps``) and ``rhs_evals``.
+    This is the one-head ``ensemble_flow``, and it shares that flow's
+    evaluators: the closed form at beta = 0 (``step`` is unused), otherwise
+    RK4 on the one right-hand side of trained heads, with ``meta`` recording
+    the steps it computed (``rk4_steps``) and ``rhs_evals``. Trajectory states
+    stack Phi over w: shape (T, n + 1, K) with the last row of each state w^T.
     """
     times = _check_times(times)
     if alpha < 0 or beta < 0:
@@ -340,23 +358,16 @@ def joint_flow(
     n, k = phi0.shape
     if n != chain.n_states or w0.shape[0] != k:
         raise ConfigurationError("phi0/w0 shapes do not match the chain")
-    P, R = chain.transition, chain.reward
-    gamma = chain.gamma
-    meta = {"flow": "joint", "alpha": alpha, "beta": beta, "gamma": gamma,
+    meta = {"flow": "joint", "alpha": alpha, "beta": beta, "gamma": chain.gamma,
             "step": step if beta > 0 else None}
     if beta == 0.0:
-        frozen = ensemble_flow(chain, EnsembleState(phi0, w0[None, :]), alpha, 0.0, times)
-        states = [np.vstack([phi, w0[None, :]]) for phi in frozen.states]
-        return Trajectory(times=times, states=states, meta=meta)
-
-    def rhs(state):
-        phi, w = state
-        delta = R + gamma * (P @ (phi @ w)) - phi @ w
-        return alpha * np.outer(delta, w), beta * (phi.T @ delta)
-
-    path, steps = _rk4_integrate(rhs, (phi0, w0), times, step)
-    meta.update(rk4_steps=steps, rhs_evals=4 * steps)
-    states = [np.vstack([phi, w[None, :]]) for phi, w in path]
+        phi = ensemble_flow(chain, EnsembleState(phi0, w0[None, :]), alpha, 0.0, times).states
+        wcol = np.broadcast_to(w0[:, None], (len(times), k, 1))
+    else:
+        rhs = _trained_heads_rhs(chain, chain.reward[:, None], alpha, beta)
+        (phi, wcol), steps = _rk4_integrate(rhs, (phi0, w0[:, None]), times, step)
+        meta.update(rk4_steps=steps, rhs_evals=4 * steps)
+    states = np.concatenate([phi, wcol.transpose(0, 2, 1)], axis=1)
     return Trajectory(times=times, states=states, meta=meta)
 
 
@@ -380,49 +391,31 @@ def ensemble_flow(
     F = sum_m r^m (w^m)^T, evaluated in closed form at a head-count-free cost
     (``step`` is unused). Trained heads (beta > 0) are integrated with RK4,
     and ``meta`` records the steps it computed (``rk4_steps``) and
-    ``rhs_evals``. Trajectory states are the Phi matrices.
+    ``rhs_evals``. Trajectory states are the (T, n, K) Phi path.
     """
     times = _check_times(times)
     if alpha < 0 or beta < 0:
         raise ConfigurationError("alpha and beta must be nonnegative")
-    phi0 = state0.phi
-    n, k = phi0.shape
+    phi0, weights, rewards = state0.phi, state0.weights, state0.cumulants
+    n = phi0.shape[0]
     if n != chain.n_states:
         raise ConfigurationError("phi0 does not match the chain")
-    P, gamma = chain.transition, chain.gamma
-    rewards = state0.cumulants if state0.cumulants is not None else None
-    meta = {
-        "flow": "ensemble",
-        "alpha": alpha,
-        "beta": beta,
-        "gamma": gamma,
-        "M": state0.n_heads,
-        "step": step if beta > 0 else None,
-        "cumulants": rewards is not None,
-    }
-
+    meta = {"flow": "ensemble", "alpha": alpha, "beta": beta, "gamma": chain.gamma,
+            "M": state0.n_heads, "step": step if beta > 0 else None,
+            "cumulants": rewards is not None}
     if beta == 0.0:
-        W = state0.weights.T @ state0.weights
         if rewards is not None:
-            forcing = rewards @ state0.weights
+            forcing = rewards @ weights
         else:
-            forcing = np.outer(chain.reward, state0.weights.sum(axis=0))
-        op = alpha * (gamma * P - np.eye(n))
-        states = _linear_flow([(op, W)], alpha * forcing, phi0, times)
-        return Trajectory(times=times, states=states, meta=meta)
-
-    # Trained heads: RK4 on the pair (Phi, W^T), W^T the (K, M) weight matrix.
-    rmat = rewards if rewards is not None else chain.reward[:, None]
-
-    def rhs(state):
-        phi, wmat = state
-        pred = phi @ wmat
-        delta = rmat + gamma * (P @ pred) - pred
-        return alpha * (delta @ wmat.T), beta * (phi.T @ delta)
-
-    path, steps = _rk4_integrate(rhs, (phi0, state0.weights.T), times, step)
-    meta.update(rk4_steps=steps, rhs_evals=4 * steps)
-    return Trajectory(times=times, states=[phi for phi, _ in path], meta=meta)
+            forcing = np.outer(chain.reward, weights.sum(axis=0))
+        op = alpha * (chain.gamma * chain.transition - np.eye(n))
+        states = _linear_flow([(op, weights.T @ weights)], alpha * forcing, phi0, times)
+    else:
+        rmat = rewards if rewards is not None else chain.reward[:, None]
+        rhs = _trained_heads_rhs(chain, rmat, alpha, beta)
+        (states, _), steps = _rk4_integrate(rhs, (phi0, weights.T), times, step)
+        meta.update(rk4_steps=steps, rhs_evals=4 * steps)
+    return Trajectory(times=times, states=states, meta=meta)
 
 
 def sample_weights(M: int, K: int, variance: float, seed) -> np.ndarray:
@@ -565,20 +558,19 @@ def trajectory_to_csv(traj: Trajectory, wide: bool | None = None) -> str:
     buf = io.StringIO()
     for key in sorted(traj.meta):
         buf.write(f"# {key}={traj.meta[key]}\n")
-    k = traj.states[0].shape[1]
+    n, k = traj.states.shape[1:]
     if wide is None:
         wide = k == 1
     if wide and k != 1:
         raise ConfigurationError("wide format is only defined for value flows (K = 1)")
     if wide:
-        n = traj.states[0].shape[0]
         buf.write("t," + ",".join(f"v_{i}" for i in range(n)) + "\n")
         for t, s in zip(traj.times, traj.states):
             buf.write(repr(float(t)) + "," + ",".join(repr(float(x)) for x in s[:, 0]) + "\n")
     else:
         buf.write("t,entry_row,entry_col,value\n")
         for t, s in zip(traj.times, traj.states):
-            for i in range(s.shape[0]):
-                for j in range(s.shape[1]):
+            for i in range(n):
+                for j in range(k):
                     buf.write(f"{repr(float(t))},{i},{j},{repr(float(s[i, j]))}\n")
     return buf.getvalue()

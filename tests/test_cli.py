@@ -111,20 +111,59 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
     (["chain-transfer", "--set", "K=30"], {}, "numerically dependent"),
     (["flow", "--flow", "ensemble", "--m", "0"], {}, "--m must be at least 1"),
     (["flow", "--flow", "joint", "--k", "0"], {}, "--k must be at least 1"),
-    (["four-rooms", "--set", "K=0"], {}, "K must lie between 1"),
+    (["four-rooms", "--set", "K=0"], {}, "K must be at least 1"),
+    (["four-rooms", "--set", "K=106"], {}, "K must lie between 1"),
     (["flow", "--flow", "td", "--seed", "-1"], {}, "seed must be nonnegative"),
     (["flow", "--flow", "joint", "--beta", "1", "--step", "nan"], {},
      "step must be finite and positive"),
     (["flow", "--flow", "joint", "--beta", "1", "--step", "inf"], {},
      "step must be finite and positive"),
+    (["flow", "--flow", "mc", "--t-max", "nan"], {}, "--t-max must be finite"),
+    (["flow", "--flow", "td", "--t-max", "inf"], {}, "--t-max must be finite"),
+    (["flow", "--flow", "td", "--samples", "-1"], {}, "--samples must be at least 1"),
+    (["flow", "--flow", "td", "--samples", "0"], {}, "--samples must be at least 1"),
 ], ids=["override-not-a-number", "env-seed-not-an-integer", "chain-transfer-rank",
         "flow-zero-heads", "flow-zero-features", "four-rooms-zero-features",
-        "flow-negative-seed", "flow-step-nan", "flow-step-inf"])
+        "four-rooms-too-many-features", "flow-negative-seed", "flow-step-nan",
+        "flow-step-inf", "flow-t-max-nan", "flow-t-max-inf", "flow-negative-samples",
+        "flow-zero-samples"])
 def test_bad_input_is_one_error_line_and_exit_one(argv, env, message, tmp_path,
                                                    monkeypatch, capsys):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("repdyn: error: ")
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+OUT_OF_RANGE_OVERRIDES = [
+    ("four-rooms", "M=0", "M must be at least 1"),
+    ("four-rooms", "check_M=0", "check_M must be at least 1"),
+    ("limit-checks", "M_list=0", "M_list must be at least 1"),
+    ("limit-checks", "M_list=100,0", "M_list must be at least 1"),
+    ("limit-checks", "weight_M=0", "weight_M must be at least 1"),
+    ("limit-checks", "rewmat_M=0", "rewmat_M must be at least 1"),
+    ("multi-task", "M=0", "M must be at least 1"),
+    ("limit-checks", "n_seeds=0", "n_seeds must be at least 1"),
+    ("limit-checks", "cov_seeds=0", "cov_seeds must be at least 1"),
+    ("limit-checks", "weight_seeds=0", "weight_seeds must be at least 1"),
+    ("bayes-opt", "n_random_subspaces=0", "n_random_subspaces must be at least 1"),
+    ("four-rooms", "t_max=inf", "t_max must be finite"),
+    ("multi-task", "K=0", "K must be at least 1"),
+    ("limit-checks", "K=0", "K must be at least 1"),
+    ("multi-task", "t_max=nan", "t_max must be finite"),
+    ("two-state", "seed=-1", "seed must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("command, override, message", OUT_OF_RANGE_OVERRIDES,
+                         ids=[f"{command}-{override}" for command, override, _ in
+                              OUT_OF_RANGE_OVERRIDES])
+def test_out_of_range_override_is_one_error_line_and_exit_one(command, override, message,
+                                                              tmp_path, capsys):
+    assert cli.main([command, "--set", override, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("repdyn: error: ")
     assert message in err

@@ -1,0 +1,14 @@
+"""Every script under demos/ runs to completion."""
+
+import pathlib
+import runpy
+
+import pytest
+
+DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
+def test_demo_runs(demo, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(demo), run_name="__main__")

@@ -270,8 +270,7 @@ def test_ensemble_single_head_reduces_to_joint_flow():
         ens = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, beta, times,
                                step=1e-2)
         joint = rd.joint_flow(chain, phi0, w[0], 1.0, beta, times, step=1e-2)
-        for a, b in zip(ens.states, joint.states):
-            assert np.abs(a - b[:30]).max() < 1e-12
+        assert np.array_equal(ens.states, joint.states[:, :30])
 
 
 def test_ensemble_flow_matches_rk4_oracle_with_trained_heads():
@@ -573,3 +572,54 @@ def test_trajectory_validation_and_csv():
                              np.zeros((30, 2)), rng.standard_normal((30, 2)))
     long_text = trajectory_to_csv(rd.linear_limit_flow(spec, [0.0, 1.0]))
     assert "t,entry_row,entry_col,value" in long_text
+
+
+CHAIN = chain_uniform()
+PHI0 = np.random.default_rng(40).standard_normal((30, 2))
+HEADS = rd.sample_weights(4, 2, 0.25, 41)
+FLOW_KINDS = {  # name: (flow of its sample times, state shape)
+    "td": (lambda times: rd.td_value_flow(CHAIN, np.zeros(30), times), (30, 1)),
+    "mc": (lambda times: rd.mc_value_flow(CHAIN, np.zeros(30), times), (30, 1)),
+    "nstep": (lambda times: rd.nstep_value_flow(CHAIN, 3, np.zeros(30), times), (30, 1)),
+    "tdlambda": (lambda times: rd.td_lambda_value_flow(CHAIN, 0.5, np.zeros(30), times),
+                 (30, 1)),
+    "joint-frozen": (lambda times: rd.joint_flow(CHAIN, PHI0, HEADS[0], 1.0, 0.0, times),
+                     (31, 2)),
+    "joint-trained": (lambda times: rd.joint_flow(CHAIN, PHI0, HEADS[0], 1.0, 1.0, times,
+                                                  step=0.1), (31, 2)),
+    "ensemble-frozen": (lambda times: rd.ensemble_flow(CHAIN, rd.EnsembleState(PHI0, HEADS),
+                                                       1.0, 0.0, times), (30, 2)),
+    "ensemble-trained": (lambda times: rd.ensemble_flow(CHAIN, rd.EnsembleState(PHI0, HEADS),
+                                                        1.0, 1.0, times, step=0.1), (30, 2)),
+    "multi-task": (lambda times: rd.multi_task_flow([CHAIN, chain_drift(0.9, 0.75)], HEADS,
+                                                    PHI0, times), (30, 2)),
+    "limit": (lambda times: rd.linear_limit_flow(rd.LinearFlowSpec(
+        -(np.eye(30) - 0.9 * CHAIN.transition), np.zeros((30, 2)), PHI0), times), (30, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", FLOW_KINDS)
+def test_every_flow_returns_one_states_array(kind):
+    flow, shape = FLOW_KINDS[kind]
+    traj = flow([0.0, 0.5, 1.0])
+    assert isinstance(traj.states, np.ndarray)
+    assert traj.states.shape == (3, *shape)
+    assert np.array_equal(traj.final(), traj.states[2])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind", FLOW_KINDS)
+def test_flows_reject_non_finite_times(kind, bad):
+    flow, _ = FLOW_KINDS[kind]
+    with pytest.raises(ConfigurationError, match="finite"):
+        flow([0.0, bad])
+
+
+@pytest.mark.parametrize("states", [
+    [np.zeros((2, 1)), np.zeros((3, 1))],
+    np.zeros((2, 3)),
+    np.zeros((3, 2, 1)),
+], ids=["ragged", "two-dimensional", "one-state-too-many"])
+def test_trajectory_states_must_be_one_array_with_a_state_per_time(states):
+    with pytest.raises(ConfigurationError):
+        rd.Trajectory(times=[0.0, 1.0], states=states, meta={})
