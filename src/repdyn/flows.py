@@ -18,6 +18,10 @@ returned the same state, so the output is unchanged.
 
 Every flow returns a ``Trajectory`` whose states are one (T, n, K) array,
 state t at ``states[t]``.
+
+scipy is imported by the first ``matrix_exponential`` call, not by importing
+this module: it is the largest part of a process's start-up, and the Monte
+Carlo and trained-head flows never take an exponential.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, DivergenceError, NumericalError
 from .mdp import MarkovChain, exact_value
@@ -123,6 +126,8 @@ class LinearFlowSpec:
 
 def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(t A) by scaling-and-squaring; raises on non-finite input or overflow."""
+    import scipy.linalg
+
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise NumericalError("matrix exponential of non-finite input")
@@ -563,14 +568,15 @@ def trajectory_to_csv(traj: Trajectory, wide: bool | None = None) -> str:
         wide = k == 1
     if wide and k != 1:
         raise ConfigurationError("wide format is only defined for value flows (K = 1)")
+    times = traj.times.tolist()
     if wide:
         buf.write("t," + ",".join(f"v_{i}" for i in range(n)) + "\n")
-        for t, s in zip(traj.times, traj.states):
-            buf.write(repr(float(t)) + "," + ",".join(repr(float(x)) for x in s[:, 0]) + "\n")
+        for t, s in zip(times, traj.values()):
+            buf.write(repr(t) + "," + ",".join(map(repr, s.tolist())) + "\n")
     else:
         buf.write("t,entry_row,entry_col,value\n")
-        for t, s in zip(traj.times, traj.states):
-            for i in range(n):
-                for j in range(k):
-                    buf.write(f"{repr(float(t))},{i},{j},{repr(float(s[i, j]))}\n")
+        for t, s in zip(times, traj.states):
+            for i, row in enumerate(s.tolist()):
+                for j, x in enumerate(row):
+                    buf.write(f"{t!r},{i},{j},{x!r}\n")
     return buf.getvalue()

@@ -16,7 +16,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +59,7 @@ class Table:
         buf = io.StringIO()
         buf.write(",".join(self.columns) + "\n")
         for row in self.rows:
-            buf.write(",".join(repr(float(x)) for x in row) + "\n")
+            buf.write(",".join(map(repr, row.tolist())) + "\n")
         return buf.getvalue()
 
 
@@ -104,8 +103,13 @@ class ReportBundle:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    """Write ``text`` to a fresh temp file beside ``path``, then rename it over ``path``.
+
+    The temp file is created with mode 0o666, which the umask trims, so the
+    result has the mode that ``open(path, "w")`` would give it.
+    """
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

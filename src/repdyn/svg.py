@@ -123,9 +123,10 @@ def _line(table: np.ndarray, title: str) -> str:
         f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
         'fill="none" stroke="#888"/>\n'
     )
-    for k in range(ys.shape[1]):
+    xs = x.tolist()
+    for k, curve in enumerate(ys.T.tolist()):
         u = 0.5 if ys.shape[1] == 1 else k / (ys.shape[1] - 1)
-        pts = " ".join(f"{_fmt(sx(a))},{_fmt(sy(b))}" for a, b in zip(x, ys[:, k]))
+        pts = " ".join(f"{_fmt(sx(a))},{_fmt(sy(b))}" for a, b in zip(xs, curve))
         buf.write(f'<polyline points="{pts}" fill="none" stroke="{_color(u)}" stroke-width="1"/>\n')
     buf.write(
         f'<text x="{pad}" y="{height - 8}" font-size="11">x [{_fmt(x0)}, {_fmt(x1)}] '

@@ -168,3 +168,42 @@ def test_out_of_range_override_is_one_error_line_and_exit_one(command, override,
     assert err.count("\n") == 1 and err.startswith("repdyn: error: ")
     assert message in err
     assert not (tmp_path / "out").exists()
+
+
+# runs cli.main in a fresh interpreter, then reports its exit code and whether scipy was imported
+MAIN_THEN_REPORT_SCIPY = """
+import sys
+from repdyn import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exit_:
+    code = exit_.code
+print(code, "scipy" in sys.modules)
+"""
+
+
+def run_fresh(code, args=()):
+    result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+@pytest.mark.parametrize("module", ["repdyn", "repdyn.cli"])
+def test_import_does_not_load_scipy(module):
+    assert run_fresh(f"import sys, {module}; print('scipy' in sys.modules)") == ["False"]
+
+
+@pytest.mark.parametrize("argv, exit_code, loads_scipy", [
+    (["flow", "--flow", "mc", "--samples", "11"], 0, False),
+    (["flow", "--flow", "joint", "--beta", "1", "--t-max", "1", "--samples", "11"], 0, False),
+    (["chain-transfer"], 0, False),
+    (["bayes-opt"] + FAST_BAYES, 0, False),
+    (["--help"], 0, False),
+    (["chain-transfer", "--set", "gamma=abc"], 1, False),
+    (["flow", "--flow", "td", "--samples", "11"], 0, True),
+], ids=["flow-mc", "flow-joint-trained", "chain-transfer", "bayes-opt", "help", "error-exit",
+        "flow-td"])
+def test_scipy_loads_only_at_a_matrix_exponential(argv, exit_code, loads_scipy, tmp_path):
+    if argv[0] != "--help":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert run_fresh(MAIN_THEN_REPORT_SCIPY, argv)[-2:] == [str(exit_code), str(loads_scipy)]

@@ -1,10 +1,13 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
 import repdyn as rd
 from repdyn.errors import ConfigurationError
+from repdyn.flows import Trajectory, trajectory_to_csv
 from repdyn.svg import emit_svg
 
 
@@ -66,3 +69,47 @@ def test_report_bundle_atomic_save_and_reload(tmp_path):
 def test_table_column_mismatch_rejected():
     with pytest.raises(ValueError):
         rd.Table(["a"], np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_saved_bundle_files_take_their_mode_from_the_umask(umask, mode, tmp_path):
+    bundle = rd.ReportBundle("demo", {"seed": 1})
+    bundle.add_table("numbers", ["a", "b"], np.array([[1.0, 2.0]]))
+    bundle.figures["plot"] = emit_svg(np.eye(2), "heatmap")
+    bundle.add_check("small", True, 0.5, 1.0)
+    previous = os.umask(umask)
+    try:
+        bundle.save(tmp_path / "bundle")
+    finally:
+        os.umask(previous)
+    files = sorted(p for p in (tmp_path / "bundle").rglob("*") if p.is_file())
+    assert len(files) == 4
+    assert {oct(stat.S_IMODE(p.stat().st_mode)) for p in files} == {oct(mode)}
+
+
+# values whose shortest round-trip repr is easy to get wrong
+SPECIAL = [-0.0, 5e-324, 1e300, 0.1, np.nan, np.inf]
+
+
+def _repr_row(values) -> str:
+    return ",".join(repr(float(x)) for x in values)
+
+
+def test_csv_writers_match_a_per_element_repr_oracle():
+    rows = np.array([SPECIAL, SPECIAL[::-1], [-x for x in SPECIAL]])
+    table = rd.Table([f"c{j}" for j in range(6)], rows)
+    assert table.to_csv() == "c0,c1,c2,c3,c4,c5\n" + "".join(_repr_row(r) + "\n" for r in rows)
+
+    times = np.array([-0.0, 5e-324, 0.1])
+    wide = Trajectory(times, rows[:, :, None], {"kind": "test"})
+    expected = "# kind=test\nt,v_0,v_1,v_2,v_3,v_4,v_5\n" + "".join(
+        f"{_repr_row([t])},{_repr_row(r)}\n" for t, r in zip(times, rows))
+    assert trajectory_to_csv(wide) == expected
+
+    states = rows.reshape(3, 2, 3)
+    long = Trajectory(times, states, {})
+    expected = "t,entry_row,entry_col,value\n" + "".join(
+        f"{_repr_row([t])},{i},{j},{_repr_row([s[i, j]])}\n"
+        for t, s in zip(times, states) for i in range(2) for j in range(3))
+    assert trajectory_to_csv(long) == expected
