@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from . import flows, mdp, spectral
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .report import ReportBundle
 from .svg import emit_svg
 
@@ -121,6 +121,11 @@ def frozen_ensemble_span(
     expo = -t * np.outer(rates - rates.min(), om).astype(np.longdouble)
     B = coeff.astype(np.longdouble) * np.exp(expo)
     Q = _mgs_longdouble(B)
+    gram_err = np.abs(Q.T @ Q - np.eye(Q.shape[1])).max()
+    if not gram_err <= 1e-10:
+        raise NumericalError(
+            f"frozen-head span at horizon t = {t:g} is beyond extended precision: its basis "
+            f"is not orthonormal (max deviation {gram_err:.3e})")
     return spectral.Subspace(U @ Q)
 
 
@@ -541,6 +546,8 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
 # trace optimality of resolvent features
 # ---------------------------------------------------------------------------
 
+MC_BLOCK = 8192  # Monte Carlo reward columns evaluated at once
+
 BAYES_OPT_DEFAULTS = {
     "K": 4,
     "gamma": 0.9,
@@ -585,9 +592,11 @@ def run_bayes_optimality(config: dict | None = None) -> ReportBundle:
     # Monte Carlo projection error vs the trace identity
     rng = _stream(cfg["seed"], "mc rewards")
     rewards = rng.standard_normal((CHAIN_N, cfg["mc_samples"]))
-    values = psi @ rewards
-    residuals = values - best.basis @ (best.basis.T @ values)
-    errs = (residuals ** 2).sum(axis=0)
+    errs = np.empty(cfg["mc_samples"])
+    for start in range(0, cfg["mc_samples"], MC_BLOCK):  # bounds the temporaries' memory
+        values = psi @ rewards[:, start:start + MC_BLOCK]
+        residuals = values - best.basis @ (best.basis.T @ values)
+        errs[start:start + MC_BLOCK] = (residuals ** 2).sum(axis=0)
     expected = total - best_trace
     se = float(errs.std(ddof=1) / np.sqrt(cfg["mc_samples"]))
     z_score = abs(float(errs.mean()) - expected) / se

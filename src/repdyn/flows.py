@@ -11,10 +11,14 @@ tens of thousands cost the same as a single head. Only trained heads
 (beta > 0) make the flow bilinear; those are integrated with a fixed-step
 classical Runge-Kutta scheme, preferring determinism over adaptivity. One
 right-hand side on (Phi, W^T) serves every trained-head flow: the single-head
-``joint_flow`` is the one-head ensemble flow. RK4 steps the representation and
-the head weights as a tuple of arrays, and it stops computing once its state
-is a bit-for-bit fixed point of the step: the skipped steps would have
-returned the same state, so the output is unchanged.
+``joint_flow`` is the one-head ensemble flow. W^T(t) never leaves the span of
+the rows of W^T(0) and of the reward matrix R, so the M heads are integrated
+as K x d heads W^T B, B an orthonormal basis of that span with
+d <= min(M, K + rank R): trained heads, too, cost the same at any head count.
+RK4 steps the representation and the head weights as a tuple of arrays, and
+it stops computing once its state is a bit-for-bit fixed point of the step:
+the skipped steps would have returned the same state, so the output is
+unchanged.
 
 Every flow returns a ``Trajectory`` whose states are one (T, n, K) array,
 state t at ``states[t]``.
@@ -321,13 +325,12 @@ def _rk4_integrate(rhs: Callable, y0, times: np.ndarray, step: float) -> tuple:
 
 
 def _trained_heads_rhs(chain: MarkovChain, rewards: np.ndarray, alpha: float, beta: float):
-    """Right-hand side of the trained-head flow on (Phi, W^T); W^T is (K, M), rewards (n, M)."""
-    P, gamma = chain.transition, chain.gamma
+    """Right-hand side of the trained-head flow on (Phi, W^T); W^T is (K, d), rewards (n, d)."""
+    G = chain.gamma * chain.transition - np.eye(chain.n_states)
 
     def rhs(state):
         phi, wmat = state
-        pred = phi @ wmat
-        delta = rewards + gamma * (P @ pred) - pred
+        delta = rewards + G @ (phi @ wmat)
         return alpha * (delta @ wmat.T), beta * (phi.T @ delta)
 
     return rhs
@@ -394,9 +397,14 @@ def ensemble_flow(
     weights are frozen and the Phi equation reduces to the linear flow
     alpha ((gamma P - I) Phi W + F) with W = sum_m w^m (w^m)^T and
     F = sum_m r^m (w^m)^T, evaluated in closed form at a head-count-free cost
-    (``step`` is unused). Trained heads (beta > 0) are integrated with RK4,
-    and ``meta`` records the steps it computed (``rk4_steps``) and
-    ``rhs_evals``. Trajectory states are the (T, n, K) Phi path.
+    (``step`` is unused). Trained heads (beta > 0) are integrated with RK4
+    on (Phi, W^T B), rewards R B, where B (M x d) is the Q factor of the
+    reduced QR of [weights, r]: r is 1_M for a nonzero shared reward, the
+    cumulants' transpose for nonzero cumulants, and absent for zero reward.
+    W^T(t) stays in the row span of W^T(0) and R, so this equals RK4 on all M
+    heads in exact arithmetic, at a cost that does not grow with M. ``meta``
+    records the steps RK4 computed (``rk4_steps``), ``rhs_evals`` and d
+    (``head_dim``). Trajectory states are the (T, n, K) Phi path.
     """
     times = _check_times(times)
     if alpha < 0 or beta < 0:
@@ -416,10 +424,14 @@ def ensemble_flow(
         op = alpha * (chain.gamma * chain.transition - np.eye(n))
         states = _linear_flow([(op, weights.T @ weights)], alpha * forcing, phi0, times)
     else:
-        rmat = rewards if rewards is not None else chain.reward[:, None]
-        rhs = _trained_heads_rhs(chain, rmat, alpha, beta)
-        (states, _), steps = _rk4_integrate(rhs, (phi0, weights.T), times, step)
-        meta.update(rk4_steps=steps, rhs_evals=4 * steps)
+        shared = rewards is None  # R = r 1_M^T
+        reward_rows = np.ones((state0.n_heads, 1)) if shared else rewards.T
+        nonzero = np.any(chain.reward) if shared else np.any(rewards)
+        basis, _ = np.linalg.qr(np.hstack([weights, reward_rows]) if nonzero else weights)
+        reduced = np.outer(chain.reward, basis.sum(axis=0)) if shared else rewards @ basis
+        rhs = _trained_heads_rhs(chain, reduced, alpha, beta)
+        (states, _), steps = _rk4_integrate(rhs, (phi0, weights.T @ basis), times, step)
+        meta.update(rk4_steps=steps, rhs_evals=4 * steps, head_dim=basis.shape[1])
     return Trajectory(times=times, states=states, meta=meta)
 
 

@@ -170,6 +170,18 @@ def test_out_of_range_override_is_one_error_line_and_exit_one(command, override,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["four-rooms", "--set", "check_t=1000", "--set", "t_max=1", "--set", "snapshot_times=0,1"],
+     "horizon t = 1000"),
+], ids=["four-rooms-check_t=1000"])
+def test_numerical_limit_is_one_failure_line_and_exit_one(argv, message, tmp_path, capsys):
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("repdyn: numerical failure: ")
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
 # runs cli.main in a fresh interpreter, then reports its exit code and whether scipy was imported
 MAIN_THEN_REPORT_SCIPY = """
 import sys

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repdyn as rd
 from repdyn.errors import ConfigurationError, DivergenceError, NumericalError
 from repdyn.experiments import chain_drift, chain_uniform, frozen_ensemble_span
-from repdyn.flows import _rk4_integrate, td_lambda_series_operator, trajectory_to_csv
+from repdyn.flows import (_linear_flow, _rk4_integrate, td_lambda_series_operator,
+                          trajectory_to_csv)
 
 
 def rk4_oracle(rhs, y0, t_end, step):
@@ -24,11 +25,14 @@ def rk4_oracle(rhs, y0, t_end, step):
     return y
 
 
-def plain_rk4_path(rhs, y0, times, step):
-    """Fixed-step RK4 on a tuple of arrays that computes every step; returns (samples, steps)."""
+def rk4_every_step(rhs, y0, times, step):
+    """Fixed-step RK4 on a tuple of arrays that computes every step.
+
+    Yields (t, y, None) after every step and (t, y, i) when y is sample i.
+    """
     y = tuple(np.array(part, dtype=float) for part in y0)
-    t, steps, out = 0.0, 0, []
-    for target in times:
+    t = 0.0
+    for i, target in enumerate(times):
         while t < target - 1e-12:
             h = min(step, target - t)
             k1 = rhs(y)
@@ -38,19 +42,44 @@ def plain_rk4_path(rhs, y0, times, step):
             y = tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                       for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
             t += h
+            yield t, y, None
+        yield t, y, i
+
+
+def plain_rk4_path(rhs, y0, times, step):
+    """Every-step RK4 samples at ``times``; returns (samples, steps)."""
+    out, steps = [], 0
+    for _, y, sample in rk4_every_step(rhs, y0, times, step):
+        if sample is None:
             steps += 1
-        out.append(y)
+        else:
+            out.append(y)
     return out, steps
 
 
 def trained_heads_rhs(chain, rewards):
     """The trained-head ensemble right-hand side on (Phi, W^T) at alpha = beta = 1."""
+    G = chain.gamma * chain.transition - np.eye(chain.n_states)
+
     def rhs(state):
         phi, wmat = state
-        pred = phi @ wmat
-        delta = rewards + chain.gamma * (chain.transition @ pred) - pred
+        delta = rewards + G @ (phi @ wmat)
         return delta @ wmat.T, phi.T @ delta
     return rhs
+
+
+def reduced_heads(chain, weights, cumulants=None):
+    """(W^T B, R B) for the head basis B that ``ensemble_flow`` integrates in.
+
+    B is the Q factor of the reduced QR of [weights, r]: r is 1_M for a shared
+    nonzero reward, the cumulants' transpose for nonzero cumulants, else absent.
+    """
+    reward = chain.reward if cumulants is None else cumulants
+    rows = np.ones((len(weights), 1)) if cumulants is None else cumulants.T
+    span = np.hstack([weights, rows]) if np.any(reward) else weights
+    B, _ = np.linalg.qr(span)
+    rb = np.outer(chain.reward, B.sum(axis=0)) if cumulants is None else cumulants @ B
+    return weights.T @ B, rb
 
 
 def taylor_expm_oracle(A, terms=60):
@@ -303,8 +332,8 @@ def test_trained_heads_stop_computing_at_a_bitwise_fixed_point(rewarded):
     w = rd.sample_weights(3, 2, 1.0 / 3, 1)
     times = [0.0, 10.05, 150.3, 200.0]
     traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 1.0, times, step=0.1)
-    path, steps = plain_rk4_path(trained_heads_rhs(chain, chain.reward[:, None]),
-                                 (phi0, w.T), times, 0.1)
+    wb, rb = reduced_heads(chain, w)
+    path, steps = plain_rk4_path(trained_heads_rhs(chain, rb), (phi0, wb), times, 0.1)
     for state, (phi, _) in zip(traj.states, path):
         assert np.array_equal(state, phi)
     assert all(np.array_equal(a, b) for a, b in zip(path[2], path[3]))
@@ -319,8 +348,8 @@ def test_rewarded_trained_heads_compute_every_step():
     w = rd.sample_weights(3, 2, 1.0 / 3, 3)
     times = [0.0, 0.5, 1.25, 2.0]
     traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 1.0, times, step=0.1)
-    path, steps = plain_rk4_path(trained_heads_rhs(chain, chain.reward[:, None]),
-                                 (phi0, w.T), times, 0.1)
+    wb, rb = reduced_heads(chain, w)
+    path, steps = plain_rk4_path(trained_heads_rhs(chain, rb), (phi0, wb), times, 0.1)
     for state, (phi, _) in zip(traj.states, path):
         assert np.array_equal(state, phi)
     assert traj.meta["rk4_steps"] == steps
@@ -343,11 +372,13 @@ def test_rk4_skip_is_keyed_by_step_size_and_cleared_when_the_state_moves():
     assert (steps, every) == (4, 5)
 
 
+@example(seed=2, n=2, k=1, m=3, gamma=0.9, rewarded=True)  # RK4 at step 0.125 diverges
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), k=st.integers(1, 4),
        m=st.integers(1, 3), gamma=st.sampled_from([0.0, 0.5, 0.9]), rewarded=st.booleans())
 def test_trained_heads_match_every_step_rk4_bit_for_bit(seed, n, k, m, gamma, rewarded):
-    # symmetric stochastic P keeps the flow stable; K may exceed n
+    # symmetric stochastic P keeps the flow bounded, but a step of 0.125 may leave
+    # RK4's stability region; K may exceed n
     rng = np.random.default_rng(seed)
     sym = rng.random((n, n))
     sym = sym + sym.T
@@ -358,12 +389,65 @@ def test_trained_heads_match_every_step_rk4_bit_for_bit(seed, n, k, m, gamma, re
     phi0 = rng.standard_normal((n, k))
     w = rng.standard_normal((m, k)) / np.sqrt(m)
     times = np.sort(rng.uniform(0.0, 60.0, 3))
-    traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 1.0, times, step=0.125)
-    path, steps = plain_rk4_path(trained_heads_rhs(chain, reward[:, None]), (phi0, w.T),
-                                 times, 0.125)
+    wb, rb = reduced_heads(chain, w)
+    rhs = trained_heads_rhs(chain, rb)
+    try:
+        traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 1.0, times, step=0.125)
+    except DivergenceError as exc:
+        # every-step RK4 first leaves the divergence norm on the step that ends at
+        # exc.time, and the integrator returns every sample before that step
+        samples = []
+        for t, y, sample in rk4_every_step(rhs, (phi0, wb), times, 0.125):
+            if sample is not None:
+                samples.append(y[0])
+            elif not np.sqrt(sum(np.vdot(part, part) for part in y)) <= 1e12:
+                break
+        else:
+            pytest.fail("every-step RK4 stays within the divergence norm")
+        assert t == exc.time
+        assert all(np.isfinite(phi).all() for phi in samples)
+        if samples:
+            early = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 1.0,
+                                     times[:len(samples)], step=0.125)
+            assert all(np.array_equal(a, b) for a, b in zip(early.states, samples))
+    else:
+        path, steps = plain_rk4_path(rhs, (phi0, wb), times, 0.125)
+        for state, (phi, _) in zip(traj.states, path):
+            assert np.array_equal(state, phi)
+        assert traj.meta["rk4_steps"] <= steps
+
+
+@pytest.mark.parametrize("reward, M, alpha, head_dim", [
+    ("zero", 10_000, 1.0, 4),
+    ("shared", 10_000, 1e-3, 5),
+    ("cumulants", 1_000, 1e-2, 34),
+], ids=["zero-reward", "shared-reward", "cumulants"])
+def test_trained_heads_in_the_head_row_space_match_unreduced_rk4(reward, M, alpha, head_dim):
+    # W^T(t) keeps its rows in the span of the rows of W^T(0) and R, so RK4 on
+    # (Phi, W^T B) equals RK4 on (Phi, W^T) up to rounding, with d = K, K + 1, K + n
+    chain = chain_uniform()
+    if reward == "zero":
+        chain = chain.with_reward(np.zeros(30))
+    rng = np.random.default_rng(60)
+    phi0 = rng.standard_normal((30, 4))
+    w = rd.sample_weights(M, 4, 1.0 / M, 61)
+    cums = rd.sample_cumulants(M, np.eye(30), 62) if reward == "cumulants" else None
+    times = [0.0, 0.25, 0.5]
+    traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w, cums), alpha, 1.0, times,
+                            step=1e-2)
+    R = np.outer(chain.reward, np.ones(M)) if cums is None else cums
+
+    def rhs(state):
+        phi, wmat = state
+        pred = phi @ wmat
+        delta = R + chain.gamma * (chain.transition @ pred) - pred
+        return alpha * (delta @ wmat.T), phi.T @ delta
+
+    path, steps = plain_rk4_path(rhs, (phi0, w.T), times, 1e-2)
+    assert traj.meta["head_dim"] == head_dim
+    assert traj.meta["rk4_steps"] == steps == 50
     for state, (phi, _) in zip(traj.states, path):
-        assert np.array_equal(state, phi)
-    assert traj.meta["rk4_steps"] <= steps
+        assert np.abs(state - phi).max() <= 1e-12
 
 
 def test_ensemble_cumulants_enter_per_head():
@@ -533,6 +617,26 @@ def test_multi_task_flow_matches_rk4_oracle_with_two_tasks():
     for t, state in zip(times, traj.states):
         assert np.abs(state - rk4_oracle(rhs, phi0, t, 1e-3)).max() < 1e-10
     assert traj.meta["step"] is None
+
+
+@pytest.mark.parametrize("n_terms", [1, 2, 3], ids=["eigh", "kron-2", "kron-3"])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), k=st.integers(1, 3),
+       s=st.floats(0.05, 2.0), t=st.floats(0.05, 2.0))
+def test_linear_flow_is_a_semigroup(n_terms, seed, n, k, s, t):
+    # the flow over t from Phi(s) is Phi(s + t): one term takes the eigenbasis
+    # path, several take the Kronecker path
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(n_terms):
+        g = rng.standard_normal((k, k))
+        terms.append((rng.standard_normal((n, n)) / np.sqrt(n), g @ g.T / k))
+    forcing = rng.standard_normal((n, k))
+    phi0 = rng.standard_normal((n, k))
+    direct = _linear_flow(terms, forcing, phi0, np.array([s + t]))[0]
+    mid = _linear_flow(terms, forcing, phi0, np.array([s]))[0]
+    chained = _linear_flow(terms, forcing, mid, np.array([t]))[0]
+    assert np.linalg.norm(chained - direct) <= 1e-10 * np.linalg.norm(direct)
 
 
 @pytest.mark.parametrize("n_chains, weights_shape, phi0_shape, mode, message", [
