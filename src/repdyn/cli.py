@@ -7,7 +7,6 @@ Exit codes: 0 when every recorded check passed (or the command has none),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -16,7 +15,7 @@ import numpy as np
 from . import experiments, flows, mdp
 from .errors import (ConfigurationError, DivergenceError, DomainError, NumericalError,
                      RankDeficiencyError)
-from .report import _atomic_write
+from .report import write_bundle
 from .svg import emit_svg
 
 FLOW_CHOICES = ("td", "mc", "nstep", "tdlambda", "joint", "ensemble", "rc", "limit")
@@ -159,15 +158,8 @@ def _run_flow_command(args) -> int:
             -(np.eye(n) - chain.gamma * chain.transition), np.zeros((n, args.k)), phi0)
         traj = flows.linear_limit_flow(spec, times)
 
-    out_dir = args.out or os.path.join("out", "flow")
-    os.makedirs(os.path.join(out_dir, "tables"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "figures"), exist_ok=True)
     config = {k: v for k, v in vars(args).items() if k not in ("command", "overrides")}
     config["seed"] = seed
-    _atomic_write(os.path.join(out_dir, "config.json"),
-                  json.dumps(config, sort_keys=True, indent=2, default=str) + "\n")
-    _atomic_write(os.path.join(out_dir, "tables", "trajectory.csv"),
-                  flows.trajectory_to_csv(traj))
     if traj.states.shape[2] == 1:
         figure = emit_svg(np.column_stack([traj.times, traj.values()]), "line",
                           title=f"{args.flow} value flow")
@@ -175,8 +167,8 @@ def _run_flow_command(args) -> int:
         norms = [float(np.linalg.norm(s)) for s in traj.states]
         figure = emit_svg(np.column_stack([traj.times, norms]), "line",
                           title=f"{args.flow} flow norm")
-    _atomic_write(os.path.join(out_dir, "figures", "trajectory.svg"), figure)
-    _atomic_write(os.path.join(out_dir, "checks.json"), "[]\n")
+    write_bundle(args.out or os.path.join("out", "flow"), config,
+                 {"trajectory": flows.trajectory_to_csv(traj)}, {"trajectory": figure}, [])
     return 0
 
 

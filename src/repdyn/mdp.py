@@ -212,8 +212,10 @@ def build_two_state_mdp(stay_prob_a: float, stay_prob_b: float, rewards) -> tupl
             [[1.0 - stay_prob_b, stay_prob_b]],
         ]
     )
-    reward = np.asarray(rewards, dtype=float).reshape(2, 1)
-    return Mdp(kernel, reward), Policy(np.ones((2, 1)))
+    reward = np.asarray(rewards, dtype=float)
+    if reward.size != 2:
+        raise ConfigurationError(f"rewards must hold one entry per state (2), got {reward.size}")
+    return Mdp(kernel, reward.reshape(2, 1)), Policy(np.ones((2, 1)))
 
 
 def induce(mdp: Mdp, policy: Policy, gamma: float) -> MarkovChain:

@@ -5,30 +5,48 @@ A bundle persists as a directory:
     config.json    full parameter record, seed included
     tables/*.csv   numeric payloads (the source of truth)
     figures/*.svg  derived presentation
-    checks.json    one entry per assertion: name, passed, value, threshold
+    checks.json    one entry per assertion: name, passed, value, threshold,
+                   comparison, table
 
-Re-running an experiment from the recorded config reproduces every table
-byte for byte. Files are written atomically (temp file, then rename).
+A check's ``passed`` is derived from its value, threshold and comparison; no
+caller states a verdict. ``write_bundle`` is the one writer of this layout:
+``ReportBundle.save`` and ``repdyn flow`` both go through it. Re-running an
+experiment from the recorded config reproduces every table byte for byte.
+Files are written atomically (temp file, then rename).
 """
 
 from __future__ import annotations
 
 import io
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigurationError
+
+# how value relates to threshold when a check passes; NaN fails every comparison
+_COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
 
 @dataclass(frozen=True)
 class Check:
     name: str
-    passed: bool
     value: float
     threshold: float
-    comparison: str = "<"  # how value relates to threshold when passing
+    comparison: str = "<"
     table: str = ""  # name of the table the check was computed from
+
+    def __post_init__(self):
+        if self.comparison not in _COMPARISONS:
+            raise ConfigurationError(
+                f"check {self.name!r} has unknown comparison {self.comparison!r}")
+
+    @property
+    def passed(self) -> bool:
+        return _COMPARISONS[self.comparison](self.value, self.threshold)
 
     def as_dict(self) -> dict:
         return {
@@ -51,7 +69,7 @@ class Table:
     def __post_init__(self):
         self.rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
         if self.rows.shape[1] != len(self.columns):
-            raise ValueError(
+            raise ConfigurationError(
                 f"{len(self.columns)} column names but rows have {self.rows.shape[1]} entries"
             )
 
@@ -78,28 +96,34 @@ class ReportBundle:
         matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         self.add_table(name, [f"{prefix}{j}" for j in range(matrix.shape[1])], matrix)
 
-    def add_check(self, name, passed, value, threshold, comparison="<", table="") -> None:
-        self.checks.append(Check(name, bool(passed), float(value), float(threshold),
-                                 comparison, table))
+    def add_check(self, name, value, threshold, comparison="<", table="") -> None:
+        self.checks.append(Check(name, float(value), float(threshold), comparison, table))
 
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def save(self, out_dir) -> None:
-        out_dir = os.fspath(out_dir)
-        os.makedirs(os.path.join(out_dir, "tables"), exist_ok=True)
-        os.makedirs(os.path.join(out_dir, "figures"), exist_ok=True)
-        config_doc = {"name": self.name, **self.config}
-        _atomic_write(os.path.join(out_dir, "config.json"),
-                      json.dumps(config_doc, sort_keys=True, indent=2) + "\n")
-        for name, table in sorted(self.tables.items()):
-            _atomic_write(os.path.join(out_dir, "tables", f"{name}.csv"), table.to_csv())
-        for name, svg in sorted(self.figures.items()):
-            _atomic_write(os.path.join(out_dir, "figures", f"{name}.svg"), svg)
-        _atomic_write(
-            os.path.join(out_dir, "checks.json"),
-            json.dumps([c.as_dict() for c in self.checks], indent=2) + "\n",
-        )
+        write_bundle(out_dir, {"name": self.name, **self.config},
+                     {name: table.to_csv() for name, table in self.tables.items()},
+                     self.figures, [c.as_dict() for c in self.checks])
+
+
+def write_bundle(out_dir, config: dict, tables: dict, figures: dict, checks: list) -> None:
+    """Write a bundle directory in the layout above, each file atomically.
+
+    ``tables`` maps names to CSV text, ``figures`` maps names to SVG text, and
+    ``checks`` is the list of check records that ``checks.json`` holds.
+    """
+    out_dir = os.fspath(out_dir)
+    os.makedirs(os.path.join(out_dir, "tables"), exist_ok=True)
+    os.makedirs(os.path.join(out_dir, "figures"), exist_ok=True)
+    _atomic_write(os.path.join(out_dir, "config.json"),
+                  json.dumps(config, sort_keys=True, indent=2) + "\n")
+    for name, text in sorted(tables.items()):
+        _atomic_write(os.path.join(out_dir, "tables", f"{name}.csv"), text)
+    for name, text in sorted(figures.items()):
+        _atomic_write(os.path.join(out_dir, "figures", f"{name}.svg"), text)
+    _atomic_write(os.path.join(out_dir, "checks.json"), json.dumps(checks, indent=2) + "\n")
 
 
 def _atomic_write(path: str, text: str) -> None:

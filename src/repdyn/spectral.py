@@ -65,7 +65,7 @@ class Subspace:
         if basis.ndim != 2:
             raise ConfigurationError("basis must be a 2-d array")
         gram_err = np.abs(basis.T @ basis - np.eye(basis.shape[1])).max()
-        if gram_err > 1e-10:
+        if not gram_err <= 1e-10:  # NaN entries fail too
             raise ConfigurationError(f"basis is not orthonormal (max deviation {gram_err:.3e})")
         object.__setattr__(self, "basis", basis)
 

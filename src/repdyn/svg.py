@@ -8,6 +8,7 @@ yield identical files (a fixed version comment is the only non-data line).
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 
@@ -51,18 +52,21 @@ def emit_svg(table: np.ndarray, kind: str, *, coords=None, shape=None, title: st
     kind="heatmap": one colored cell per matrix entry, value range annotated.
     kind="line": first column is the abscissa, remaining columns are curves.
     kind="gridworld": a length-n vector mapped back onto grid cells through
-    ``coords`` (state index -> (row, col)) with ``shape`` = (rows, cols);
+    ``coords`` (state index -> (row, col), each inside ``shape`` = (rows, cols));
     wall cells are blanked dark.
     """
     table = np.asarray(table, dtype=float)
+    _check_finite(table)
     if kind == "heatmap":
-        return _heatmap(np.atleast_2d(table), title)
+        matrix = np.atleast_2d(table)
+        return _cells(matrix, max(6, min(40, 440 // max(matrix.shape))), "", title)
     if kind == "line":
         return _line(np.atleast_2d(table), title)
     if kind == "gridworld":
         if coords is None or shape is None:
             raise ConfigurationError("gridworld rendering needs coords and shape")
-        return _gridworld(table.reshape(-1), coords, shape, title)
+        return _cells(_grid(table.reshape(-1), coords, shape), 28,
+                      ' stroke="#555" stroke-width="0.5"', title)
     raise ConfigurationError(f"unknown figure kind {kind!r}")
 
 
@@ -73,23 +77,37 @@ def _header(width: int, height: int) -> str:
     )
 
 
-def _heatmap(matrix: np.ndarray, title: str) -> str:
-    _check_finite(matrix)
-    rows, cols = matrix.shape
-    cell = max(6, min(40, 440 // max(rows, cols)))
+def _grid(vector: np.ndarray, coords, shape) -> np.ndarray:
+    """``shape`` grid holding ``vector[s]`` at ``coords[s]`` and NaN on every other cell."""
+    if len(vector) != len(coords):
+        raise ConfigurationError(f"vector length {len(vector)} does not match {len(coords)} cells")
+    rows, cols = shape
+    grid = np.full((rows, cols), np.nan)
+    for value, (i, j) in zip(vector.tolist(), coords):
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise ConfigurationError(f"cell ({i}, {j}) lies outside the {rows}x{cols} grid")
+        grid[i, j] = value
+    return grid
+
+
+def _cells(grid: np.ndarray, cell: int, stroke: str, title: str) -> str:
+    """One ``cell``-pixel square per grid entry, colored by value; NaN entries are walls."""
+    rows, cols = grid.shape
     width, height = cols * cell + 20, rows * cell + 50
-    lo, hi = float(matrix.min()), float(matrix.max())
+    values = grid[~np.isnan(grid)]
+    lo, hi = float(values.min()), float(values.max())
     span = hi - lo
     buf = io.StringIO()
     buf.write(_header(width, height))
     if title:
         buf.write(f'<text x="10" y="16" font-size="12">{title}</text>\n')
-    for i in range(rows):
-        for j in range(cols):
-            u = 0.5 if span == 0.0 else (matrix[i, j] - lo) / span
+    for i, row in enumerate(grid.tolist()):
+        for j, value in enumerate(row):
+            u = 0.5 if span == 0.0 else (value - lo) / span
+            fill = "#222" if math.isnan(value) else _color(u)
             buf.write(
                 f'<rect x="{10 + j * cell}" y="{25 + i * cell}" width="{cell}" '
-                f'height="{cell}" fill="{_color(u)}"/>\n'
+                f'height="{cell}" fill="{fill}"{stroke}/>\n'
             )
     legend = f"range [{_fmt(lo)}, {_fmt(hi)}]" if span else f"constant {_fmt(lo)} (degenerate range)"
     buf.write(f'<text x="10" y="{height - 8}" font-size="11">{legend}</text>\n')
@@ -98,7 +116,6 @@ def _heatmap(matrix: np.ndarray, title: str) -> str:
 
 
 def _line(table: np.ndarray, title: str) -> str:
-    _check_finite(table)
     if table.shape[1] < 2:
         raise ConfigurationError("line rendering needs an abscissa and at least one curve")
     x = table[:, 0]
@@ -132,34 +149,5 @@ def _line(table: np.ndarray, title: str) -> str:
         f'<text x="{pad}" y="{height - 8}" font-size="11">x [{_fmt(x0)}, {_fmt(x1)}] '
         f"y [{_fmt(y0)}, {_fmt(y1)}]</text>\n"
     )
-    buf.write("</svg>\n")
-    return buf.getvalue()
-
-
-def _gridworld(vector: np.ndarray, coords, shape, title: str) -> str:
-    _check_finite(vector)
-    if len(vector) != len(coords):
-        raise ConfigurationError(f"vector length {len(vector)} does not match {len(coords)} cells")
-    rows, cols = shape
-    cell = 28
-    width, height = cols * cell + 20, rows * cell + 50
-    lo, hi = float(vector.min()), float(vector.max())
-    span = hi - lo
-    filled = {}
-    for value, (i, j) in zip(vector, coords):
-        filled[(i, j)] = 0.5 if span == 0.0 else (value - lo) / span
-    buf = io.StringIO()
-    buf.write(_header(width, height))
-    if title:
-        buf.write(f'<text x="10" y="16" font-size="12">{title}</text>\n')
-    for i in range(rows):
-        for j in range(cols):
-            fill = _color(filled[(i, j)]) if (i, j) in filled else "#222"
-            buf.write(
-                f'<rect x="{10 + j * cell}" y="{25 + i * cell}" width="{cell}" '
-                f'height="{cell}" fill="{fill}" stroke="#555" stroke-width="0.5"/>\n'
-            )
-    legend = f"range [{_fmt(lo)}, {_fmt(hi)}]" if span else f"constant {_fmt(lo)} (degenerate range)"
-    buf.write(f'<text x="10" y="{height - 8}" font-size="11">{legend}</text>\n')
     buf.write("</svg>\n")
     return buf.getvalue()

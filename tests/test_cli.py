@@ -87,6 +87,11 @@ def test_flow_command_wide_csv(tmp_path):
     header = [ln for ln in text.splitlines() if ln.startswith("t,")][0]
     assert header.split(",")[:3] == ["t", "v_0", "v_1"]
     assert (out / "figures" / "trajectory.svg").read_text().startswith("<svg")
+    assert (out / "checks.json").read_text() == "[]\n"
+    assert json.loads((out / "config.json").read_text())["flow"] == "td"
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+        "checks.json", "config.json", "figures", "figures/trajectory.svg", "tables",
+        "tables/trajectory.csv"]
 
 
 @pytest.mark.parametrize("flow", ["mc", "nstep", "tdlambda", "limit", "rc"])
@@ -155,6 +160,10 @@ OUT_OF_RANGE_OVERRIDES = [
     ("limit-checks", "K=0", "K must be at least 1"),
     ("multi-task", "t_max=nan", "t_max must be finite"),
     ("two-state", "seed=-1", "seed must be nonnegative"),
+    ("multi-task", "K=31", "K must lie in 1..30, got 31"),
+    ("two-state", "rewards=1,2,3", "rewards must hold one entry per state (2), got 3"),
+    ("limit-checks", "n_gap_samples=1", "n_gap_samples must be at least 2"),
+    ("bayes-opt", "mc_samples=1", "mc_samples must be at least 2"),
 ]
 
 

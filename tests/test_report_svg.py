@@ -41,6 +41,14 @@ def test_gridworld_round_trip_through_map_file():
     assert text.count('fill="#222"') == 121 - 105
 
 
+@pytest.mark.parametrize("cell", [(2, 0), (0, 3), (-1, 0), (0, -1)],
+                         ids=["row-past-end", "col-past-end", "negative-row", "negative-col"])
+def test_gridworld_cell_outside_the_shape_is_rejected(cell):
+    coords = [(0, 0), (1, 2), cell]
+    with pytest.raises(ConfigurationError, match="outside the 2x3 grid"):
+        emit_svg(np.arange(3.0), "gridworld", coords=coords, shape=(2, 3))
+
+
 def test_line_figure_axes_annotation():
     table = np.column_stack([np.linspace(0, 1, 5), np.linspace(2, 3, 5)])
     text = emit_svg(table, "line")
@@ -55,7 +63,7 @@ def test_unknown_kind_rejected():
 def test_report_bundle_atomic_save_and_reload(tmp_path):
     bundle = rd.ReportBundle("demo", {"seed": 1})
     bundle.add_table("numbers", ["a", "b"], np.array([[1.0, 2.0], [3.0, 4.0]]))
-    bundle.add_check("small", True, 0.5, 1.0)
+    bundle.add_check("small", 0.5, 1.0)
     out = tmp_path / "nested" / "bundle"
     bundle.save(out)
     checks = json.loads((out / "checks.json").read_text())
@@ -67,8 +75,39 @@ def test_report_bundle_atomic_save_and_reload(tmp_path):
 
 
 def test_table_column_mismatch_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         rd.Table(["a"], np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("comparison, below, at, above", [
+    ("<", True, False, False),
+    ("<=", True, True, False),
+    (">", False, False, True),
+    (">=", False, True, True),
+])
+def test_check_verdict_follows_its_comparison(comparison, below, at, above):
+    verdicts = [rd.Check("c", value, 1.0, comparison).passed for value in (0.5, 1.0, 1.5)]
+    assert verdicts == [below, at, above]
+    assert rd.Check("c", np.nan, 1.0, comparison).passed is False
+
+
+def test_check_with_unknown_comparison_is_rejected():
+    bundle = rd.ReportBundle("demo", {})
+    with pytest.raises(ConfigurationError, match="unknown comparison '=='"):
+        bundle.add_check("equal", 1.0, 1.0, comparison="==")
+    assert bundle.checks == []
+
+
+def test_saved_check_records_its_derived_verdict(tmp_path):
+    bundle = rd.ReportBundle("demo", {})
+    bundle.add_check("small", 0.5, 1.0, table="numbers")
+    bundle.add_check("large", 2.0, 1.0, comparison="<=")
+    bundle.save(tmp_path)
+    checks = json.loads((tmp_path / "checks.json").read_text())
+    assert [c["passed"] for c in checks] == [True, False]
+    assert checks[0] == {"name": "small", "passed": True, "value": 0.5, "threshold": 1.0,
+                         "comparison": "<", "table": "numbers"}
+    assert not bundle.all_passed()
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
@@ -77,7 +116,7 @@ def test_saved_bundle_files_take_their_mode_from_the_umask(umask, mode, tmp_path
     bundle = rd.ReportBundle("demo", {"seed": 1})
     bundle.add_table("numbers", ["a", "b"], np.array([[1.0, 2.0]]))
     bundle.figures["plot"] = emit_svg(np.eye(2), "heatmap")
-    bundle.add_check("small", True, 0.5, 1.0)
+    bundle.add_check("small", 0.5, 1.0)
     previous = os.umask(umask)
     try:
         bundle.save(tmp_path / "bundle")

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repdyn as rd
 from repdyn.errors import ConfigurationError, DomainError, RankDeficiencyError
@@ -160,6 +162,23 @@ def test_grassmann_metric_properties():
         assert dab <= dac + dcb + 1e-8
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), data=st.data(),
+       scales=st.tuples(*[st.sampled_from([1e-9, 1e-5, 1e-2, 1.0, 1e3])] * 2))
+def test_grassmann_distance_obeys_the_triangle_inequality(seed, n, data, scales):
+    # geodesic distance on the Grassmannian is a metric (Edelman, Arias & Smith 1998);
+    # b and c are perturbations of a, so small angles take the sine branch
+    k = data.draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(seed)
+    a = random_subspace(rng, n, k)
+    b, c = (rd.orthonormalize(a.basis + scale * rng.standard_normal((n, k))) for scale in scales)
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        dxy = rd.grassmann_distance(x, y).distance
+        dxz = rd.grassmann_distance(x, z).distance
+        dzy = rd.grassmann_distance(z, y).distance
+        assert dxy <= dxz + dzy + 1e-12
+
+
 def test_grassmann_rotation_invariance():
     rng = np.random.default_rng(13)
     a = random_subspace(rng, 10, 3)
@@ -201,6 +220,11 @@ def test_orthonormalize_rank_deficient():
 def test_subspace_validation():
     with pytest.raises(ConfigurationError):
         rd.Subspace(np.ones((4, 2)))
+
+
+def test_subspace_rejects_a_nan_basis():
+    with pytest.raises(ConfigurationError, match="not orthonormal"):
+        rd.Subspace(np.full((3, 1), np.nan))
 
 
 def test_serialization_round_trips():
