@@ -640,28 +640,23 @@ def run_multi_task(config: dict | None = None) -> ReportBundle:
     indefinitely, since the head-split noise perturbs the invariant subspaces.
     """
     cfg = _finalize_config(MULTI_TASK_DEFAULTS, config)
-    if cfg["mode"] not in ("policies", "discounts"):
+    policies = cfg["mode"] == "policies"
+    if policies:  # (discount, probability of the left action) per task
+        tasks = [(cfg["gamma"], p) for p in cfg["mixes"]]
+    elif cfg["mode"] == "discounts":
+        tasks = [(g, 0.5) for g in cfg["discounts"]]
+    else:
         raise ConfigurationError("mode must be 'policies' or 'discounts'")
     bundle = ReportBundle("multi-task", dict(cfg))
     L, M, K = int(cfg["L"]), int(cfg["M"]), cfg["K"]
     if K > CHAIN_N:
         raise ConfigurationError(f"K must lie in 1..{CHAIN_N}, got {K}")
-    if L < 1 or M % max(L, 1) != 0:
-        raise ConfigurationError("L must be >= 1 and divide M")
-    zero = np.zeros(CHAIN_N)
+    if len(tasks) < L:
+        raise ConfigurationError(
+            f"need {L} {'policy mixes' if policies else 'discounts'}, got {len(tasks)}")
+    chains = [chain_drift(g, p).with_reward(np.zeros(CHAIN_N)) for g, p in tasks[:L]]
 
-    if cfg["mode"] == "policies":
-        params = list(cfg["mixes"])[:L]
-        if len(params) != L:
-            raise ConfigurationError(f"need {L} policy mixes, got {len(params)}")
-        chains = [chain_drift(cfg["gamma"], p).with_reward(zero) for p in params]
-    else:
-        gammas = list(cfg["discounts"])[:L]
-        if len(gammas) != L:
-            raise ConfigurationError(f"need {L} discounts, got {len(gammas)}")
-        chains = [chain_uniform(g).with_reward(zero) for g in gammas]
-
-    op_bar = flows.build_multi_task_operator(chains, cfg["mode"])
+    op_bar = flows.build_multi_task_operator(chains)
     phi0 = _normalized_phi0(_stream(cfg["seed"], "phi0"), CHAIN_N, K)
     weights = flows.sample_weights(M, K, 1.0 / M, _stream(cfg["seed"], "heads"))
 
@@ -674,12 +669,12 @@ def run_multi_task(config: dict | None = None) -> ReportBundle:
 
     times = np.linspace(0.0, cfg["t_max"], cfg["n_gap_samples"])
     sample_times = np.unique(np.concatenate([times, [t_fin]]))
-    finite = flows.multi_task_flow(chains, weights, phi0, sample_times, cfg["mode"])
-    limit = flows.linear_limit_flow(
-        flows.LinearFlowSpec(op_bar, np.zeros_like(phi0), phi0), times)
+    finite = flows.multi_task_flow(chains, weights, phi0, sample_times)
+    limit = flows.linear_limit_flow(flows.LinearFlowSpec(op_bar, np.zeros_like(phi0), phi0),
+                                    np.unique(np.append(times, t_span)))
     by_time = dict(zip(finite.times, finite.states))
-    gap = max(float(np.linalg.norm(by_time[t] - ref))
-              for t, ref in zip(times, limit.states))
+    limit_at = dict(zip(limit.times, limit.states))
+    gap = max(float(np.linalg.norm(by_time[t] - limit_at[t])) for t in times)
     bundle.add_table("trajectory_gap", ["gap"], np.array([[gap]]))
     bundle.add_check("finite_head_flow_matches_averaged_limit", gap, cfg["gap_tol"],
                      table="trajectory_gap")
@@ -696,15 +691,10 @@ def run_multi_task(config: dict | None = None) -> ReportBundle:
     # for genuine task splits (L >= 2), where the averaged operator differs
     # from each task's own
     if L > 1:
-        p_bar = np.mean([c.transition for c in chains], axis=0)
-        limit_state = flows.linear_limit_flow(
-            flows.LinearFlowSpec(op_bar, np.zeros_like(phi0), phi0),
-            np.array([t_span])).final()
-        limit_span = spectral.orthonormalize(limit_state)
+        limit_span = spectral.orthonormalize(limit_at[t_span])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            ebf_bar = spectral.ebf(
-                p_bar if cfg["mode"] == "policies" else chains[0].transition, K)
+            ebf_bar = spectral.ebf(op_bar, K)
             ebf_first = spectral.ebf(chains[0].transition, K)
             d_bar = spectral.grassmann_distance(limit_span, ebf_bar).distance
             d_first = spectral.grassmann_distance(limit_span, ebf_first).distance
@@ -716,14 +706,14 @@ def run_multi_task(config: dict | None = None) -> ReportBundle:
                          np.array([[d_bar, d_first, d_finite, t_span, t_fin]]))
         bundle.add_check("limit_span_is_averaged_operator_ebf", d_bar, cfg["subspace_tol"],
                          table="subspace_distances")
-        if cfg["mode"] == "policies":
+        if policies:
             bundle.add_check("limit_span_distinct_from_first_task_ebf", d_first,
                              cfg["distinct_tol"], comparison=">", table="subspace_distances")
 
-    if cfg["block_variant"] and K % L == 0 and cfg["mode"] == "policies" and L > 1:
+    if cfg["block_variant"] and K % L == 0 and policies and L > 1:
         wb = flows.sample_block_orthogonal_weights(
             M, K, L, 1.0 / M, _stream(cfg["seed"], "block heads"))
-        traj_b = flows.multi_task_flow(chains, wb, phi0, np.array([t_fin]), cfg["mode"])
+        traj_b = flows.multi_task_flow(chains, wb, phi0, np.array([t_fin]))
         block = K // L
         rows = []
         with warnings.catch_warnings():

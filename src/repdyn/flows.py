@@ -20,6 +20,10 @@ it stops computing once its state is a bit-for-bit fixed point of the step:
 the skipped steps would have returned the same state, so the output is
 unchanged.
 
+Heads split evenly over tasks follow, as their number grows, the flow of one
+averaged operator, ``build_multi_task_operator``: the mean of the task
+operators gamma_i P_i - I, for any mix of policies and discounts.
+
 Every flow returns a ``Trajectory`` whose states are one (T, n, K) array,
 state t at ``states[t]``.
 
@@ -159,15 +163,19 @@ def _check_v0(chain: MarkovChain, v0) -> np.ndarray:
     return v0
 
 
-def _exponential_value_flow(op: np.ndarray, chain: MarkovChain, v0, times, meta: dict) -> Trajectory:
-    """Shared closed form V_t = exp(t*op)(V_0 - V^pi) + V^pi."""
+def _value_flow(chain: MarkovChain, v0, times, decay: Callable, meta: dict) -> Trajectory:
+    """Shared closed form V_t = V^pi + decay(t) (V_0 - V^pi); V_0 itself at t = 0.
+
+    ``decay(t)`` is exp(t op) for the flow's operator op, as a matrix, or as a
+    scalar when op = -I.
+    """
     times = _check_times(times)
     v0 = _check_v0(chain, v0)
     v_star = exact_value(chain)
     delta0 = v0 - v_star
     states = np.empty((len(times), len(v0), 1))
     for i, t in enumerate(times):
-        states[i, :, 0] = v0 if t == 0.0 else v_star + matrix_exponential(op, t) @ delta0
+        states[i, :, 0] = v0 if t == 0.0 else v_star + np.dot(decay(t), delta0)
     return Trajectory(times=times, states=states, meta=meta)
 
 
@@ -175,7 +183,8 @@ def td_value_flow(chain: MarkovChain, v0, times) -> Trajectory:
     """One-step bootstrapped value flow: V_t = exp(-t(I - gamma P))(V_0 - V^pi) + V^pi."""
     n = chain.n_states
     op = -(np.eye(n) - chain.gamma * chain.transition)
-    return _exponential_value_flow(op, chain, v0, times, {"flow": "td", "gamma": chain.gamma})
+    return _value_flow(chain, v0, times, lambda t: matrix_exponential(op, t),
+                       {"flow": "td", "gamma": chain.gamma})
 
 
 def mc_value_flow(chain: MarkovChain, v0, times) -> Trajectory:
@@ -184,14 +193,7 @@ def mc_value_flow(chain: MarkovChain, v0, times) -> Trajectory:
     The displacement V_t - V^pi stays parallel to V_0 - V^pi for all t; no
     transition structure enters the trajectory.
     """
-    times = _check_times(times)
-    v0 = _check_v0(chain, v0)
-    v_star = exact_value(chain)
-    delta0 = v0 - v_star
-    states = np.empty((len(times), len(v0), 1))
-    for i, t in enumerate(times):
-        states[i, :, 0] = v0 if t == 0.0 else v_star + np.exp(-t) * delta0
-    return Trajectory(times=times, states=states, meta={"flow": "mc", "gamma": chain.gamma})
+    return _value_flow(chain, v0, times, lambda t: np.exp(-t), {"flow": "mc", "gamma": chain.gamma})
 
 
 def nstep_value_flow(chain: MarkovChain, n: int, v0, times) -> Trajectory:
@@ -200,9 +202,8 @@ def nstep_value_flow(chain: MarkovChain, n: int, v0, times) -> Trajectory:
         raise ConfigurationError(f"n must be at least 1, got {n}")
     dim = chain.n_states
     op = -(np.eye(dim) - np.linalg.matrix_power(chain.gamma * chain.transition, n))
-    return _exponential_value_flow(
-        op, chain, v0, times, {"flow": "nstep", "n": n, "gamma": chain.gamma}
-    )
+    return _value_flow(chain, v0, times, lambda t: matrix_exponential(op, t),
+                       {"flow": "nstep", "n": n, "gamma": chain.gamma})
 
 
 def td_lambda_series_operator(chain: MarkovChain, lam: float) -> np.ndarray:
@@ -217,9 +218,8 @@ def td_lambda_series_operator(chain: MarkovChain, lam: float) -> np.ndarray:
 def td_lambda_value_flow(chain: MarkovChain, lam: float, v0, times) -> Trajectory:
     """Lambda-return flow: V_t = exp(t(S_lambda - I))(V_0 - V^pi) + V^pi."""
     op = td_lambda_series_operator(chain, lam) - np.eye(chain.n_states)
-    return _exponential_value_flow(
-        op, chain, v0, times, {"flow": "td_lambda", "lambda": lam, "gamma": chain.gamma}
-    )
+    return _value_flow(chain, v0, times, lambda t: matrix_exponential(op, t),
+                       {"flow": "td_lambda", "lambda": lam, "gamma": chain.gamma})
 
 
 def _affine_path(G: np.ndarray, f: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -359,8 +359,9 @@ def joint_flow(
     stack Phi over w: shape (T, n + 1, K) with the last row of each state w^T.
     """
     times = _check_times(times)
-    if alpha < 0 or beta < 0:
-        raise ConfigurationError("alpha and beta must be nonnegative")
+    if not (0 <= alpha < np.inf and 0 <= beta < np.inf):
+        raise ConfigurationError(
+            f"alpha and beta must be finite and nonnegative, got alpha={alpha}, beta={beta}")
     phi0 = np.asarray(phi0, dtype=float)
     w0 = np.asarray(w0, dtype=float).reshape(-1)
     n, k = phi0.shape
@@ -407,8 +408,9 @@ def ensemble_flow(
     (``head_dim``). Trajectory states are the (T, n, K) Phi path.
     """
     times = _check_times(times)
-    if alpha < 0 or beta < 0:
-        raise ConfigurationError("alpha and beta must be nonnegative")
+    if not (0 <= alpha < np.inf and 0 <= beta < np.inf):
+        raise ConfigurationError(
+            f"alpha and beta must be finite and nonnegative, got alpha={alpha}, beta={beta}")
     phi0, weights, rewards = state0.phi, state0.weights, state0.cumulants
     n = phi0.shape[0]
     if n != chain.n_states:
@@ -481,8 +483,8 @@ def linear_limit_flow(spec: LinearFlowSpec, times) -> Trajectory:
     """Closed form of d/dt Phi = A Phi + B; A may be singular.
 
     Instantiates every infinite-head limit: A = -(I - gamma P) with B = 0 or a
-    Gaussian forcing matrix, and the averaged operators for multi-policy /
-    multi-discount head splits.
+    Gaussian forcing matrix, and the averaged operator of a multi-task head
+    split (``build_multi_task_operator``).
     """
     times = _check_times(times)
     if not spec.stable():
@@ -493,31 +495,18 @@ def linear_limit_flow(spec: LinearFlowSpec, times) -> Trajectory:
     return Trajectory(times=times, states=states, meta={"flow": "linear_limit"})
 
 
-def build_multi_task_operator(chains: list, mode: str) -> np.ndarray:
-    """Averaged flow operator for evenly split auxiliary heads.
+def build_multi_task_operator(chains: list) -> np.ndarray:
+    """Averaged flow operator mean_i(gamma_i P_i) - I of heads split evenly over tasks.
 
-    mode="policies": -(I - gamma P_bar), P_bar the average transition matrix
-    (all chains must share gamma). mode="discounts": -(I - gamma_bar P), all
-    chains must share the transition matrix.
+    Tasks that share a discount give -(I - gamma P_bar), tasks that share a
+    policy give -(I - gamma_bar P), and tasks may differ in both.
     """
     if not chains:
         raise ConfigurationError("need at least one chain")
     n = chains[0].n_states
     if any(c.n_states != n for c in chains):
         raise ConfigurationError("all chains must share the state space")
-    if mode == "policies":
-        gammas = {c.gamma for c in chains}
-        if len(gammas) > 1:
-            raise ConfigurationError("mode='policies' requires a shared discount")
-        p_bar = np.mean([c.transition for c in chains], axis=0)
-        return -(np.eye(n) - chains[0].gamma * p_bar)
-    if mode == "discounts":
-        base = chains[0].transition
-        if any(np.abs(c.transition - base).max() > 1e-12 for c in chains[1:]):
-            raise ConfigurationError("mode='discounts' requires a shared transition matrix")
-        gamma_bar = float(np.mean([c.gamma for c in chains]))
-        return -(np.eye(n) - gamma_bar * base)
-    raise ConfigurationError(f"unknown mode {mode!r}; expected 'policies' or 'discounts'")
+    return np.mean([c.gamma * c.transition for c in chains], axis=0) - np.eye(n)
 
 
 def split_heads(M: int, L: int) -> np.ndarray:
@@ -533,19 +522,19 @@ def multi_task_flow(
     weights: np.ndarray,
     phi0: np.ndarray,
     times,
-    mode: str = "policies",
+    *,
     step: float = DEFAULT_STEP,
 ) -> Trajectory:
     """Frozen-weight multi-head flow with heads split evenly over L tasks, zero reward.
 
     d/dt Phi = sum_i (gamma_i P_i - I) Phi W_i with W_i the second-moment
     matrix of task i's heads, evaluated in closed form. Reduces to the
-    single-task frozen flow at L = 1. ``step`` is unused; it stays in the
-    signature for callers that pass it.
+    single-task frozen flow at L = 1. With head weights of variance 1/M,
+    each W_i tends to I / L as M grows, and the flow to that of
+    ``build_multi_task_operator(chains)``. ``step`` is unused; it stays in
+    the signature for callers that pass it by name.
     """
     times = _check_times(times)
-    if mode not in ("policies", "discounts"):
-        raise ConfigurationError(f"unknown mode {mode!r}; expected 'policies' or 'discounts'")
     if not chains:
         raise ConfigurationError("need at least one chain")
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
@@ -562,26 +551,22 @@ def multi_task_flow(
     ops = [c.gamma * c.transition - np.eye(c.n_states) for c in chains]
     Ws = [weights[assign == i].T @ weights[assign == i] for i in range(L)]
     states = _linear_flow(list(zip(ops, Ws)), np.zeros_like(phi0), phi0, times)
-    meta = {"flow": "multi_task", "mode": mode, "L": L, "M": M, "step": None}
+    meta = {"flow": "multi_task", "L": L, "M": M, "step": None}
     return Trajectory(times=times, states=states, meta=meta)
 
 
-def trajectory_to_csv(traj: Trajectory, wide: bool | None = None) -> str:
+def trajectory_to_csv(traj: Trajectory) -> str:
     """Serialize a trajectory to CSV with '# key=value' meta header lines.
 
-    Value flows (K = 1) default to the wide format (t, v_0, ..., v_{n-1});
-    matrix flows default to the long format (t, entry_row, entry_col, value).
+    Value flows (K = 1) take the wide format (t, v_0, ..., v_{n-1}); matrix
+    flows take the long format (t, entry_row, entry_col, value).
     """
     buf = io.StringIO()
     for key in sorted(traj.meta):
         buf.write(f"# {key}={traj.meta[key]}\n")
     n, k = traj.states.shape[1:]
-    if wide is None:
-        wide = k == 1
-    if wide and k != 1:
-        raise ConfigurationError("wide format is only defined for value flows (K = 1)")
     times = traj.times.tolist()
-    if wide:
+    if k == 1:
         buf.write("t," + ",".join(f"v_{i}" for i in range(n)) + "\n")
         for t, s in zip(times, traj.values()):
             buf.write(repr(t) + "," + ",".join(map(repr, s.tolist())) + "\n")

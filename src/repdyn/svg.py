@@ -56,6 +56,8 @@ def emit_svg(table: np.ndarray, kind: str, *, coords=None, shape=None, title: st
     wall cells are blanked dark.
     """
     table = np.asarray(table, dtype=float)
+    if table.size == 0:
+        raise ConfigurationError(f"cannot render an empty table as {kind!r}")
     _check_finite(table)
     if kind == "heatmap":
         matrix = np.atleast_2d(table)

@@ -127,11 +127,15 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
     (["flow", "--flow", "td", "--t-max", "inf"], {}, "--t-max must be finite"),
     (["flow", "--flow", "td", "--samples", "-1"], {}, "--samples must be at least 1"),
     (["flow", "--flow", "td", "--samples", "0"], {}, "--samples must be at least 1"),
+    (["flow", "--flow", "ensemble", "--alpha", "nan"], {},
+     "alpha and beta must be finite and nonnegative"),
+    (["flow", "--flow", "joint", "--beta", "inf"], {},
+     "alpha and beta must be finite and nonnegative"),
 ], ids=["override-not-a-number", "env-seed-not-an-integer", "chain-transfer-rank",
         "flow-zero-heads", "flow-zero-features", "four-rooms-zero-features",
         "four-rooms-too-many-features", "flow-negative-seed", "flow-step-nan",
         "flow-step-inf", "flow-t-max-nan", "flow-t-max-inf", "flow-negative-samples",
-        "flow-zero-samples"])
+        "flow-zero-samples", "flow-alpha-nan", "flow-beta-inf"])
 def test_bad_input_is_one_error_line_and_exit_one(argv, env, message, tmp_path,
                                                    monkeypatch, capsys):
     for key, value in env.items():

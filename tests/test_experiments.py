@@ -121,6 +121,15 @@ def test_multi_task_discount_mode():
     assert "limit_span_distinct_from_first_task_ebf" not in names
 
 
+def test_multi_task_rejects_a_split_that_does_not_divide_the_heads():
+    with pytest.raises(ConfigurationError, match="L must divide M"):
+        rd.run_multi_task({"L": 3, "mixes": (0.75, 0.25, 0.5), "M": 2000})
+    with pytest.raises(ConfigurationError, match="need 3 discounts"):
+        rd.run_multi_task({"mode": "discounts", "L": 3, "M": 3000})
+    with pytest.raises(ConfigurationError, match="mode must be"):
+        rd.run_multi_task({"mode": "bogus"})
+
+
 def test_failed_check_is_recorded_not_raised():
     bundle = rd.run_limit_checks({"M_list": (100,), "n_seeds": 2, "gap_tol": 1e-9,
                                   "cov_seeds": 50, "weight_M": 1000,

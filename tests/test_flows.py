@@ -565,22 +565,47 @@ def test_linear_limit_flow_warns_on_unstable_operator():
 
 def test_multi_task_operator_reduction_and_average():
     chain = chain_uniform()
-    single = rd.build_multi_task_operator([chain], "policies")
+    single = rd.build_multi_task_operator([chain])
     np.testing.assert_allclose(single, -(np.eye(30) - 0.9 * chain.transition), atol=1e-15)
     m = rd.build_chain_mdp(30, 0.01, 2.0, 1.0)
     left = rd.induce(m, rd.Policy.deterministic(np.zeros(30, int), 2), 0.9)
     right = rd.induce(m, rd.Policy.deterministic(np.ones(30, int), 2), 0.9)
-    avg = rd.build_multi_task_operator([left, right], "policies")
+    # tasks that share a discount average their policies: -(I - gamma P_bar)
+    avg = rd.build_multi_task_operator([left, right])
     p_bar = (left.transition + right.transition) / 2
     np.testing.assert_allclose(avg, -(np.eye(30) - 0.9 * p_bar), atol=1e-15)
     np.testing.assert_allclose(p_bar, chain.transition, atol=1e-15)
-    # discount averaging
+    # tasks that share a policy average their discounts: -(I - gamma_bar P)
     g1 = rd.induce(m, rd.Policy.uniform(30, 2), 0.8)
     g2 = rd.induce(m, rd.Policy.uniform(30, 2), 0.99)
-    disc = rd.build_multi_task_operator([g1, g2], "discounts")
+    disc = rd.build_multi_task_operator([g1, g2])
     np.testing.assert_allclose(disc, -(np.eye(30) - 0.895 * chain.transition), atol=1e-14)
-    with pytest.raises(ConfigurationError):
-        rd.build_multi_task_operator([left, right], "discounts")
+    with pytest.raises(ConfigurationError, match="at least one chain"):
+        rd.build_multi_task_operator([])
+    with pytest.raises(ConfigurationError, match="share the state space"):
+        rd.build_multi_task_operator([chain, rd.induce(rd.build_chain_mdp(29, 0.01, 2.0, 1.0),
+                                                       rd.Policy.uniform(29, 2), 0.9)])
+
+
+def test_multi_task_split_over_policies_and_discounts_follows_the_mean_operator():
+    # the tasks differ in both discount and policy; no single-mode average applies
+    zero = np.zeros(30)
+    chains = [chain_drift(0.8, 0.75).with_reward(zero), chain_drift(0.99, 0.25).with_reward(zero)]
+    op = rd.build_multi_task_operator(chains)
+    mean = (0.8 * chains[0].transition + 0.99 * chains[1].transition) / 2 - np.eye(30)
+    assert np.abs(op - mean).max() <= 1e-15
+    times = np.linspace(0.0, 5.0, 26)
+    phi0 = np.random.default_rng(60).standard_normal((30, 4))
+    phi0 /= np.linalg.norm(phi0)
+    finite = rd.multi_task_flow(chains, rd.sample_weights(10_000, 4, 1e-4, 61), phi0, times)
+
+    def distance_to_flow_of(A):
+        limit = rd.linear_limit_flow(rd.LinearFlowSpec(A, np.zeros_like(phi0), phi0), times)
+        return max(np.linalg.norm(a - b) for a, b in zip(finite.states, limit.states))
+
+    assert distance_to_flow_of(op) < 0.05
+    for chain in chains:
+        assert distance_to_flow_of(chain.gamma * chain.transition - np.eye(30)) > 0.1
 
 
 def test_multi_task_operator_ebf_is_average_chain_ebf():
@@ -589,7 +614,7 @@ def test_multi_task_operator_ebf_is_average_chain_ebf():
     m = rd.build_chain_mdp(30, 0.01, 2.0, 1.0)
     left = rd.induce(m, rd.Policy(np.column_stack([np.full(30, 0.75), np.full(30, 0.25)])), 0.9)
     right = rd.induce(m, rd.Policy(np.column_stack([np.full(30, 0.25), np.full(30, 0.75)])), 0.9)
-    op = rd.build_multi_task_operator([left, right], "policies")
+    op = rd.build_multi_task_operator([left, right])
     p_bar = (left.transition + right.transition) / 2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -639,17 +664,55 @@ def test_linear_flow_is_a_semigroup(n_terms, seed, n, k, s, t):
     assert np.linalg.norm(chained - direct) <= 1e-10 * np.linalg.norm(direct)
 
 
-@pytest.mark.parametrize("n_chains, weights_shape, phi0_shape, mode, message", [
-    (2, (4, 3), (30, 3), "bogus", "unknown mode"),
-    (0, (4, 3), (30, 3), "policies", "at least one chain"),
-    (2, (4, 2), (30, 3), "policies", "weights must be"),
-    (2, (4, 3), (29, 3), "discounts", "one row per state"),
-], ids=["bogus-mode", "no-chains", "weights-columns", "phi0-rows"])
-def test_multi_task_flow_rejects_bad_mode_and_shapes(n_chains, weights_shape, phi0_shape, mode,
+@pytest.mark.parametrize("n_terms", [2, 3], ids=["kron-2", "kron-3"])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), k=st.integers(1, 3),
+       times=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3, unique=True))
+def test_multi_term_linear_flow_matches_a_taylor_series_of_the_kronecker_generator(
+        n_terms, seed, n, k, times):
+    # d/dt vec(Phi) = (sum_i W_i (x) A_i) vec(Phi) + vec(F): (vec(Phi), 1) follows
+    # the augmented generator, whose exponential from t = 0 is a scaled and
+    # squared Taylor series
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(n_terms):
+        g = rng.standard_normal((k, k))
+        terms.append((rng.standard_normal((n, n)) / np.sqrt(n), g @ g.T / k))
+    forcing = rng.standard_normal((n, k))
+    phi0 = rng.standard_normal((n, k))
+    times = np.array(sorted(times))
+    G = np.zeros((n * k + 1, n * k + 1))
+    G[:-1, :-1] = sum(np.kron(W, A) for A, W in terms)
+    G[:-1, -1] = forcing.ravel(order="F")
+    x0 = np.append(phi0.ravel(order="F"), 1.0)
+    states = _linear_flow(terms, forcing, phi0, times)
+    for t, state in zip(times, states):
+        squarings = max(0, int(np.ceil(np.log2(np.abs(t * G).sum(axis=1).max() / 0.5))))
+        E = taylor_expm_oracle(t * G / 2.0**squarings)
+        for _ in range(squarings):
+            E = E @ E
+        oracle = (E @ x0)[:-1].reshape((n, k), order="F")
+        assert np.linalg.norm(state - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("n_chains, weights_shape, phi0_shape, message", [
+    (0, (4, 3), (30, 3), "at least one chain"),
+    (2, (4, 2), (30, 3), "weights must be"),
+    (2, (4, 3), (29, 3), "one row per state"),
+], ids=["no-chains", "weights-columns", "phi0-rows"])
+def test_multi_task_flow_rejects_bad_mode_and_shapes(n_chains, weights_shape, phi0_shape,
                                                      message):
     chains = [chain_drift(0.9, p).with_reward(np.zeros(30)) for p in (0.75, 0.25)][:n_chains]
     with pytest.raises(ConfigurationError, match=message):
-        rd.multi_task_flow(chains, np.ones(weights_shape), np.ones(phi0_shape), [1.0], mode)
+        rd.multi_task_flow(chains, np.ones(weights_shape), np.ones(phi0_shape), [1.0])
+
+
+def test_multi_task_flow_takes_its_step_by_name_only():
+    chains = [chain_drift(0.9, p).with_reward(np.zeros(30)) for p in (0.75, 0.25)]
+    args = (chains, np.ones((4, 3)), np.ones((30, 3)), [1.0])
+    assert rd.multi_task_flow(*args, step=0.5).meta["step"] is None
+    with pytest.raises(TypeError):
+        rd.multi_task_flow(*args, "policies")
 
 
 def test_split_heads_blocks():

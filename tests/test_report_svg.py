@@ -49,6 +49,16 @@ def test_gridworld_cell_outside_the_shape_is_rejected(cell):
         emit_svg(np.arange(3.0), "gridworld", coords=coords, shape=(2, 3))
 
 
+@pytest.mark.parametrize("kind, table, extra", [
+    ("heatmap", np.zeros((0, 3)), {}),
+    ("line", np.zeros((0, 3)), {}),
+    ("gridworld", np.array([]), {"coords": [], "shape": (2, 2)}),
+])
+def test_empty_table_is_rejected(kind, table, extra):
+    with pytest.raises(ConfigurationError, match="empty table"):
+        emit_svg(table, kind, **extra)
+
+
 def test_line_figure_axes_annotation():
     table = np.column_stack([np.linspace(0, 1, 5), np.linspace(2, 3, 5)])
     text = emit_svg(table, "line")
