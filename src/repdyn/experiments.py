@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 
 import numpy as np
 
@@ -326,8 +325,6 @@ def run_chain_transfer(config: dict | None = None) -> ReportBundle:
     bundle = ReportBundle("chain-transfer", dict(cfg))
     chain_mdp = _chain_mdp()
     n, K = CHAIN_N, cfg["K"]
-    if K < 1:
-        raise ConfigurationError("K must be at least 1")
 
     if cfg["init_policy"] == "uniform":
         init = mdp.Policy.uniform(n, 2)
@@ -347,9 +344,7 @@ def run_chain_transfer(config: dict | None = None) -> ReportBundle:
     feature_sets = {"ebf": [], "rsbf": [], "rf": []}
     for j, policy in enumerate(trace.policies):
         chain = mdp.induce(chain_mdp, policy, cfg["gamma"])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            feature_sets["ebf"].append(spectral.ebf(chain.transition, K))
+        feature_sets["ebf"].append(spectral.ebf(chain.transition, K))
         feature_sets["rsbf"].append(spectral.rsbf(chain.transition, cfg["gamma"], K))
         g = _stream(cfg["seed"], "random features", j).standard_normal((n, K))
         feature_sets["rf"].append(spectral.orthonormalize(g))
@@ -692,14 +687,12 @@ def run_multi_task(config: dict | None = None) -> ReportBundle:
     # from each task's own
     if L > 1:
         limit_span = spectral.orthonormalize(limit_at[t_span])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            ebf_bar = spectral.ebf(op_bar, K)
-            ebf_first = spectral.ebf(chains[0].transition, K)
-            d_bar = spectral.grassmann_distance(limit_span, ebf_bar).distance
-            d_first = spectral.grassmann_distance(limit_span, ebf_first).distance
-            d_finite = spectral.grassmann_distance(
-                spectral.orthonormalize(by_time[t_fin]), ebf_bar).distance
+        ebf_bar = spectral.ebf(op_bar, K)
+        ebf_first = spectral.ebf(chains[0].transition, K)
+        d_bar = spectral.grassmann_distance(limit_span, ebf_bar).distance
+        d_first = spectral.grassmann_distance(limit_span, ebf_first).distance
+        d_finite = spectral.grassmann_distance(
+            spectral.orthonormalize(by_time[t_fin]), ebf_bar).distance
         bundle.add_table("subspace_distances",
                          ["limit_to_averaged_ebf", "limit_to_first_task_ebf",
                           "finite_head_to_averaged_ebf", "t_subspace", "t_finite_span"],
@@ -716,14 +709,12 @@ def run_multi_task(config: dict | None = None) -> ReportBundle:
         traj_b = flows.multi_task_flow(chains, wb, phi0, np.array([t_fin]))
         block = K // L
         rows = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for i, chain_i in enumerate(chains):
-                cols = slice(i * block, (i + 1) * block)
-                span_i = spectral.orthonormalize(traj_b.final()[:, cols])
-                d_i = spectral.grassmann_distance(
-                    span_i, spectral.ebf(chain_i.transition, block)).distance
-                rows.append([float(i), d_i])
+        for i, chain_i in enumerate(chains):
+            cols = slice(i * block, (i + 1) * block)
+            span_i = spectral.orthonormalize(traj_b.final()[:, cols])
+            d_i = spectral.grassmann_distance(
+                span_i, spectral.ebf(chain_i.transition, block)).distance
+            rows.append([float(i), d_i])
         bundle.add_table("block_orthogonal_decomposition", ["task", "distance_to_task_ebf"],
                          np.array(rows))
     return bundle

@@ -35,7 +35,6 @@ Carlo and trained-head flows never take an exponential.
 from __future__ import annotations
 
 import io
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -124,12 +123,11 @@ class LinearFlowSpec:
             raise ConfigurationError("A must be square")
         if B.shape != phi0.shape or B.shape[0] != A.shape[0]:
             raise ConfigurationError("A, B and phi0 shapes are incompatible")
+        if not all(np.all(np.isfinite(x)) for x in (A, B, phi0)):
+            raise ConfigurationError("A, B and phi0 entries must be finite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "phi0", phi0)
-
-    def stable(self) -> bool:
-        return bool(np.all(np.linalg.eigvals(self.A).real < 0))
 
 
 def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -437,10 +435,14 @@ def ensemble_flow(
     return Trajectory(times=times, states=states, meta=meta)
 
 
+def _check_variance(variance: float) -> None:
+    if not 0.0 < variance < np.inf:  # NaN fails too
+        raise ConfigurationError(f"variance must be positive and finite, got {variance}")
+
+
 def sample_weights(M: int, K: int, variance: float, seed) -> np.ndarray:
     """M independent N(0, variance I_K) head weights, deterministic per seed; rows are heads."""
-    if variance <= 0:
-        raise ConfigurationError(f"variance must be positive, got {variance}")
+    _check_variance(variance)
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, np.sqrt(variance), size=(M, K))
 
@@ -451,8 +453,9 @@ def sample_block_orthogonal_weights(M: int, K: int, n_blocks: int, variance: flo
     Heads are assigned to blocks contiguously (head m to block ceil(m*L/M));
     K must divide into n_blocks equal parts.
     """
-    if K % n_blocks != 0 or M % n_blocks != 0:
+    if n_blocks < 1 or K % n_blocks != 0 or M % n_blocks != 0:
         raise ConfigurationError("n_blocks must divide both K and M")
+    _check_variance(variance)
     rng = np.random.default_rng(seed)
     block = K // n_blocks
     w = np.zeros((M, K))
@@ -469,6 +472,8 @@ def sample_cumulants(M: int, sigma: np.ndarray, seed) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ConfigurationError("sigma must be a square matrix")
+    if not np.all(np.isfinite(sigma)):
+        raise ConfigurationError("sigma entries must be finite")
     if np.abs(sigma - sigma.T).max() > 1e-10:
         raise ConfigurationError("sigma must be symmetric")
     w, V = np.linalg.eigh(sigma)
@@ -480,16 +485,14 @@ def sample_cumulants(M: int, sigma: np.ndarray, seed) -> np.ndarray:
 
 
 def linear_limit_flow(spec: LinearFlowSpec, times) -> Trajectory:
-    """Closed form of d/dt Phi = A Phi + B; A may be singular.
+    """Closed form of d/dt Phi = A Phi + B, exact for any A, singular or unstable.
 
-    Instantiates every infinite-head limit: A = -(I - gamma P) with B = 0 or a
-    Gaussian forcing matrix, and the averaged operator of a multi-task head
-    split (``build_multi_task_operator``).
+    A state that overflows raises ``NumericalError``. Instantiates every
+    infinite-head limit: A = -(I - gamma P) with B = 0 or a Gaussian forcing
+    matrix, and the averaged operator of a multi-task head split
+    (``build_multi_task_operator``).
     """
     times = _check_times(times)
-    if not spec.stable():
-        warnings.warn("A has eigenvalues with nonnegative real part; flow will not settle",
-                      RuntimeWarning, stacklevel=2)
     terms = [(spec.A, np.eye(spec.phi0.shape[1]))]
     states = _linear_flow(terms, spec.B, spec.phi0, times)
     return Trajectory(times=times, states=states, meta={"flow": "linear_limit"})

@@ -22,10 +22,14 @@ _GRID_MOVES = ((-1, 0), (0, 1), (1, 0), (0, -1))
 
 
 def _check_rows_stochastic(mat: np.ndarray, what: str) -> None:
+    if mat.size == 0:
+        raise ConfigurationError(f"{what} is empty")
+    if not np.all(np.isfinite(mat)):
+        raise ConfigurationError(f"{what} entries must be finite")
     if np.any(mat < -_STOCHASTIC_TOL):
         raise ConfigurationError(f"{what} has negative entries")
     err = np.abs(mat.sum(axis=-1) - 1.0).max()
-    if err > _STOCHASTIC_TOL:
+    if not err <= _STOCHASTIC_TOL:
         raise ConfigurationError(f"{what} rows must sum to 1 (max deviation {err:.3e})")
 
 
@@ -100,6 +104,8 @@ class MarkovChain:
             raise ConfigurationError("transition must be square")
         if reward.shape != (transition.shape[0],):
             raise ConfigurationError("reward vector length must match transition size")
+        if not np.all(np.isfinite(reward)):
+            raise ConfigurationError("reward entries must be finite")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigurationError(f"gamma must lie in [0, 1), got {self.gamma}")
         _check_rows_stochastic(transition, "transition")
@@ -167,6 +173,8 @@ def gridworld_from_map(text: str) -> tuple[Mdp, Policy, list]:
     if bad:
         raise ConfigurationError(f"map may only contain '#' and '.', found {bad}")
     coords = [(i, j) for i, row in enumerate(rows) for j, c in enumerate(row) if c == "."]
+    if not coords:
+        raise ConfigurationError("map has no open cells")
     index = {c: s for s, c in enumerate(coords)}
     n = len(coords)
     kernel = np.zeros((n, 4, n))

@@ -28,6 +28,14 @@ def test_experiment_command_writes_bundle_and_exits_zero(tmp_path):
     assert "[PASS]" in result.stdout
 
 
+def test_chain_transfer_reports_a_cut_complex_pair_on_stderr(tmp_path):
+    # from the all-left policy the improvement path passes a chain whose
+    # fourth and fifth eigenvalues are a complex pair, which K = 4 cuts
+    result = run_cli(["chain-transfer", "--set", "init_policy=left", "--out", str(tmp_path)])
+    assert result.returncode != 1, result.stderr  # 2 = a check failed, which is no error here
+    assert "K cuts through a complex conjugate pair" in result.stderr
+
+
 def test_rerun_with_same_seed_is_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -220,3 +220,25 @@ def test_four_rooms_map_file_geometry():
     rows = [r for r in text.splitlines() if r.strip()]
     assert len(rows) == 11 and all(len(r) == 11 for r in rows)
     assert sum(r.count(".") for r in rows) == 105
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rd.Mdp(np.full((2, 1, 2), NAN), np.zeros((2, 1))),
+    lambda: rd.Policy(np.array([[NAN, 1.0], [0.5, 0.5]])),
+    lambda: rd.MarkovChain(np.array([[1.0, 0.0], [NAN, NAN]]), np.zeros(2), 0.9),
+    lambda: rd.MarkovChain(np.eye(2), np.array([0.0, NAN]), 0.9),
+    lambda: rd.MarkovChain(np.zeros((0, 0)), np.zeros(0), 0.9),
+    lambda: rd.gridworld_from_map("#"),
+    lambda: rd.resolvent(np.full((2, 2), NAN), 0.9),
+    lambda: rd.rsbf(np.eye(2), 0.9, 1, sigma=np.full((2, 2), NAN)),
+    lambda: rd.ebf(np.array([[1.0, np.inf], [0.0, 1.0]]), 1),
+    lambda: rd.orthonormalize(np.full((3, 1), NAN)),
+], ids=["mdp-nan-kernel", "policy-nan-probs", "chain-nan-transition", "chain-nan-reward",
+        "chain-empty", "map-without-open-cells", "resolvent-nan-P", "rsbf-nan-sigma",
+        "ebf-inf-P", "orthonormalize-nan"])
+def test_nan_and_empty_inputs_raise_configuration_errors(make):
+    with pytest.raises(ConfigurationError, match="finite|empty|open cells"):
+        make()

@@ -70,3 +70,25 @@ def test_block_orthogonal_weights_have_disjoint_support():
     assert np.abs(w[:4, :2]).min() > 0.0
     with pytest.raises(ConfigurationError):
         rd.sample_block_orthogonal_weights(8, 5, 2, 0.5, 0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rd.sample_weights(4, 2, NAN, 0),
+    lambda: rd.sample_weights(4, 2, float("inf"), 0),
+    lambda: rd.sample_weights(4, 2, 0.0, 0),
+    lambda: rd.sample_block_orthogonal_weights(4, 2, 2, -1.0, 0),
+    lambda: rd.sample_block_orthogonal_weights(4, 2, 2, NAN, 0),
+    lambda: rd.sample_block_orthogonal_weights(4, 2, 0, 1.0, 0),
+    lambda: rd.sample_cumulants(3, np.full((2, 2), NAN), 0),
+    lambda: rd.LinearFlowSpec(np.full((2, 2), NAN), np.zeros((2, 1)), np.ones((2, 1))),
+    lambda: rd.LinearFlowSpec(-np.eye(2), np.full((2, 1), np.inf), np.ones((2, 1))),
+    lambda: rd.LinearFlowSpec(-np.eye(2), np.zeros((2, 1)), np.full((2, 1), NAN)),
+], ids=["weights-nan-variance", "weights-inf-variance", "weights-zero-variance",
+        "block-negative-variance", "block-nan-variance", "block-zero-blocks",
+        "cumulants-nan-sigma", "spec-nan-A", "spec-inf-B", "spec-nan-phi0"])
+def test_sampling_and_flow_specs_reject_non_finite_inputs(make):
+    with pytest.raises(ConfigurationError, match="finite|divide"):
+        make()

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,6 @@ from hypothesis import strategies as st
 
 import repdyn as rd
 from repdyn.errors import ConfigurationError, DomainError, RankDeficiencyError
-from repdyn.spectral import subspace_from_csv, subspace_to_csv, decomposition_to_json
 
 
 def random_subspace(rng, n, k):
@@ -45,9 +42,7 @@ def test_eigen_decompose_residual_and_sorting():
 
 def test_ebf_k1_is_constant_direction():
     chain = uniform_chain()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        top = rd.ebf(chain.transition, 1)
+    top = rd.ebf(chain.transition, 1)
     direction = top.basis[:, 0]
     assert np.abs(direction - direction.mean()).max() < 1e-10
 
@@ -59,9 +54,7 @@ def test_ebf_matches_symmetric_eigensolver_oracle():
     assert np.abs(P - P.T).max() < 1e-15
     lam, vecs = np.linalg.eigh(P)
     oracle = rd.orthonormalize(vecs[:, np.argsort(lam)[::-1][:6]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        span = rd.ebf(P, 6)
+    span = rd.ebf(P, 6)
     assert rd.grassmann_distance(span, oracle).distance < 1e-8
 
 
@@ -71,8 +64,26 @@ def test_ebf_rejects_bad_k():
 
 
 def test_ebf_warns_on_assumption_violation():
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning, match="tie at the cutoff"):
         rd.ebf(np.eye(3), 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("K", [1, 2])
+def test_ebf_ignores_ties_away_from_its_cutoff(K):
+    # |0.5| = |-0.5| ties in magnitude, but the real parts 1, 0.5, -0.5 are
+    # separated at either cutoff, so the span is unique
+    P = np.diag([1.0, 0.5, -0.5])
+    span = rd.ebf(P, K)
+    np.testing.assert_allclose(span.basis, np.eye(3)[:, :K], atol=1e-15)
+    assert any("tie" in msg for msg in rd.eigen_decompose(P).diagnostics)
+
+
+def test_ebf_warns_when_k_cuts_a_complex_pair():
+    m = rd.build_chain_mdp(30, 0.01, 2.0, 1.0)
+    drift = rd.induce(m, rd.Policy.deterministic(np.zeros(30, int), 2), 0.9)
+    with pytest.warns(RuntimeWarning, match="complex conjugate pair"):
+        rd.ebf(drift.transition, 4)
 
 
 def test_resolvent_gamma_zero_and_row_sums():
@@ -96,11 +107,9 @@ def test_resolvent_matches_neumann_series_oracle():
 def test_rsbf_equals_ebf_for_symmetric_transition():
     rooms, policy = rd.build_four_rooms()
     P = rd.induce(rooms, policy, 0.9).transition
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for k in (1, 2, 4):
-            d = rd.grassmann_distance(rd.rsbf(P, 0.9, k), rd.ebf(P, k)).distance
-            assert d < 1e-6
+    for k in (1, 2, 4):
+        d = rd.grassmann_distance(rd.rsbf(P, 0.9, k), rd.ebf(P, k)).distance
+        assert d < 1e-6
 
 
 def test_rsbf_degenerate_gamma_zero():
@@ -226,12 +235,3 @@ def test_subspace_rejects_a_nan_basis():
     with pytest.raises(ConfigurationError, match="not orthonormal"):
         rd.Subspace(np.full((3, 1), np.nan))
 
-
-def test_serialization_round_trips():
-    rng = np.random.default_rng(5)
-    s = random_subspace(rng, 6, 2)
-    back = subspace_from_csv(subspace_to_csv(s))
-    np.testing.assert_array_equal(back.basis, s.basis)
-    d = rd.eigen_decompose(np.array([[0.5, 0.5], [0.25, 0.75]]))
-    text = decomposition_to_json(d)
-    assert '"assumption_ok"' in text and '"eigenvalues"' in text
