@@ -19,13 +19,13 @@ phi0 = rng.standard_normal((30, 4))
 phi0 /= np.linalg.norm(phi0)
 
 times = np.linspace(0.0, 5.0, 11)
-A = np.eye(30) - 0.9 * chain.transition
-limit = [rd.matrix_exponential(-A, t) @ phi0 for t in times]
+A = 0.9 * chain.transition - np.eye(30)
+limit = rd.linear_limit_flow(rd.LinearFlowSpec(A, np.zeros_like(phi0), phi0), times).states
 
 print("sup-Frobenius gap to the infinite-head flow on [0, 5]:")
 for M in (10, 100, 1000, 10000):
     w = rd.sample_weights(M, 4, 1.0 / M, seed=1)
-    traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 0.0, times, step=1e-3)
+    traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 0.0, times)
     gap = max(np.linalg.norm(s - ref) for s, ref in zip(traj.states, limit))
     print(f"  M={M:6d}: gap = {gap:.4f}   (1/sqrt(M) = {1/np.sqrt(M):.4f})")
 
@@ -37,7 +37,7 @@ M = 4000
 w = rd.sample_weights(M, 4, 1.0 / M, seed=2)
 cums = rd.sample_cumulants(M, np.eye(30), seed=3)
 state0 = rd.EnsembleState(phi0, w, cums)
-traj = rd.ensemble_flow(chain, state0, 1.0, 0.0, [120.0], step=1e-3)
+traj = rd.ensemble_flow(chain, state0, 1.0, 0.0, [120.0])
 psi_z = rd.resolvent(chain.transition, 0.9) @ (cums @ w)
 settled = psi_z @ np.linalg.inv(w.T @ w)
 print(f"\nrandom-reward run at M={M}: |Phi_120|_F = {np.linalg.norm(traj.final()):.3f}")

@@ -440,15 +440,15 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
     K = cfg["K"]
     chain = chain_uniform(cfg["gamma"]).with_reward(np.zeros(CHAIN_N))
     times = np.linspace(0.0, cfg["t_max"], cfg["n_gap_samples"])
-    A = np.eye(CHAIN_N) - cfg["gamma"] * chain.transition
-    limit_ops = [flows.matrix_exponential(-A, t) for t in times]
+    op = cfg["gamma"] * chain.transition - np.eye(CHAIN_N)
 
     m_list = [int(m) for m in cfg["M_list"]]
     rows = []
     gaps = {}
     for i in range(cfg["n_seeds"]):
         phi0 = _normalized_phi0(_stream(cfg["seed"], "phi0", i), CHAIN_N, K)
-        limits = [op @ phi0 for op in limit_ops]
+        limits = flows.linear_limit_flow(
+            flows.LinearFlowSpec(op, np.zeros_like(phi0), phi0), times).states
         for m in m_list:
             w = flows.sample_weights(m, K, 1.0 / m, _stream(cfg["seed"], "heads", i, m))
             traj = flows.ensemble_flow(chain, flows.EnsembleState(phi0, w), 1.0, 0.0, times)

@@ -5,9 +5,10 @@ have exact matrix-exponential solutions and are evaluated in closed form.
 Every flow that is linear in Phi -- the joint and multi-head flows with frozen
 heads (beta = 0), the multi-task head split and the infinite-head limits --
 has the form d/dt Phi = sum_i A_i Phi W_i + F and is evaluated exactly by one
-augmented matrix exponential per sample interval. With frozen heads the head
-weights enter only through the K x K second moment W, so head counts in the
-tens of thousands cost the same as a single head. Only trained heads
+augmented matrix exponential per distinct sample interval, one for all the K
+columns of an infinite-head limit. With frozen heads the head weights enter
+only through the K x K second moment W, so head counts in the tens of
+thousands cost the same as a single head. Only trained heads
 (beta > 0) make the flow bilinear; those are integrated with a fixed-step
 classical Runge-Kutta scheme, preferring determinism over adaptivity. One
 right-hand side on (Phi, W^T) serves every trained-head flow: the single-head
@@ -87,20 +88,21 @@ class EnsembleState:
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float)
         weights = np.atleast_2d(np.asarray(self.weights, dtype=float))
+        cumulants = None if self.cumulants is None else np.asarray(self.cumulants, dtype=float)
         if weights.shape[1] != phi.shape[1]:
             raise ConfigurationError(
                 f"weights are {weights.shape[1]}-dimensional but phi has {phi.shape[1]} columns"
             )
-        if self.cumulants is not None:
-            cumulants = np.asarray(self.cumulants, dtype=float)
-            if cumulants.shape != (phi.shape[0], weights.shape[0]):
-                raise ConfigurationError(
-                    f"cumulants must be (n, M) = ({phi.shape[0]}, {weights.shape[0]}), "
-                    f"got {cumulants.shape}"
-                )
-            object.__setattr__(self, "cumulants", cumulants)
+        if cumulants is not None and cumulants.shape != (phi.shape[0], weights.shape[0]):
+            raise ConfigurationError(
+                f"cumulants must be (n, M) = ({phi.shape[0]}, {weights.shape[0]}), "
+                f"got {cumulants.shape}"
+            )
+        if not all(np.all(np.isfinite(x)) for x in (phi, weights, cumulants) if x is not None):
+            raise ConfigurationError("phi, weights and cumulants entries must be finite")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "cumulants", cumulants)
 
     @property
     def n_heads(self) -> int:
@@ -158,6 +160,8 @@ def _check_v0(chain: MarkovChain, v0) -> np.ndarray:
     v0 = np.asarray(v0, dtype=float).reshape(-1)
     if v0.shape[0] != chain.n_states:
         raise ConfigurationError("v0 length must match the chain")
+    if not np.all(np.isfinite(v0)):
+        raise ConfigurationError("v0 entries must be finite")
     return v0
 
 
@@ -220,20 +224,20 @@ def td_lambda_value_flow(chain: MarkovChain, lam: float, v0, times) -> Trajector
                        {"flow": "td_lambda", "lambda": lam, "gamma": chain.gamma})
 
 
-def _affine_path(G: np.ndarray, f: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """(T, m) array of x(t) of x' = G x + f at ``times``, starting from x(0) = x0.
+def _affine_path(G: np.ndarray, F: np.ndarray, X0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(T, m, c) array of X(t) of X' = G X + F at ``times``, starting from X(0) = X0.
 
-    (x, 1) follows the linear flow of the augmented generator [[G, f], [0, 0]]
-    (Van Loan 1978), so each step between samples is one matrix exponential;
-    equal sample intervals share it.
+    (X; I_c) follows the linear flow of the augmented generator [[G, F], [0, 0]]
+    (Van Loan 1978), so each step between samples is one matrix exponential
+    for all c columns; equal sample intervals share it.
     """
-    m = len(x0)
-    aug = np.zeros((m + 1, m + 1))
+    m, c = X0.shape
+    aug = np.zeros((m + c, m + c))
     aug[:m, :m] = G
-    aug[:m, m] = f
-    x = np.append(x0, 1.0)
+    aug[:m, m:] = F
+    x = np.vstack([X0, np.eye(c)])
     propagators = {}
-    out = np.empty((len(times), m))
+    out = np.empty((len(times), m, c))
     t = 0.0
     for i, target in enumerate(times):
         dt = target - t
@@ -260,12 +264,12 @@ def _linear_flow(terms: list, forcing: np.ndarray, phi0: np.ndarray, times: np.n
     if len(terms) == 1:
         (A, W), = terms
         omega, V = np.linalg.eigh(W)
-        paths = [_affine_path(w * A, f, c, times)
+        paths = [_affine_path(w * A, f[:, None], c[:, None], times)
                  for w, c, f in zip(omega, (phi0 @ V).T, (forcing @ V).T)]
-        states = np.stack(paths, axis=-1) @ V.T
+        states = np.concatenate(paths, axis=-1) @ V.T
     else:
         G = sum(np.kron(W, A) for A, W in terms)
-        path = _affine_path(G, forcing.T.ravel(), phi0.T.ravel(), times)
+        path = _affine_path(G, forcing.T.reshape(-1, 1), phi0.T.reshape(-1, 1), times)
         states = path.reshape(-1, k, n).transpose(0, 2, 1)
     if times[0] == 0.0:
         states[0] = phi0
@@ -365,6 +369,8 @@ def joint_flow(
     n, k = phi0.shape
     if n != chain.n_states or w0.shape[0] != k:
         raise ConfigurationError("phi0/w0 shapes do not match the chain")
+    if not (np.all(np.isfinite(phi0)) and np.all(np.isfinite(w0))):
+        raise ConfigurationError("phi0 and w0 entries must be finite")
     meta = {"flow": "joint", "alpha": alpha, "beta": beta, "gamma": chain.gamma,
             "step": step if beta > 0 else None}
     if beta == 0.0:
@@ -487,14 +493,14 @@ def sample_cumulants(M: int, sigma: np.ndarray, seed) -> np.ndarray:
 def linear_limit_flow(spec: LinearFlowSpec, times) -> Trajectory:
     """Closed form of d/dt Phi = A Phi + B, exact for any A, singular or unstable.
 
-    A state that overflows raises ``NumericalError``. Instantiates every
-    infinite-head limit: A = -(I - gamma P) with B = 0 or a Gaussian forcing
-    matrix, and the averaged operator of a multi-task head split
-    (``build_multi_task_operator``).
+    All K columns share the generator A, so each distinct sample interval
+    takes one matrix exponential for all of them. A state that overflows
+    raises ``NumericalError``. Instantiates every infinite-head limit:
+    A = -(I - gamma P) with B = 0 or a Gaussian forcing matrix, and the
+    averaged operator of a multi-task head split (``build_multi_task_operator``).
     """
     times = _check_times(times)
-    terms = [(spec.A, np.eye(spec.phi0.shape[1]))]
-    states = _linear_flow(terms, spec.B, spec.phi0, times)
+    states = _affine_path(spec.A, spec.B, spec.phi0, times)
     return Trajectory(times=times, states=states, meta={"flow": "linear_limit"})
 
 

@@ -276,6 +276,8 @@ def vector_subspace_angle(v: np.ndarray, S: Subspace) -> float:
     """
     v = np.asarray(v, dtype=float).reshape(-1)
     norm = np.linalg.norm(v)
+    if not np.isfinite(norm):
+        raise ConfigurationError("vector entries must be finite")
     if norm == 0.0:
         raise DomainError("cannot measure the angle of the zero vector")
     coeff = S.basis.T @ v

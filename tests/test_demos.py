@@ -8,7 +8,6 @@ import pytest
 DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
 def test_demo_runs(demo, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -22,7 +22,6 @@ FAST_CONFIGS = {
 }
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_experiment_runs_and_checks_pass(name):
     bundle = EXPERIMENTS[name](FAST_CONFIGS[name])

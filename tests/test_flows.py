@@ -1,11 +1,14 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repdyn as rd
+from repdyn import flows
 from repdyn.errors import ConfigurationError, DivergenceError, NumericalError
-from repdyn.experiments import chain_drift, chain_uniform, frozen_ensemble_span
+from repdyn.experiments import (FOUR_ROOMS_DEFAULTS, _stream, chain_drift, chain_uniform,
+                                frozen_ensemble_span)
 from repdyn.flows import (_linear_flow, _rk4_integrate, td_lambda_series_operator,
                           trajectory_to_csv)
 
@@ -95,6 +98,15 @@ def taylor_expm_oracle(A, terms=60):
         total = t
         term = term @ A / (k + 1)
     return total
+
+
+def squared_taylor_expm_oracle(A):
+    """exp(A) as the Taylor series of A / 2^s squared s times, with ||A / 2^s||_inf <= 1/2."""
+    squarings = max(0, int(np.ceil(np.log2(np.abs(A).sum(axis=1).max() / 0.5))))
+    E = taylor_expm_oracle(A / 2.0**squarings)
+    for _ in range(squarings):
+        E = E @ E
+    return E
 
 
 def test_matrix_exponential_trivia():
@@ -486,6 +498,50 @@ def test_ensemble_frozen_span_converges_to_leading_eigenspace():
     assert rd.grassmann_distance(span, target).distance < 1e-2
 
 
+def tangent_span_distance(P, gamma, weights, phi0, t, K):
+    """Grassmann distance of the frozen-head span at t to the leading K eigenvectors of P.
+
+    In the product eigenbasis of P and W the flow's coefficients are
+    C_ij = c_ij exp(-t (1 - gamma lambda_i) omega_j), and the tangents of the
+    principal angles to the leading eigenvectors are the singular values of
+    C_bot C_top^{-1}; everything after the two float64 eigensolves runs at 80
+    digits.
+    """
+    lam, U = np.linalg.eigh(P)
+    order = np.argsort(-lam, kind="stable")
+    lam, U = lam[order], U[:, order]
+    om, V = np.linalg.eigh(weights.T @ weights)
+    coeff = U.T @ phi0 @ V
+    with mpmath.workdps(80):
+        C = mpmath.matrix([[mpmath.mpf(coeff[i, j]) * mpmath.exp(
+            -t * (1 - gamma * mpmath.mpf(lam[i])) * mpmath.mpf(om[j]))
+            for j in range(K)] for i in range(len(lam))])
+        X = C[K:, :] * mpmath.inverse(C[:K, :])
+        squares, _ = mpmath.eigsy(X.T * X)
+        return float(mpmath.sqrt(mpmath.fsum(mpmath.atan(mpmath.sqrt(max(s, 0))) ** 2
+                                             for s in squares)))
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+@pytest.mark.parametrize("t", [200.0, 300.0, 400.0])
+def test_frozen_ensemble_span_matches_an_80_digit_tangent_oracle(seed, t):
+    # the four-rooms frozen-head check's own inputs; at seed 6, t = 300 the
+    # distance is above that check's 0.1 bound, and the oracle says it is the
+    # true distance of the flow, not a numerical defect
+    cfg = FOUR_ROOMS_DEFAULTS
+    rooms, policy = rd.build_four_rooms()
+    chain = rd.induce(rooms, policy, cfg["gamma"])
+    K = cfg["K"]
+    phi0 = _stream(seed, "phi0").standard_normal((rooms.n_states, K))
+    w = rd.sample_weights(cfg["check_M"], K, 1.0 / cfg["check_M"], _stream(seed, "check heads"))
+    span = frozen_ensemble_span(chain.transition, cfg["gamma"], w, phi0, t)
+    distance = rd.grassmann_distance(span, rd.ebf(chain.transition, K)).distance
+    oracle = tangent_span_distance(chain.transition, cfg["gamma"], w, phi0, t, K)
+    assert abs(distance - oracle) <= 1e-6 * oracle
+    if (seed, t) == (6, 300.0):
+        assert oracle > 0.1
+
+
 def test_matrix_exponential_overflow_raises():
     from repdyn.errors import NumericalError
 
@@ -550,6 +606,42 @@ def test_linear_limit_flow_raises_when_an_unstable_state_overflows():
     # each step's exponential is finite, but the state overflows by t = 1000
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="t = 1000"):
         rd.linear_limit_flow(spec, [500.0, 1000.0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), k=st.integers(1, 4),
+       times=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3, unique=True))
+def test_linear_limit_flow_matches_a_taylor_series_per_column(seed, n, k, times):
+    # column j of d/dt Phi = A Phi + B is its own affine problem: (phi_j, 1)
+    # follows the augmented generator [[A, b_j], [0, 0]] from (phi0_j, 1)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) / np.sqrt(n)
+    B = rng.standard_normal((n, k))
+    phi0 = rng.standard_normal((n, k))
+    times = np.array(sorted(times))
+    states = rd.linear_limit_flow(rd.LinearFlowSpec(A, B, phi0), times).states
+    for t, state in zip(times, states):
+        columns = []
+        for j in range(k):
+            G = np.zeros((n + 1, n + 1))
+            G[:n, :n] = A
+            G[:n, n] = B[:, j]
+            columns.append((squared_taylor_expm_oracle(t * G) @ np.append(phi0[:, j], 1.0))[:n])
+        oracle = np.column_stack(columns)
+        assert np.linalg.norm(state - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+def test_linear_limit_flow_takes_one_exponential_per_distinct_interval(monkeypatch):
+    # four columns share one generator, so the intervals 1, 1, 1, 1.5 take two
+    # exponentials of the (n + K)-sized augmented generator
+    sizes = []
+    expm = flows.matrix_exponential
+    monkeypatch.setattr(flows, "matrix_exponential",
+                        lambda A, t: sizes.append(len(A)) or expm(A, t))
+    A = 0.9 * chain_uniform().transition - np.eye(30)
+    phi0 = np.random.default_rng(25).standard_normal((30, 4))
+    rd.linear_limit_flow(rd.LinearFlowSpec(A, np.ones((30, 4)), phi0), [0.0, 1.0, 2.0, 3.0, 4.5])
+    assert sizes == [34, 34]
 
 
 def test_multi_task_operator_reduction_and_average():
@@ -672,11 +764,7 @@ def test_multi_term_linear_flow_matches_a_taylor_series_of_the_kronecker_generat
     x0 = np.append(phi0.ravel(order="F"), 1.0)
     states = _linear_flow(terms, forcing, phi0, times)
     for t, state in zip(times, states):
-        squarings = max(0, int(np.ceil(np.log2(np.abs(t * G).sum(axis=1).max() / 0.5))))
-        E = taylor_expm_oracle(t * G / 2.0**squarings)
-        for _ in range(squarings):
-            E = E @ E
-        oracle = (E @ x0)[:-1].reshape((n, k), order="F")
+        oracle = (squared_taylor_expm_oracle(t * G) @ x0)[:-1].reshape((n, k), order="F")
         assert np.linalg.norm(state - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
 

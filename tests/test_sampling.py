@@ -73,6 +73,7 @@ def test_block_orthogonal_weights_have_disjoint_support():
 
 
 NAN = float("nan")
+CHAIN = rd.MarkovChain(np.eye(2), np.zeros(2), 0.9)
 
 
 @pytest.mark.parametrize("make", [
@@ -86,9 +87,19 @@ NAN = float("nan")
     lambda: rd.LinearFlowSpec(np.full((2, 2), NAN), np.zeros((2, 1)), np.ones((2, 1))),
     lambda: rd.LinearFlowSpec(-np.eye(2), np.full((2, 1), np.inf), np.ones((2, 1))),
     lambda: rd.LinearFlowSpec(-np.eye(2), np.zeros((2, 1)), np.full((2, 1), NAN)),
+    lambda: rd.td_value_flow(CHAIN, [NAN, 0.0], [0.0, 1.0]),
+    lambda: rd.mc_value_flow(CHAIN, [np.inf, 0.0], [0.0, 1.0]),
+    lambda: rd.EnsembleState(np.full((2, 1), NAN), np.ones((1, 1))),
+    lambda: rd.EnsembleState(np.ones((2, 1)), np.full((1, 1), np.inf)),
+    lambda: rd.EnsembleState(np.ones((2, 1)), np.ones((1, 1)), np.full((2, 1), NAN)),
+    lambda: rd.joint_flow(CHAIN, np.full((2, 1), NAN), [1.0], 1.0, 1.0, [0.0, 1.0]),
+    lambda: rd.joint_flow(CHAIN, np.ones((2, 1)), [np.inf], 1.0, 1.0, [0.0, 1.0]),
+    lambda: rd.vector_subspace_angle(np.array([NAN, 0.0]), rd.orthonormalize(np.eye(2)[:, :1])),
 ], ids=["weights-nan-variance", "weights-inf-variance", "weights-zero-variance",
         "block-negative-variance", "block-nan-variance", "block-zero-blocks",
-        "cumulants-nan-sigma", "spec-nan-A", "spec-inf-B", "spec-nan-phi0"])
+        "cumulants-nan-sigma", "spec-nan-A", "spec-inf-B", "spec-nan-phi0",
+        "td-nan-v0", "mc-inf-v0", "ensemble-nan-phi", "ensemble-inf-weights",
+        "ensemble-nan-cumulants", "joint-nan-phi0", "joint-inf-w0", "angle-nan-vector"])
 def test_sampling_and_flow_specs_reject_non_finite_inputs(make):
     with pytest.raises(ConfigurationError, match="finite|divide"):
         make()

