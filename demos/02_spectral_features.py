@@ -16,7 +16,6 @@ print(f"four-rooms walk: {rooms.n_states} states, symmetric transition matrix")
 
 decomp = rd.eigen_decompose(walk.transition)
 print("top eigenvalues:", np.round(decomp.eigenvalues[:6].real, 4))
-print("diagnosable assumptions ok:", decomp.assumption_ok, decomp.diagnostics)
 
 for k in (2, 5, 10):
     d = rd.grassmann_distance(rd.ebf(walk.transition, k),

@@ -35,7 +35,7 @@ for M in (10, 100, 1000, 10000):
 # Psi Z itself.
 M = 4000
 w = rd.sample_weights(M, 4, 1.0 / M, seed=2)
-cums = rd.sample_cumulants(M, np.eye(30), seed=3)
+cums = rd.sample_cumulants(M, 30, seed=3)
 state0 = rd.EnsembleState(phi0, w, cums)
 traj = rd.ensemble_flow(chain, state0, 1.0, 0.0, [120.0])
 psi_z = rd.resolvent(chain.transition, 0.9) @ (cums @ w)

@@ -149,7 +149,7 @@ def _run_flow_command(args) -> int:
         weights = flows.sample_weights(args.m, args.k, 1.0 / args.m, seed)
         cumulants = None
         if args.flow == "rc":
-            cumulants = flows.sample_cumulants(args.m, np.eye(n), seed + 1)
+            cumulants = flows.sample_cumulants(args.m, n, seed + 1)
         state0 = flows.EnsembleState(phi0, weights, cumulants)
         traj = flows.ensemble_flow(chain, state0, args.alpha, args.beta, times, args.step)
     else:  # limit

@@ -36,6 +36,7 @@ Carlo and trained-head flows never take an exponential.
 from __future__ import annotations
 
 import io
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -89,6 +90,8 @@ class EnsembleState:
         phi = np.asarray(self.phi, dtype=float)
         weights = np.atleast_2d(np.asarray(self.weights, dtype=float))
         cumulants = None if self.cumulants is None else np.asarray(self.cumulants, dtype=float)
+        if phi.ndim != 2:
+            raise ConfigurationError(f"phi must be a 2-d (n, K) array, got shape {phi.shape}")
         if weights.shape[1] != phi.shape[1]:
             raise ConfigurationError(
                 f"weights are {weights.shape[1]}-dimensional but phi has {phi.shape[1]} columns"
@@ -143,6 +146,11 @@ def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NumericalError(f"matrix exponential overflowed for ||tA|| = {np.linalg.norm(t * A):.3e}")
     return out
+
+
+def _check_count(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigurationError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def _check_times(times) -> np.ndarray:
@@ -200,8 +208,7 @@ def mc_value_flow(chain: MarkovChain, v0, times) -> Trajectory:
 
 def nstep_value_flow(chain: MarkovChain, n: int, v0, times) -> Trajectory:
     """n-step bootstrapped flow: V_t = exp(-t(I - (gamma P)^n))(V_0 - V^pi) + V^pi."""
-    if n < 1:
-        raise ConfigurationError(f"n must be at least 1, got {n}")
+    _check_count("n", n)
     dim = chain.n_states
     op = -(np.eye(dim) - np.linalg.matrix_power(chain.gamma * chain.transition, n))
     return _value_flow(chain, v0, times, lambda t: matrix_exponential(op, t),
@@ -448,6 +455,8 @@ def _check_variance(variance: float) -> None:
 
 def sample_weights(M: int, K: int, variance: float, seed) -> np.ndarray:
     """M independent N(0, variance I_K) head weights, deterministic per seed; rows are heads."""
+    _check_count("M", M)
+    _check_count("K", K)
     _check_variance(variance)
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, np.sqrt(variance), size=(M, K))
@@ -459,6 +468,8 @@ def sample_block_orthogonal_weights(M: int, K: int, n_blocks: int, variance: flo
     Heads are assigned to blocks contiguously (head m to block ceil(m*L/M));
     K must divide into n_blocks equal parts.
     """
+    _check_count("M", M)
+    _check_count("K", K)
     if n_blocks < 1 or K % n_blocks != 0 or M % n_blocks != 0:
         raise ConfigurationError("n_blocks must divide both K and M")
     _check_variance(variance)
@@ -473,21 +484,11 @@ def sample_block_orthogonal_weights(M: int, K: int, n_blocks: int, variance: flo
     return w
 
 
-def sample_cumulants(M: int, sigma: np.ndarray, seed) -> np.ndarray:
-    """M mean-zero Gaussian reward vectors with covariance ``sigma``; columns are heads."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ConfigurationError("sigma must be a square matrix")
-    if not np.all(np.isfinite(sigma)):
-        raise ConfigurationError("sigma entries must be finite")
-    if np.abs(sigma - sigma.T).max() > 1e-10:
-        raise ConfigurationError("sigma must be symmetric")
-    w, V = np.linalg.eigh(sigma)
-    if w.min() < -1e-10 * max(w.max(), 1.0):
-        raise ConfigurationError("sigma must be positive semi-definite")
-    root = V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.T
-    rng = np.random.default_rng(seed)
-    return root @ rng.standard_normal((sigma.shape[0], M))
+def sample_cumulants(M: int, n: int, seed) -> np.ndarray:
+    """M isotropic standard Gaussian reward vectors on n states; columns are heads."""
+    _check_count("M", M)
+    _check_count("n", n)
+    return np.random.default_rng(seed).standard_normal((n, M))
 
 
 def linear_limit_flow(spec: LinearFlowSpec, times) -> Trajectory:
@@ -520,6 +521,8 @@ def build_multi_task_operator(chains: list) -> np.ndarray:
 
 def split_heads(M: int, L: int) -> np.ndarray:
     """Task index (0-based) per head for an even contiguous split: head m -> ceil(m L / M) - 1."""
+    _check_count("M", M)
+    _check_count("L", L)
     if M % L != 0:
         raise ConfigurationError("L must divide M")
     m = np.arange(1, M + 1)
@@ -554,6 +557,8 @@ def multi_task_flow(
         raise ConfigurationError(
             f"weights must be (M, K) with K = {phi0.shape[1]} phi0 columns, got {weights.shape}"
         )
+    if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(phi0))):
+        raise ConfigurationError("weights and phi0 entries must be finite")
     L = len(chains)
     M = weights.shape[0]
     assign = split_heads(M, L)

@@ -288,9 +288,14 @@ def mdp_to_json(mdp: Mdp) -> str:
 
 
 def mdp_from_json(text: str) -> Mdp:
-    doc = json.loads(text)
-    kernel = np.asarray(doc["kernel"], dtype=float)
-    reward = np.asarray(doc["reward"], dtype=float)
-    if kernel.shape != (doc["n_states"], doc["n_actions"], doc["n_states"]):
+    """Inverse of :func:`mdp_to_json`; a malformed document is a ConfigurationError."""
+    try:
+        doc = json.loads(text)
+        kernel = np.asarray(doc["kernel"], dtype=float)
+        reward = np.asarray(doc["reward"], dtype=float)
+        sizes = (doc["n_states"], doc["n_actions"], doc["n_states"])
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigurationError(f"not an MDP document: {exc!r}") from None
+    if kernel.shape != sizes:
         raise ConfigurationError("kernel shape does not match declared sizes")
     return Mdp(kernel, reward)

@@ -16,7 +16,7 @@ is the Euclidean norm of those angles.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,12 +45,10 @@ def _sign_fix(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Full eigendecomposition, magnitude-sorted, with diagnosability flags."""
+    """Full eigendecomposition, sorted by descending |eigenvalue|."""
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
-    assumption_ok: bool
-    diagnostics: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -97,10 +95,9 @@ def _check_square(P) -> np.ndarray:
 def eigen_decompose(P: np.ndarray, gap_tol: float = _DEFAULT_GAP_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a square matrix, sorted by descending |eigenvalue|.
 
-    Diagnostics flag complex pairs, magnitude ties within ``gap_tol`` and an
-    ill-conditioned eigenvector matrix (the practical symptom of a defective
-    matrix); ``assumption_ok`` is true only when all eigenvalues are real and
-    consecutive magnitudes are separated by more than ``gap_tol``.
+    Eigenvectors are unit-norm and sign-fixed, and every eigenpair's residual
+    is checked against 1e-8. ``gap_tol`` is unused; it stays in the signature
+    for callers that pass it by name.
     """
     P = _check_square(P)
     try:
@@ -116,40 +113,22 @@ def eigen_decompose(P: np.ndarray, gap_tol: float = _DEFAULT_GAP_TOL) -> Spectra
     residual = np.linalg.norm(P @ vectors - vectors * values, axis=0).max()
     if residual > 1e-8 * max(1.0, np.linalg.norm(P)):
         raise NumericalError(f"eigenpair residual {residual:.3e} exceeds 1e-8")
-
-    diagnostics = []
-    if np.abs(values.imag).max(initial=0.0) > _IMAG_TOL:
-        diagnostics.append("complex eigenvalue pairs present")
-    mags = np.abs(values)
-    if np.any(mags[:-1] - mags[1:] <= gap_tol):
-        diagnostics.append(f"eigenvalue magnitudes tie within gap_tol={gap_tol:g}")
-    cond = np.linalg.cond(vectors)
-    if cond > 1e12:
-        diagnostics.append(
-            f"eigenvector matrix condition {cond:.2e}; matrix may not be diagonalisable"
-        )
-    return SpectralDecomposition(
-        eigenvalues=values,
-        right_vectors=vectors,
-        assumption_ok=not diagnostics,
-        diagnostics=diagnostics,
-    )
+    return SpectralDecomposition(eigenvalues=values, right_vectors=vectors)
 
 
-def ebf(P: np.ndarray, K: int, gap_tol: float = _DEFAULT_GAP_TOL) -> Subspace:
+def ebf(P: np.ndarray, K: int) -> Subspace:
     """Span of the K right-eigenvectors whose eigenvalues have the largest real part.
 
     A complex pair contributes its real and imaginary parts jointly. A warning
     says the span is not unique: K cuts a complex pair (only the real part of
     the straddling pair is kept), or the K-th kept and first dropped
-    eigenvalues tie in real part within ``gap_tol``. The span's error is
-    bounded by that gap (Stewart 1973), not by the conditioning of the whole
-    eigenbasis, so :func:`eigen_decompose`'s whole-matrix diagnostics do not warn.
+    eigenvalues tie in real part within 1e-8. The span's error is bounded by
+    that gap (Stewart 1973), not by the conditioning of the whole eigenbasis.
     """
     P = _check_square(P)
     if not 1 <= K <= P.shape[0]:
         raise ConfigurationError(f"K must lie in 1..{P.shape[0]}, got {K}")
-    decomp = eigen_decompose(P, gap_tol=gap_tol)
+    decomp = eigen_decompose(P)
     order = np.argsort(-decomp.eigenvalues.real, kind="stable")
     values = decomp.eigenvalues[order]
     vectors = decomp.right_vectors[:, order]
@@ -174,9 +153,9 @@ def ebf(P: np.ndarray, K: int, gap_tol: float = _DEFAULT_GAP_TOL) -> Subspace:
             columns.append(vectors[:, i].real)
         i += 2
     # i == K unless the cutoff split a pair, which has warned already
-    if i == K < len(values) and values[K - 1].real - values[K].real <= gap_tol:
+    if i == K < len(values) and values[K - 1].real - values[K].real <= _DEFAULT_GAP_TOL:
         warnings.warn(
-            f"eigenvalue real parts tie at the cutoff K={K} within gap_tol={gap_tol:g}; "
+            f"eigenvalue real parts tie at the cutoff K={K} within {_DEFAULT_GAP_TOL:g}; "
             "the span is not unique",
             RuntimeWarning,
             stacklevel=2,
@@ -201,34 +180,22 @@ def resolvent(P: np.ndarray, gamma: float) -> np.ndarray:
     return psi
 
 
-def rsbf(P: np.ndarray, gamma: float, K: int, sigma: np.ndarray | None = None) -> Subspace:
-    """Top-K principal directions of Psi Sigma Psi^T, Psi the resolvent of P.
+def rsbf(P: np.ndarray, gamma: float, K: int) -> Subspace:
+    """Top-K principal directions of Psi Psi^T, Psi the resolvent of P.
 
-    These are the left singular vectors of Psi Sigma^{1/2}; sigma=None means
-    the canonical isotropic case Sigma = I. When the spectrum of the
-    covariance is degenerate at the cutoff the leading directions are not
-    unique; ties are resolved by the stable eigensolver order (for Psi = I
-    that yields the first K canonical directions) and a warning is emitted.
+    These are the top-K left singular vectors of Psi: the principal
+    directions of the value covariance under isotropic random rewards. When
+    the spectrum of the covariance is degenerate at the cutoff the leading
+    directions are not unique; ties are resolved by the stable eigensolver
+    order (for Psi = I that yields the first K canonical directions) and a
+    warning is emitted.
     """
     P = _check_square(P)
     n = P.shape[0]
     if not 1 <= K <= n:
         raise ConfigurationError(f"K must lie in 1..{n}, got {K}")
     psi = resolvent(P, gamma)
-    if sigma is None:
-        cov = psi @ psi.T
-    else:
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.shape != (n, n):
-            raise ConfigurationError("sigma must match the state-space size")
-        if not np.all(np.isfinite(sigma)):
-            raise ConfigurationError("sigma entries must be finite")
-        if np.abs(sigma - sigma.T).max() > 1e-10:
-            raise ConfigurationError("sigma must be symmetric")
-        eigvals = np.linalg.eigvalsh(sigma)
-        if eigvals.min() < -1e-10 * max(eigvals.max(), 1.0):
-            raise ConfigurationError("sigma must be positive semi-definite")
-        cov = psi @ sigma @ psi.T
+    cov = psi @ psi.T
     cov = (cov + cov.T) / 2.0
     w, V = np.linalg.eigh(cov)
     order = np.argsort(-w, kind="stable")
@@ -256,6 +223,9 @@ def grassmann_distance(S1: Subspace, S2: Subspace) -> PrincipalAngles:
             f"subspace dimensions differ ({S1.dim} vs {S2.dim}); "
             "use vector_subspace_angle for the unequal-dimension case"
         )
+    if S1.ambient_dim != S2.ambient_dim:
+        raise ConfigurationError(
+            f"subspaces live in different ambient dimensions ({S1.ambient_dim} vs {S2.ambient_dim})")
     # canonical argument order makes d(a, b) and d(b, a) bitwise identical
     if S2.basis.tobytes() < S1.basis.tobytes():
         S1, S2 = S2, S1
@@ -280,6 +250,9 @@ def vector_subspace_angle(v: np.ndarray, S: Subspace) -> float:
         raise ConfigurationError("vector entries must be finite")
     if norm == 0.0:
         raise DomainError("cannot measure the angle of the zero vector")
+    if v.shape[0] != S.ambient_dim:
+        raise ConfigurationError(
+            f"vector has length {v.shape[0]} but the subspace lives in dimension {S.ambient_dim}")
     coeff = S.basis.T @ v
     proj = S.basis @ coeff
     return float(np.arctan2(np.linalg.norm(v - proj), np.linalg.norm(proj)))
@@ -294,6 +267,8 @@ def orthonormalize(M: np.ndarray) -> Subspace:
     M = np.asarray(M, dtype=float)
     if M.ndim == 1:
         M = M[:, None]
+    if M.ndim != 2 or 0 in M.shape:
+        raise ConfigurationError(f"M must be a non-empty 2-d array, got shape {M.shape}")
     try:
         U, svals, _ = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as exc:

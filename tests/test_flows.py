@@ -443,7 +443,7 @@ def test_trained_heads_in_the_head_row_space_match_unreduced_rk4(reward, M, alph
     rng = np.random.default_rng(60)
     phi0 = rng.standard_normal((30, 4))
     w = rd.sample_weights(M, 4, 1.0 / M, 61)
-    cums = rd.sample_cumulants(M, np.eye(30), 62) if reward == "cumulants" else None
+    cums = rd.sample_cumulants(M, 30, 62) if reward == "cumulants" else None
     times = [0.0, 0.25, 0.5]
     traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w, cums), alpha, 1.0, times,
                             step=1e-2)
@@ -467,7 +467,7 @@ def test_ensemble_cumulants_enter_per_head():
     rng = np.random.default_rng(18)
     phi0 = rng.standard_normal((30, 2))
     w = rd.sample_weights(4, 2, 0.25, 19)
-    cums = rd.sample_cumulants(4, np.eye(30), 20)
+    cums = rd.sample_cumulants(4, 30, 20)
     state0 = rd.EnsembleState(phi0, w, cums)
     traj = rd.ensemble_flow(chain, state0, 1.0, 0.0, [1.0])
     # oracle: frozen-head closed coupling d/dt phi = (gP - I) phi W + C W_heads,
@@ -560,7 +560,7 @@ def test_random_cumulant_span_converges_around_its_fixed_point():
     K, M = 4, 10000
     phi0 = rng.standard_normal((30, K))
     w = rd.sample_weights(M, K, 1.0 / M, 41)
-    cums = rd.sample_cumulants(M, np.eye(30), 42)
+    cums = rd.sample_cumulants(M, 30, 42)
     z = cums @ w
     W = w.T @ w
     fixed_point = rd.resolvent(chain.transition, 0.9) @ z @ np.linalg.inv(W)

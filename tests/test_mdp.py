@@ -233,11 +233,10 @@ NAN = float("nan")
     lambda: rd.MarkovChain(np.zeros((0, 0)), np.zeros(0), 0.9),
     lambda: rd.gridworld_from_map("#"),
     lambda: rd.resolvent(np.full((2, 2), NAN), 0.9),
-    lambda: rd.rsbf(np.eye(2), 0.9, 1, sigma=np.full((2, 2), NAN)),
     lambda: rd.ebf(np.array([[1.0, np.inf], [0.0, 1.0]]), 1),
     lambda: rd.orthonormalize(np.full((3, 1), NAN)),
 ], ids=["mdp-nan-kernel", "policy-nan-probs", "chain-nan-transition", "chain-nan-reward",
-        "chain-empty", "map-without-open-cells", "resolvent-nan-P", "rsbf-nan-sigma",
+        "chain-empty", "map-without-open-cells", "resolvent-nan-P",
         "ebf-inf-P", "orthonormalize-nan"])
 def test_nan_and_empty_inputs_raise_configuration_errors(make):
     with pytest.raises(ConfigurationError, match="finite|empty|open cells"):

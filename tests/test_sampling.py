@@ -29,24 +29,19 @@ def test_sample_weights_sum_is_standard_gaussian():
     assert stat.pvalue > 0.01
 
 
-def test_sample_cumulants_zero_sigma_and_determinism():
-    zeros = rd.sample_cumulants(8, np.zeros((6, 6)), 1)
-    np.testing.assert_array_equal(zeros, np.zeros((6, 8)))
-    a = rd.sample_cumulants(8, np.eye(6), 2)
-    b = rd.sample_cumulants(8, np.eye(6), 2)
-    np.testing.assert_array_equal(a, b)
-    with pytest.raises(ConfigurationError):
-        rd.sample_cumulants(8, -np.eye(6), 3)
+def test_sample_cumulants_deterministic_per_seed():
+    a = rd.sample_cumulants(8, 6, 2)
+    assert a.shape == (6, 8)
+    np.testing.assert_array_equal(a, rd.sample_cumulants(8, 6, 2))
+    assert np.abs(a - rd.sample_cumulants(8, 6, 3)).max() > 0
 
 
 def test_sample_cumulants_covariance():
-    rng = np.random.default_rng(4)
-    root = rng.standard_normal((8, 8))
-    sigma = root @ root.T / 8 + 0.5 * np.eye(8)
-    draws = rd.sample_cumulants(100000, sigma, 5)
+    # columns are isotropic: mean zero, covariance I
+    draws = rd.sample_cumulants(100000, 8, 5)
+    assert np.abs(draws.mean(axis=1)).max() < 0.02
     emp = draws @ draws.T / draws.shape[1]
-    rel = np.linalg.norm(emp - sigma) / np.linalg.norm(sigma)
-    assert rel < 0.05
+    assert np.linalg.norm(emp - np.eye(8)) / np.sqrt(8) < 0.05
 
 
 def test_reward_weight_product_columns_have_covariance_sigma():
@@ -55,7 +50,7 @@ def test_reward_weight_product_columns_have_covariance_sigma():
     sigma = np.eye(n)
     cols = []
     for seed in range(2000):
-        r = rd.sample_cumulants(M, sigma, [6, seed])
+        r = rd.sample_cumulants(M, n, [6, seed])
         w = rd.sample_weights(M, K, 1.0 / M, [7, seed])
         cols.append((r @ w).T)
     pooled = np.concatenate(cols)
@@ -83,7 +78,6 @@ CHAIN = rd.MarkovChain(np.eye(2), np.zeros(2), 0.9)
     lambda: rd.sample_block_orthogonal_weights(4, 2, 2, -1.0, 0),
     lambda: rd.sample_block_orthogonal_weights(4, 2, 2, NAN, 0),
     lambda: rd.sample_block_orthogonal_weights(4, 2, 0, 1.0, 0),
-    lambda: rd.sample_cumulants(3, np.full((2, 2), NAN), 0),
     lambda: rd.LinearFlowSpec(np.full((2, 2), NAN), np.zeros((2, 1)), np.ones((2, 1))),
     lambda: rd.LinearFlowSpec(-np.eye(2), np.full((2, 1), np.inf), np.ones((2, 1))),
     lambda: rd.LinearFlowSpec(-np.eye(2), np.zeros((2, 1)), np.full((2, 1), NAN)),
@@ -95,11 +89,42 @@ CHAIN = rd.MarkovChain(np.eye(2), np.zeros(2), 0.9)
     lambda: rd.joint_flow(CHAIN, np.full((2, 1), NAN), [1.0], 1.0, 1.0, [0.0, 1.0]),
     lambda: rd.joint_flow(CHAIN, np.ones((2, 1)), [np.inf], 1.0, 1.0, [0.0, 1.0]),
     lambda: rd.vector_subspace_angle(np.array([NAN, 0.0]), rd.orthonormalize(np.eye(2)[:, :1])),
+    lambda: rd.multi_task_flow([CHAIN, CHAIN], np.full((4, 1), NAN), np.ones((2, 1)), [0.0, 1.0]),
+    lambda: rd.multi_task_flow([CHAIN, CHAIN], np.ones((4, 1)), np.full((2, 1), NAN), [0.0, 1.0]),
 ], ids=["weights-nan-variance", "weights-inf-variance", "weights-zero-variance",
         "block-negative-variance", "block-nan-variance", "block-zero-blocks",
-        "cumulants-nan-sigma", "spec-nan-A", "spec-inf-B", "spec-nan-phi0",
+        "spec-nan-A", "spec-inf-B", "spec-nan-phi0",
         "td-nan-v0", "mc-inf-v0", "ensemble-nan-phi", "ensemble-inf-weights",
-        "ensemble-nan-cumulants", "joint-nan-phi0", "joint-inf-w0", "angle-nan-vector"])
+        "ensemble-nan-cumulants", "joint-nan-phi0", "joint-inf-w0", "angle-nan-vector",
+        "multi-task-nan-weights", "multi-task-nan-phi0"])
 def test_sampling_and_flow_specs_reject_non_finite_inputs(make):
     with pytest.raises(ConfigurationError, match="finite|divide"):
+        make()
+
+
+E1 = rd.Subspace(np.eye(3)[:, :1])
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: rd.sample_weights(-1, 2, 1.0, 0), "M must be an integer of at least 1"),
+    (lambda: rd.sample_weights(4, 0, 1.0, 0), "K must be an integer of at least 1"),
+    (lambda: rd.sample_block_orthogonal_weights(4, 0, 2, 1.0, 0),
+     "K must be an integer of at least 1"),
+    (lambda: rd.sample_cumulants(-1, 2, 0), "M must be an integer of at least 1"),
+    (lambda: rd.split_heads(4, 0), "L must be an integer of at least 1"),
+    (lambda: rd.nstep_value_flow(CHAIN, 2.5, [0.0, 0.0], [0.0, 1.0]),
+     "n must be an integer of at least 1"),
+    (lambda: rd.grassmann_distance(E1, rd.Subspace(np.eye(4)[:, :1])),
+     "different ambient dimensions"),
+    (lambda: rd.vector_subspace_angle(np.ones(4), E1), "lives in dimension 3"),
+    (lambda: rd.EnsembleState(np.ones(2), np.ones((1, 1))), "phi must be a 2-d"),
+    (lambda: rd.orthonormalize(np.zeros((3, 0))), "non-empty 2-d"),
+    (lambda: rd.mdp_from_json("{}"), "not an MDP document"),
+    (lambda: rd.mdp_from_json("x"), "not an MDP document"),
+], ids=["weights-negative-M", "weights-zero-K", "block-zero-K", "cumulants-negative-M",
+        "split-zero-tasks", "nstep-fractional-n", "grassmann-ambient-mismatch",
+        "angle-length-mismatch", "ensemble-1d-phi", "orthonormalize-no-columns",
+        "json-missing-keys", "json-malformed"])
+def test_bad_counts_and_shapes_raise_configuration_errors(make, match):
+    with pytest.raises(ConfigurationError, match=match):
         make()
