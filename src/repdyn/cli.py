@@ -31,13 +31,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _coerce_like(default, text: str):
-    if isinstance(default, bool):
-        low = text.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigurationError(f"expected a boolean, got {text!r}")
     if isinstance(default, (int, float)):
         try:
             return type(default)(text)

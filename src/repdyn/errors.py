@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that raises one."""
+
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -27,3 +29,9 @@ class DivergenceError(RuntimeError):
     def __init__(self, message, time=None):
         super().__init__(message)
         self.time = time
+
+
+def check_count(name: str, value) -> None:
+    """Raise unless ``value`` is an integer of at least 1; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigurationError(f"{name} must be an integer of at least 1, got {value!r}")

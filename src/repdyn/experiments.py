@@ -25,11 +25,22 @@ CHAIN_RIGHT_REWARD = 1.0
 MC_BLOCK = 8192  # Monte Carlo draws (rows or columns) held at once
 
 
+_ENTRY_KINDS = {  # type of a default (or of its elements) -> accepted type, in words
+    int: (numbers.Integral, "an integer", "integers"),
+    float: (numbers.Real, "a real number", "real numbers"),
+    str: (str, "a string", "strings"),
+}
+
+
 def _finalize_config(defaults: dict, config: dict | None) -> dict:
     """``defaults`` overridden by ``config``, checked entry by entry.
 
-    Every int entry (also inside a tuple) other than ``seed`` is a count and
-    must be at least 1; ``seed`` must be nonnegative; every float must be finite.
+    Each entry takes its default's type: an int entry an integral value, a
+    float entry any real, a string entry a string, and a tuple entry a tuple
+    or list of its default's element type (a rerun reads tuples back from
+    ``config.json`` as lists); a bool is neither an integer nor a real. Every
+    int entry (also inside a tuple) other than ``seed`` is a count and must be
+    at least 1; ``seed`` must be nonnegative; every float must be finite.
     """
     merged = dict(defaults)
     for key, value in (config or {}).items():
@@ -39,14 +50,20 @@ def _finalize_config(defaults: dict, config: dict | None) -> dict:
             )
         merged[key] = value
     for key, value in merged.items():
-        for x in value if isinstance(value, (tuple, list)) else (value,):
-            if isinstance(x, bool):
-                continue
-            if isinstance(x, numbers.Integral) and key == "seed" and x < 0:
+        sequence = isinstance(defaults[key], tuple)
+        kind, one, many = _ENTRY_KINDS[type(defaults[key][0] if sequence else defaults[key])]
+        entries = value if sequence else (value,)
+        if sequence != isinstance(value, (tuple, list)) or not all(
+                isinstance(x, kind) and not isinstance(x, bool) for x in entries):
+            raise ConfigurationError(
+                f"{key} must be {'a tuple or list of ' + many if sequence else one}, "
+                f"got {value!r}")
+        for x in entries:
+            if kind is numbers.Integral and key == "seed" and x < 0:
                 raise ConfigurationError(f"seed must be nonnegative, got {value!r}")
-            if isinstance(x, numbers.Integral) and key != "seed" and x < 1:
+            if kind is numbers.Integral and key != "seed" and x < 1:
                 raise ConfigurationError(f"{key} must be at least 1, got {value!r}")
-            if isinstance(x, numbers.Real) and not math.isfinite(x):
+            if kind is numbers.Real and not math.isfinite(x):
                 raise ConfigurationError(f"{key} must be finite, got {value!r}")
     return merged
 
@@ -307,7 +324,6 @@ CHAIN_TRANSFER_DEFAULTS = {
     "K": 4,
     "gamma": 0.9,
     "J_max": 25,
-    "with_value_feature": True,
     "seed": 0,
     "init_policy": "right",  # "left", "right" or "uniform"
 }
@@ -372,13 +388,12 @@ def run_chain_transfer(config: dict | None = None) -> ReportBundle:
         means[name] = table[off_diag].mean()
         if name == "rsbf":
             rsbf_angles = table
-        if cfg["with_value_feature"]:
-            table_v = angle_table(feats, with_value=True)
-            bundle.add_matrix(f"angles_{name}_with_value", table_v, prefix="j")
-            bundle.figures[f"angles_{name}_with_value"] = emit_svg(
-                table_v, "heatmap", title=f"{name}+value transfer angles")
-            bundle.add_check(f"{name}_with_value_diagonal", table_v.diagonal().max(), 1e-8,
-                             table=f"angles_{name}_with_value")
+        table_v = angle_table(feats, with_value=True)
+        bundle.add_matrix(f"angles_{name}_with_value", table_v, prefix="j")
+        bundle.figures[f"angles_{name}_with_value"] = emit_svg(
+            table_v, "heatmap", title=f"{name}+value transfer angles")
+        bundle.add_check(f"{name}_with_value_diagonal", table_v.diagonal().max(), 1e-8,
+                         table=f"angles_{name}_with_value")
 
     bundle.add_table("mean_offdiagonal_angles", sorted(means),
                      np.array([[means[k] for k in sorted(means)]]))
@@ -608,13 +623,10 @@ def run_bayes_optimality(config: dict | None = None) -> ReportBundle:
 # ---------------------------------------------------------------------------
 
 MULTI_TASK_DEFAULTS = {
-    "mode": "policies",
-    "L": 2,
     "M": 10000,
     "K": 4,
-    "gamma": 0.9,
     "mixes": (0.75, 0.25),     # per-task probability of the left action
-    "discounts": (0.8, 0.99),  # used by mode="discounts"
+    "discounts": (0.9, 0.9),   # per-task discount
     "t_max": 5.0,
     "n_gap_samples": 26,
     "t_subspace": 200.0,
@@ -622,7 +634,6 @@ MULTI_TASK_DEFAULTS = {
     "gap_tol": 0.05,
     "subspace_tol": 0.05,
     "distinct_tol": 0.1,
-    "block_variant": True,
     "seed": 0,
 }
 
@@ -630,29 +641,28 @@ MULTI_TASK_DEFAULTS = {
 def run_multi_task(config: dict | None = None) -> ReportBundle:
     """Heads split across tasks converge to the averaged-task dynamics.
 
-    With M heads split evenly over L policies (or discounts), zero rewards and
-    frozen weights, the trajectory tracks the flow of the averaged operator,
-    and the averaged flow's limiting feature span is the averaged operator's
-    eigen span, distinguishable from any single task's. The finite-head span
-    distance is reported for reference: at fixed M it does not sharpen
-    indefinitely, since the head-split noise perturbs the invariant subspaces.
+    Task i is the drifting chain with discount ``discounts[i]`` and left-action
+    probability ``mixes[i]``. With M heads split evenly over the L tasks, zero
+    rewards and frozen weights, the trajectory tracks the flow of the averaged
+    operator, and the averaged flow's limiting feature span is the averaged
+    operator's eigen span, distinguishable from the first task's when the
+    policies differ. The finite-head span distance is reported for reference:
+    at fixed M it does not sharpen indefinitely, since the head-split noise
+    perturbs the invariant subspaces.
     """
     cfg = _finalize_config(MULTI_TASK_DEFAULTS, config)
-    policies = cfg["mode"] == "policies"
-    if policies:  # (discount, probability of the left action) per task
-        tasks = [(cfg["gamma"], p) for p in cfg["mixes"]]
-    elif cfg["mode"] == "discounts":
-        tasks = [(g, 0.5) for g in cfg["discounts"]]
-    else:
-        raise ConfigurationError("mode must be 'policies' or 'discounts'")
+    if len(cfg["discounts"]) != len(cfg["mixes"]):
+        raise ConfigurationError(
+            f"discounts and mixes must hold one entry per task, got {len(cfg['discounts'])} "
+            f"and {len(cfg['mixes'])}")
     bundle = ReportBundle("multi-task", dict(cfg))
-    L, M, K = int(cfg["L"]), int(cfg["M"]), cfg["K"]
+    M, K = cfg["M"], cfg["K"]
     if K > CHAIN_N:
         raise ConfigurationError(f"K must lie in 1..{CHAIN_N}, got {K}")
-    if len(tasks) < L:
-        raise ConfigurationError(
-            f"need {L} {'policy mixes' if policies else 'discounts'}, got {len(tasks)}")
-    chains = [chain_drift(g, p).with_reward(np.zeros(CHAIN_N)) for g, p in tasks[:L]]
+    chains = [chain_drift(g, p).with_reward(np.zeros(CHAIN_N))
+              for g, p in zip(cfg["discounts"], cfg["mixes"])]
+    L = len(chains)
+    policies_differ = len(set(cfg["mixes"])) > 1
 
     op_bar = flows.build_multi_task_operator(chains)
     phi0 = _normalized_phi0(_stream(cfg["seed"], "phi0"), CHAIN_N, K)
@@ -702,11 +712,11 @@ def run_multi_task(config: dict | None = None) -> ReportBundle:
                          np.array([[d_bar, d_first, d_finite, t_span, t_fin]]))
         bundle.add_check("limit_span_is_averaged_operator_ebf", d_bar, cfg["subspace_tol"],
                          table="subspace_distances")
-        if policies:
+        if policies_differ:
             bundle.add_check("limit_span_distinct_from_first_task_ebf", d_first,
                              cfg["distinct_tol"], comparison=">", table="subspace_distances")
 
-    if cfg["block_variant"] and K % L == 0 and policies and L > 1:
+    if policies_differ and K % L == 0:
         wb = flows.sample_block_orthogonal_weights(
             M, K, L, 1.0 / M, _stream(cfg["seed"], "block heads"))
         traj_b = flows.multi_task_flow(chains, wb, phi0, np.array([t_fin]))

@@ -36,13 +36,12 @@ Carlo and trained-head flows never take an exponential.
 from __future__ import annotations
 
 import io
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, NumericalError
+from .errors import ConfigurationError, DivergenceError, NumericalError, check_count
 from .mdp import MarkovChain, exact_value
 
 DEFAULT_STEP = 1e-3
@@ -92,6 +91,9 @@ class EnsembleState:
         cumulants = None if self.cumulants is None else np.asarray(self.cumulants, dtype=float)
         if phi.ndim != 2:
             raise ConfigurationError(f"phi must be a 2-d (n, K) array, got shape {phi.shape}")
+        if weights.ndim != 2:
+            raise ConfigurationError(
+                f"weights must be a 2-d (M, K) array, got shape {weights.shape}")
         if weights.shape[1] != phi.shape[1]:
             raise ConfigurationError(
                 f"weights are {weights.shape[1]}-dimensional but phi has {phi.shape[1]} columns"
@@ -126,6 +128,9 @@ class LinearFlowSpec:
         phi0 = np.atleast_2d(np.asarray(self.phi0, dtype=float))
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ConfigurationError("A must be square")
+        if B.ndim != 2 or phi0.ndim != 2:
+            raise ConfigurationError(
+                f"B and phi0 must be 2-d (n, K) arrays, got shapes {B.shape} and {phi0.shape}")
         if B.shape != phi0.shape or B.shape[0] != A.shape[0]:
             raise ConfigurationError("A, B and phi0 shapes are incompatible")
         if not all(np.all(np.isfinite(x)) for x in (A, B, phi0)):
@@ -146,11 +151,6 @@ def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NumericalError(f"matrix exponential overflowed for ||tA|| = {np.linalg.norm(t * A):.3e}")
     return out
-
-
-def _check_count(name: str, value) -> None:
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ConfigurationError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def _check_times(times) -> np.ndarray:
@@ -208,7 +208,7 @@ def mc_value_flow(chain: MarkovChain, v0, times) -> Trajectory:
 
 def nstep_value_flow(chain: MarkovChain, n: int, v0, times) -> Trajectory:
     """n-step bootstrapped flow: V_t = exp(-t(I - (gamma P)^n))(V_0 - V^pi) + V^pi."""
-    _check_count("n", n)
+    check_count("n", n)
     dim = chain.n_states
     op = -(np.eye(dim) - np.linalg.matrix_power(chain.gamma * chain.transition, n))
     return _value_flow(chain, v0, times, lambda t: matrix_exponential(op, t),
@@ -373,6 +373,8 @@ def joint_flow(
             f"alpha and beta must be finite and nonnegative, got alpha={alpha}, beta={beta}")
     phi0 = np.asarray(phi0, dtype=float)
     w0 = np.asarray(w0, dtype=float).reshape(-1)
+    if phi0.ndim != 2:
+        raise ConfigurationError(f"phi0 must be a 2-d (n, K) array, got shape {phi0.shape}")
     n, k = phi0.shape
     if n != chain.n_states or w0.shape[0] != k:
         raise ConfigurationError("phi0/w0 shapes do not match the chain")
@@ -455,8 +457,8 @@ def _check_variance(variance: float) -> None:
 
 def sample_weights(M: int, K: int, variance: float, seed) -> np.ndarray:
     """M independent N(0, variance I_K) head weights, deterministic per seed; rows are heads."""
-    _check_count("M", M)
-    _check_count("K", K)
+    check_count("M", M)
+    check_count("K", K)
     _check_variance(variance)
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, np.sqrt(variance), size=(M, K))
@@ -468,8 +470,8 @@ def sample_block_orthogonal_weights(M: int, K: int, n_blocks: int, variance: flo
     Heads are assigned to blocks contiguously (head m to block ceil(m*L/M));
     K must divide into n_blocks equal parts.
     """
-    _check_count("M", M)
-    _check_count("K", K)
+    check_count("M", M)
+    check_count("K", K)
     if n_blocks < 1 or K % n_blocks != 0 or M % n_blocks != 0:
         raise ConfigurationError("n_blocks must divide both K and M")
     _check_variance(variance)
@@ -486,8 +488,8 @@ def sample_block_orthogonal_weights(M: int, K: int, n_blocks: int, variance: flo
 
 def sample_cumulants(M: int, n: int, seed) -> np.ndarray:
     """M isotropic standard Gaussian reward vectors on n states; columns are heads."""
-    _check_count("M", M)
-    _check_count("n", n)
+    check_count("M", M)
+    check_count("n", n)
     return np.random.default_rng(seed).standard_normal((n, M))
 
 
@@ -521,8 +523,8 @@ def build_multi_task_operator(chains: list) -> np.ndarray:
 
 def split_heads(M: int, L: int) -> np.ndarray:
     """Task index (0-based) per head for an even contiguous split: head m -> ceil(m L / M) - 1."""
-    _check_count("M", M)
-    _check_count("L", L)
+    check_count("M", M)
+    check_count("L", L)
     if M % L != 0:
         raise ConfigurationError("L must divide M")
     m = np.arange(1, M + 1)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericalError, RankDeficiencyError
+from .errors import (ConfigurationError, DomainError, NumericalError, RankDeficiencyError,
+                     check_count)
 
 _DEFAULT_GAP_TOL = 1e-8
 _IMAG_TOL = 1e-10
@@ -59,8 +60,9 @@ class Subspace:
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
-        if basis.ndim != 2:
-            raise ConfigurationError("basis must be a 2-d array")
+        if basis.ndim != 2 or basis.shape[1] == 0:
+            raise ConfigurationError(
+                f"basis must be a 2-d array with at least one column, got shape {basis.shape}")
         gram_err = np.abs(basis.T @ basis - np.eye(basis.shape[1])).max()
         if not gram_err <= 1e-10:  # NaN entries fail too
             raise ConfigurationError(f"basis is not orthonormal (max deviation {gram_err:.3e})")
@@ -126,7 +128,8 @@ def ebf(P: np.ndarray, K: int) -> Subspace:
     that gap (Stewart 1973), not by the conditioning of the whole eigenbasis.
     """
     P = _check_square(P)
-    if not 1 <= K <= P.shape[0]:
+    check_count("K", K)
+    if K > P.shape[0]:
         raise ConfigurationError(f"K must lie in 1..{P.shape[0]}, got {K}")
     decomp = eigen_decompose(P)
     order = np.argsort(-decomp.eigenvalues.real, kind="stable")
@@ -192,7 +195,8 @@ def rsbf(P: np.ndarray, gamma: float, K: int) -> Subspace:
     """
     P = _check_square(P)
     n = P.shape[0]
-    if not 1 <= K <= n:
+    check_count("K", K)
+    if K > n:
         raise ConfigurationError(f"K must lie in 1..{n}, got {K}")
     psi = resolvent(P, gamma)
     cov = psi @ psi.T

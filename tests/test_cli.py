@@ -176,6 +176,9 @@ OUT_OF_RANGE_OVERRIDES = [
     ("two-state", "rewards=1,2,3", "rewards must hold one entry per state (2), got 3"),
     ("limit-checks", "n_gap_samples=1", "n_gap_samples must be at least 2"),
     ("bayes-opt", "mc_samples=1", "mc_samples must be at least 2"),
+    ("multi-task", "mode=discounts", "unknown override key 'mode'"),
+    ("multi-task", "L=2", "unknown override key 'L'"),
+    ("multi-task", "mixes=0.75,0.25,0.5", "one entry per task, got 2 and 3"),
 ]
 
 

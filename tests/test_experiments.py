@@ -115,7 +115,8 @@ def test_limit_checks_single_head_reduction():
 
 
 def test_multi_task_discount_mode():
-    bundle = rd.run_multi_task({"mode": "discounts", "M": 2000, "t_finite_span": 60.0})
+    bundle = rd.run_multi_task({"discounts": (0.8, 0.99), "mixes": (0.5, 0.5), "M": 2000,
+                                "t_finite_span": 60.0})
     names = {c.name: c for c in bundle.checks}
     assert names["limit_span_is_averaged_operator_ebf"].passed
     assert "limit_span_distinct_from_first_task_ebf" not in names
@@ -123,11 +124,11 @@ def test_multi_task_discount_mode():
 
 def test_multi_task_rejects_a_split_that_does_not_divide_the_heads():
     with pytest.raises(ConfigurationError, match="L must divide M"):
-        rd.run_multi_task({"L": 3, "mixes": (0.75, 0.25, 0.5), "M": 2000})
-    with pytest.raises(ConfigurationError, match="need 3 discounts"):
-        rd.run_multi_task({"mode": "discounts", "L": 3, "M": 3000})
-    with pytest.raises(ConfigurationError, match="mode must be"):
-        rd.run_multi_task({"mode": "bogus"})
+        rd.run_multi_task({"mixes": (0.75, 0.25, 0.5), "discounts": (0.9, 0.9, 0.9), "M": 2000})
+    with pytest.raises(ConfigurationError, match="L must divide M"):
+        rd.run_multi_task({"mixes": (0.5, 0.5, 0.5), "discounts": (0.8, 0.9, 0.99), "M": 2000})
+    with pytest.raises(ConfigurationError, match="one entry per task, got 2 and 3"):
+        rd.run_multi_task({"mixes": (0.75, 0.25, 0.5), "M": 3000})
 
 
 def test_failed_check_is_recorded_not_raised():

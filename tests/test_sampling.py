@@ -121,10 +121,29 @@ E1 = rd.Subspace(np.eye(3)[:, :1])
     (lambda: rd.orthonormalize(np.zeros((3, 0))), "non-empty 2-d"),
     (lambda: rd.mdp_from_json("{}"), "not an MDP document"),
     (lambda: rd.mdp_from_json("x"), "not an MDP document"),
+    (lambda: rd.ebf(np.diag([0.9, 0.5, 0.1]), 1.5), "K must be an integer of at least 1"),
+    (lambda: rd.ebf(np.diag([0.9, 0.5, 0.1]), True), "K must be an integer of at least 1"),
+    (lambda: rd.rsbf(np.diag([0.9, 0.5, 0.1]), 0.9, 1.5), "K must be an integer of at least 1"),
+    (lambda: rd.joint_flow(CHAIN, np.ones(2), [1.0], 1.0, 1.0, [0.0, 1.0]), "phi0 must be a 2-d"),
+    (lambda: rd.EnsembleState(np.ones((2, 1)), np.ones((1, 1, 1))), "weights must be a 2-d"),
+    (lambda: rd.LinearFlowSpec(-np.eye(2), np.zeros((2, 1, 1)), np.ones((2, 1, 1))),
+     "B and phi0 must be 2-d"),
+    (lambda: rd.Subspace(np.zeros((3, 0))), "at least one column"),
+    (lambda: rd.Policy.deterministic(np.array([5, 0]), 2), r"indices in 0\.\.1"),
+    (lambda: rd.Policy.deterministic(np.array([-1, 0]), 2), r"indices in 0\.\.1"),
+    (lambda: rd.run_bayes_optimality({"K": 2.0}), "K must be an integer"),
+    (lambda: rd.run_four_rooms_features({"K": 2.5}), "K must be an integer"),
+    (lambda: rd.run_two_state({"gamma": "0.9"}), "gamma must be a real number"),
+    (lambda: rd.run_limit_checks({"M_list": 100}), "M_list must be a tuple or list of integers"),
+    (lambda: rd.run_multi_task({"mixes": 0.5}), "mixes must be a tuple or list of real numbers"),
 ], ids=["weights-negative-M", "weights-zero-K", "block-zero-K", "cumulants-negative-M",
         "split-zero-tasks", "nstep-fractional-n", "grassmann-ambient-mismatch",
         "angle-length-mismatch", "ensemble-1d-phi", "orthonormalize-no-columns",
-        "json-missing-keys", "json-malformed"])
+        "json-missing-keys", "json-malformed", "ebf-fractional-K", "ebf-bool-K",
+        "rsbf-fractional-K", "joint-1d-phi0", "ensemble-3d-weights", "spec-3d-B-phi0",
+        "subspace-no-columns", "deterministic-action-too-large", "deterministic-action-negative",
+        "config-float-for-int", "config-fraction-for-int", "config-string-for-float",
+        "config-scalar-for-tuple", "config-scalar-for-task-list"])
 def test_bad_counts_and_shapes_raise_configuration_errors(make, match):
     with pytest.raises(ConfigurationError, match=match):
         make()
