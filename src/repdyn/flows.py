@@ -2,9 +2,12 @@
 
 Value flows (one-step, n-step, lambda-return bootstrapping and Monte Carlo)
 have exact matrix-exponential solutions and are evaluated in closed form.
-Every flow that is linear in Phi -- the joint and multi-head flows with frozen
-heads (beta = 0), the multi-task head split and the infinite-head limits --
-has the form d/dt Phi = sum_i A_i Phi W_i + F and is evaluated exactly by one
+The n-step and lambda-return flows step shared propagators, one matrix
+exponential per distinct sample interval; one-step TD takes one exponential
+from t = 0 per sample, and Monte Carlo a scalar exponential. Every flow that
+is linear in Phi -- the joint and multi-head flows with frozen heads
+(beta = 0), the multi-task head split and the infinite-head limits -- has the
+form d/dt Phi = sum_i A_i Phi W_i + F and is evaluated exactly by one
 augmented matrix exponential per distinct sample interval, one for all the K
 columns of an infinite-head limit. With frozen heads the head weights enter
 only through the K x K second moment W, so head counts in the tens of
@@ -147,9 +150,12 @@ def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise NumericalError("matrix exponential of non-finite input")
-    out = scipy.linalg.expm(t * A)
-    if not np.all(np.isfinite(out)):
-        raise NumericalError(f"matrix exponential overflowed for ||tA|| = {np.linalg.norm(t * A):.3e}")
+    with np.errstate(over="ignore"):  # an overflow is reported below, as an error
+        scaled = t * A
+        out = scipy.linalg.expm(scaled) if np.all(np.isfinite(scaled)) else scaled
+        if not np.all(np.isfinite(out)):
+            raise NumericalError(f"matrix exponential overflowed at t = {t:.3e} "
+                                 f"for ||A|| = {np.linalg.norm(A):.3e}")
     return out
 
 
@@ -174,10 +180,13 @@ def _check_v0(chain: MarkovChain, v0) -> np.ndarray:
 
 
 def _value_flow(chain: MarkovChain, v0, times, decay: Callable, meta: dict) -> Trajectory:
-    """Shared closed form V_t = V^pi + decay(t) (V_0 - V^pi); V_0 itself at t = 0.
+    """Per-sample closed form V_t = V^pi + decay(t) (V_0 - V^pi); V_0 itself at t = 0.
 
     ``decay(t)`` is exp(t op) for the flow's operator op, as a matrix, or as a
-    scalar when op = -I.
+    scalar when op = -I. Monte Carlo (a scalar) and one-step TD (one matrix
+    exponential from t = 0 per sample) take this form; the n-step and
+    lambda-return flows step shared propagators instead
+    (``_stepped_value_flow``).
     """
     times = _check_times(times)
     v0 = _check_v0(chain, v0)
@@ -186,6 +195,19 @@ def _value_flow(chain: MarkovChain, v0, times, decay: Callable, meta: dict) -> T
     states = np.empty((len(times), len(v0), 1))
     for i, t in enumerate(times):
         states[i, :, 0] = v0 if t == 0.0 else v_star + np.dot(decay(t), delta0)
+    return Trajectory(times=times, states=states, meta=meta)
+
+
+def _stepped_value_flow(chain: MarkovChain, v0, times, op: np.ndarray, meta: dict) -> Trajectory:
+    """V_t = V^pi + exp(t op)(V_0 - V^pi) as the affine flow V' = op V - op V^pi.
+
+    One (n, 1) column block for ``_affine_path``: one matrix exponential per
+    distinct sample interval, and V_0 itself at t = 0.
+    """
+    times = _check_times(times)
+    v0 = _check_v0(chain, v0)
+    forcing = -(op @ exact_value(chain))
+    states = _affine_path(op, forcing[:, None], v0[:, None], times)
     return Trajectory(times=times, states=states, meta=meta)
 
 
@@ -211,8 +233,8 @@ def nstep_value_flow(chain: MarkovChain, n: int, v0, times) -> Trajectory:
     check_count("n", n)
     dim = chain.n_states
     op = -(np.eye(dim) - np.linalg.matrix_power(chain.gamma * chain.transition, n))
-    return _value_flow(chain, v0, times, lambda t: matrix_exponential(op, t),
-                       {"flow": "nstep", "n": n, "gamma": chain.gamma})
+    return _stepped_value_flow(chain, v0, times, op,
+                               {"flow": "nstep", "n": n, "gamma": chain.gamma})
 
 
 def td_lambda_series_operator(chain: MarkovChain, lam: float) -> np.ndarray:
@@ -227,8 +249,8 @@ def td_lambda_series_operator(chain: MarkovChain, lam: float) -> np.ndarray:
 def td_lambda_value_flow(chain: MarkovChain, lam: float, v0, times) -> Trajectory:
     """Lambda-return flow: V_t = exp(t(S_lambda - I))(V_0 - V^pi) + V^pi."""
     op = td_lambda_series_operator(chain, lam) - np.eye(chain.n_states)
-    return _value_flow(chain, v0, times, lambda t: matrix_exponential(op, t),
-                       {"flow": "td_lambda", "lambda": lam, "gamma": chain.gamma})
+    return _stepped_value_flow(chain, v0, times, op,
+                               {"flow": "td_lambda", "lambda": lam, "gamma": chain.gamma})
 
 
 def _affine_path(G: np.ndarray, F: np.ndarray, X0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -251,7 +273,8 @@ def _affine_path(G: np.ndarray, F: np.ndarray, X0: np.ndarray, times: np.ndarray
         if dt > 0.0:
             if dt not in propagators:
                 propagators[dt] = matrix_exponential(aug, dt)
-            x = propagators[dt] @ x
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below, as an error
+                x = propagators[dt] @ x
             if not np.all(np.isfinite(x)):
                 raise NumericalError(f"flow overflowed at t = {target:.6g}")
         out[i] = x[:m]

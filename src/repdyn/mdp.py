@@ -83,10 +83,13 @@ class Policy:
 
     @staticmethod
     def deterministic(actions, n_actions: int) -> "Policy":
-        actions = np.asarray(actions, dtype=int)
-        if actions.ndim != 1 or np.any((actions < 0) | (actions >= n_actions)):
+        actions = np.asarray(actions)
+        if (actions.ndim != 1 or np.any(actions != np.round(actions))
+                or np.any((actions < 0) | (actions >= n_actions))):
             raise ConfigurationError(
-                f"actions must be a 1-d array of indices in 0..{n_actions - 1}, got {actions}")
+                f"actions must be a 1-d array of integer indices in 0..{n_actions - 1}, "
+                f"got {actions}")
+        actions = actions.astype(int)
         probs = np.zeros((actions.shape[0], n_actions))
         probs[np.arange(actions.shape[0]), actions] = 1.0
         return Policy(probs)

@@ -197,7 +197,11 @@ def test_out_of_range_override_is_one_error_line_and_exit_one(command, override,
 @pytest.mark.parametrize("argv, message", [
     (["four-rooms", "--set", "check_t=1000", "--set", "t_max=1", "--set", "snapshot_times=0,1"],
      "horizon t = 1000"),
-], ids=["four-rooms-check_t=1000"])
+    (["flow", "--flow", "td", "--samples", "2", "--t-max", "1e308"],
+     "matrix exponential overflowed at t = 1.000e+308"),
+    (["flow", "--flow", "nstep", "--samples", "2", "--t-max", "1e308"],
+     "matrix exponential overflowed at t = 1.000e+308"),
+], ids=["four-rooms-check_t=1000", "flow-td-t-max-huge", "flow-nstep-t-max-huge"])
 def test_numerical_limit_is_one_failure_line_and_exit_one(argv, message, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err

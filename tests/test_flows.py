@@ -256,6 +256,75 @@ def test_value_flow_fixed_point_residual_at_settling_time():
         assert np.abs(final - v_star).max() <= 1e-6
 
 
+def four_rooms_with_reward(seed):
+    rooms, policy = rd.build_four_rooms()
+    chain = rd.induce(rooms, policy, 0.9)
+    return chain.with_reward(np.random.default_rng(seed).standard_normal(chain.n_states))
+
+
+# each flow's operator op is a function of gamma P; the second entry maps an
+# eigenvalue g of gamma P to the eigenvalue of op
+VALUE_FLOW_SPECTRA = {
+    "td": (rd.td_value_flow, lambda g: g - 1.0),
+    "nstep": (lambda c, v, t: rd.nstep_value_flow(c, 3, v, t), lambda g: g ** 3 - 1.0),
+    "tdlambda": (lambda c, v, t: rd.td_lambda_value_flow(c, 0.5, v, t),
+                 lambda g: 0.5 * g / (1.0 - 0.5 * g) - 1.0),
+}
+
+
+@pytest.mark.parametrize("times", [np.linspace(0.0, 100.0, 101), [0.0, 0.3, 2.0, 7.5, 100.0]],
+                         ids=["even", "uneven"])
+@pytest.mark.parametrize("kind", sorted(VALUE_FLOW_SPECTRA))
+def test_value_flows_match_an_eigh_closed_form_on_four_rooms(kind, times):
+    # four-rooms' P is symmetric, so P = U diag(mu) U^T and, with g = gamma mu,
+    # V_t = V^pi + U diag(exp(t op(g))) U^T (V_0 - V^pi), V^pi = U diag(1 / (1 - g)) U^T r:
+    # no matrix exponential and no linear solve
+    chain = four_rooms_with_reward(11)
+    flow, op = VALUE_FLOW_SPECTRA[kind]
+    v0 = np.random.default_rng(12).standard_normal(chain.n_states)
+    mu, U = np.linalg.eigh(chain.transition)
+    g = chain.gamma * mu
+    v_star = U @ ((U.T @ chain.reward) / (1.0 - g))
+    delta0 = U.T @ (v0 - v_star)
+    oracle = np.array([v_star + U @ (np.exp(t * op(g)) * delta0) for t in times])
+    values = flow(chain, v0, times).values()
+    assert np.abs(values - oracle).max() <= 1e-12 * max(1.0, np.abs(oracle).max())
+
+
+@pytest.mark.parametrize("times", [np.linspace(0.0, 100.0, 101), [0.0, 0.3, 2.0, 7.5, 100.0]],
+                         ids=["even", "uneven"])
+@pytest.mark.parametrize("kind", ["nstep", "tdlambda"])
+def test_stepped_value_flows_match_one_exponential_per_sample_on_a_drifting_chain(kind, times):
+    # chain_drift's P is not symmetric; the reference takes exp(t op) from t = 0 at every sample
+    chain = chain_drift().with_reward(np.random.default_rng(13).standard_normal(30))
+    v0 = np.random.default_rng(14).standard_normal(30)
+    gp = chain.gamma * chain.transition
+    if kind == "nstep":
+        op = np.linalg.matrix_power(gp, 3) - np.eye(30)
+        values = rd.nstep_value_flow(chain, 3, v0, times).values()
+    else:
+        op = td_lambda_series_operator(chain, 0.5) - np.eye(30)
+        values = rd.td_lambda_value_flow(chain, 0.5, v0, times).values()
+    v_star = rd.exact_value(chain)
+    reference = np.array([v_star + rd.matrix_exponential(op, t) @ (v0 - v_star) for t in times])
+    np.testing.assert_array_equal(values[0], v0)
+    assert np.abs(values - reference).max() <= 1e-12 * max(1.0, np.abs(reference).max())
+
+
+@pytest.mark.parametrize("flow", [lambda c, v, t: rd.nstep_value_flow(c, 3, v, t),
+                                  lambda c, v, t: rd.td_lambda_value_flow(c, 0.5, v, t)],
+                         ids=["nstep", "tdlambda"])
+def test_stepped_value_flows_take_one_exponential_per_distinct_interval(flow, monkeypatch):
+    # the intervals 1, 1, 1, 1.5 take two exponentials of the (n + 1)-sized augmented generator
+    sizes = []
+    expm = flows.matrix_exponential
+    monkeypatch.setattr(flows, "matrix_exponential",
+                        lambda A, t: sizes.append(len(A)) or expm(A, t))
+    v0 = np.random.default_rng(26).standard_normal(30)
+    flow(chain_uniform(), v0, [0.0, 1.0, 2.0, 3.0, 4.5])
+    assert sizes == [31, 31]
+
+
 def test_joint_flow_frozen_when_weights_and_reward_vanish():
     chain = chain_uniform().with_reward(np.zeros(30))
     rng = np.random.default_rng(10)
@@ -545,8 +614,11 @@ def test_frozen_ensemble_span_matches_an_80_digit_tangent_oracle(seed, t):
 def test_matrix_exponential_overflow_raises():
     from repdyn.errors import NumericalError
 
-    with np.errstate(over="ignore"), pytest.raises(NumericalError):
+    # neither exp(800) inside expm nor the product t A overflowing may warn first
+    with pytest.raises(NumericalError, match=r"t = 1\.000e\+00 for \|\|A\|\| = 1\.386e\+03"):
         rd.matrix_exponential(800.0 * np.eye(3), 1.0)
+    with pytest.raises(NumericalError, match=r"t = 1\.000e\+308 for \|\|A\|\| = 3\.464e\+00"):
+        rd.matrix_exponential(2.0 * np.eye(3), 1e308)
     with pytest.raises(NumericalError):
         rd.matrix_exponential(np.array([[np.nan]]), 1.0)
 
@@ -604,7 +676,7 @@ def test_linear_limit_flow_accepts_singular_operator():
 def test_linear_limit_flow_raises_when_an_unstable_state_overflows():
     spec = rd.LinearFlowSpec(np.eye(2), np.zeros((2, 1)), np.ones((2, 1)))
     # each step's exponential is finite, but the state overflows by t = 1000
-    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="t = 1000"):
+    with pytest.raises(NumericalError, match="t = 1000"):
         rd.linear_limit_flow(spec, [500.0, 1000.0])
 
 

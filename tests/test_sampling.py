@@ -131,6 +131,7 @@ E1 = rd.Subspace(np.eye(3)[:, :1])
     (lambda: rd.Subspace(np.zeros((3, 0))), "at least one column"),
     (lambda: rd.Policy.deterministic(np.array([5, 0]), 2), r"indices in 0\.\.1"),
     (lambda: rd.Policy.deterministic(np.array([-1, 0]), 2), r"indices in 0\.\.1"),
+    (lambda: rd.Policy.deterministic(np.array([1.7, 0.2]), 2), r"integer indices in 0\.\.1"),
     (lambda: rd.run_bayes_optimality({"K": 2.0}), "K must be an integer"),
     (lambda: rd.run_four_rooms_features({"K": 2.5}), "K must be an integer"),
     (lambda: rd.run_two_state({"gamma": "0.9"}), "gamma must be a real number"),
@@ -142,6 +143,7 @@ E1 = rd.Subspace(np.eye(3)[:, :1])
         "json-missing-keys", "json-malformed", "ebf-fractional-K", "ebf-bool-K",
         "rsbf-fractional-K", "joint-1d-phi0", "ensemble-3d-weights", "spec-3d-B-phi0",
         "subspace-no-columns", "deterministic-action-too-large", "deterministic-action-negative",
+        "deterministic-action-fractional",
         "config-float-for-int", "config-fraction-for-int", "config-string-for-float",
         "config-scalar-for-tuple", "config-scalar-for-task-list"])
 def test_bad_counts_and_shapes_raise_configuration_errors(make, match):
