@@ -13,12 +13,12 @@ columns of an infinite-head limit. With frozen heads the head weights enter
 only through the K x K second moment W, so head counts in the tens of
 thousands cost the same as a single head. Only trained heads
 (beta > 0) make the flow bilinear; those are integrated with a fixed-step
-classical Runge-Kutta scheme, preferring determinism over adaptivity. One
-right-hand side on (Phi, W^T) serves every trained-head flow: the single-head
-``joint_flow`` is the one-head ensemble flow. W^T(t) never leaves the span of
-the rows of W^T(0) and of the reward matrix R, so the M heads are integrated
-as K x d heads W^T B, B an orthonormal basis of that span with
-d <= min(M, K + rank R): trained heads, too, cost the same at any head count.
+classical Runge-Kutta scheme, preferring determinism over adaptivity. The
+single-head ``joint_flow`` runs the ensemble flow's code with one head.
+W^T(t) never leaves the span of the rows of W^T(0) and of the reward matrix
+R, so the M heads are integrated as K x d heads W^T B, B an orthonormal basis
+of that span with d <= min(M, K + rank R): trained heads, too, cost the same
+at any head count.
 RK4 steps the representation and the head weights as a tuple of arrays, and
 it stops computing once its state is a bit-for-bit fixed point of the step:
 the skipped steps would have returned the same state, so the output is
@@ -39,6 +39,7 @@ Carlo and trained-head flows never take an exponential.
 from __future__ import annotations
 
 import io
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -384,36 +385,18 @@ def joint_flow(
 
     The bootstrap target is treated as a constant (no gradient flows through
     it); that convention is already baked into these right-hand sides.
-    This is the one-head ``ensemble_flow``, and it shares that flow's
-    evaluators: the closed form at beta = 0 (``step`` is unused), otherwise
-    RK4 on the one right-hand side of trained heads, with ``meta`` recording
-    the steps it computed (``rk4_steps``) and ``rhs_evals``. Trajectory states
+    This is the one-head ``ensemble_flow`` and runs that flow's code: the
+    closed form at beta = 0 (``step`` is unused), otherwise RK4, with ``meta``
+    recording the steps it computed (``rk4_steps``) and ``rhs_evals``. States
     stack Phi over w: shape (T, n + 1, K) with the last row of each state w^T.
     """
-    times = _check_times(times)
-    if not (0 <= alpha < np.inf and 0 <= beta < np.inf):
-        raise ConfigurationError(
-            f"alpha and beta must be finite and nonnegative, got alpha={alpha}, beta={beta}")
-    phi0 = np.asarray(phi0, dtype=float)
     w0 = np.asarray(w0, dtype=float).reshape(-1)
-    if phi0.ndim != 2:
-        raise ConfigurationError(f"phi0 must be a 2-d (n, K) array, got shape {phi0.shape}")
-    n, k = phi0.shape
-    if n != chain.n_states or w0.shape[0] != k:
-        raise ConfigurationError("phi0/w0 shapes do not match the chain")
-    if not (np.all(np.isfinite(phi0)) and np.all(np.isfinite(w0))):
-        raise ConfigurationError("phi0 and w0 entries must be finite")
-    meta = {"flow": "joint", "alpha": alpha, "beta": beta, "gamma": chain.gamma,
-            "step": step if beta > 0 else None}
-    if beta == 0.0:
-        phi = ensemble_flow(chain, EnsembleState(phi0, w0[None, :]), alpha, 0.0, times).states
-        wcol = np.broadcast_to(w0[:, None], (len(times), k, 1))
-    else:
-        rhs = _trained_heads_rhs(chain, chain.reward[:, None], alpha, beta)
-        (phi, wcol), steps = _rk4_integrate(rhs, (phi0, w0[:, None]), times, step)
-        meta.update(rk4_steps=steps, rhs_evals=4 * steps)
-    states = np.concatenate([phi, wcol.transpose(0, 2, 1)], axis=1)
-    return Trajectory(times=times, states=states, meta=meta)
+    state0 = EnsembleState(phi0, w0[None, :])
+    traj, heads = _multi_head_flow(chain, state0, alpha, beta, times, step)
+    kept = ("alpha", "beta", "gamma", "step", "rk4_steps", "rhs_evals")
+    meta = {"flow": "joint", **{key: traj.meta[key] for key in kept if key in traj.meta}}
+    states = np.concatenate([traj.states, heads.transpose(0, 2, 1)], axis=1)
+    return Trajectory(times=traj.times, states=states, meta=meta)
 
 
 def ensemble_flow(
@@ -443,34 +426,38 @@ def ensemble_flow(
     records the steps RK4 computed (``rk4_steps``), ``rhs_evals`` and d
     (``head_dim``). Trajectory states are the (T, n, K) Phi path.
     """
+    return _multi_head_flow(chain, state0, alpha, beta, times, step)[0]
+
+
+def _multi_head_flow(chain, state0: EnsembleState, alpha, beta, times, step) -> tuple:
+    """``ensemble_flow``'s trajectory and (T, K, d) head path W^T B; B = [[1]] for one head.
+
+    B is I_M for frozen heads and the RK4 basis for trained ones.
+    """
     times = _check_times(times)
     if not (0 <= alpha < np.inf and 0 <= beta < np.inf):
         raise ConfigurationError(
             f"alpha and beta must be finite and nonnegative, got alpha={alpha}, beta={beta}")
     phi0, weights, rewards = state0.phi, state0.weights, state0.cumulants
-    n = phi0.shape[0]
-    if n != chain.n_states:
+    shared = rewards is None  # R = r 1_M^T
+    if phi0.shape[0] != chain.n_states:
         raise ConfigurationError("phi0 does not match the chain")
     meta = {"flow": "ensemble", "alpha": alpha, "beta": beta, "gamma": chain.gamma,
-            "M": state0.n_heads, "step": step if beta > 0 else None,
-            "cumulants": rewards is not None}
+            "M": state0.n_heads, "step": step if beta > 0 else None, "cumulants": not shared}
     if beta == 0.0:
-        if rewards is not None:
-            forcing = rewards @ weights
-        else:
-            forcing = np.outer(chain.reward, weights.sum(axis=0))
-        op = alpha * (chain.gamma * chain.transition - np.eye(n))
+        forcing = np.outer(chain.reward, weights.sum(axis=0)) if shared else rewards @ weights
+        op = alpha * (chain.gamma * chain.transition - np.eye(chain.n_states))
         states = _linear_flow([(op, weights.T @ weights)], alpha * forcing, phi0, times)
+        heads = np.broadcast_to(weights.T, (len(times),) + weights.T.shape)
     else:
-        shared = rewards is None  # R = r 1_M^T
         reward_rows = np.ones((state0.n_heads, 1)) if shared else rewards.T
         nonzero = np.any(chain.reward) if shared else np.any(rewards)
         basis, _ = np.linalg.qr(np.hstack([weights, reward_rows]) if nonzero else weights)
         reduced = np.outer(chain.reward, basis.sum(axis=0)) if shared else rewards @ basis
         rhs = _trained_heads_rhs(chain, reduced, alpha, beta)
-        (states, _), steps = _rk4_integrate(rhs, (phi0, weights.T @ basis), times, step)
+        (states, heads), steps = _rk4_integrate(rhs, (phi0, weights.T @ basis), times, step)
         meta.update(rk4_steps=steps, rhs_evals=4 * steps, head_dim=basis.shape[1])
-    return Trajectory(times=times, states=states, meta=meta)
+    return Trajectory(times=times, states=states, meta=meta), heads
 
 
 def _check_variance(variance: float) -> None:
@@ -478,12 +465,21 @@ def _check_variance(variance: float) -> None:
         raise ConfigurationError(f"variance must be positive and finite, got {variance}")
 
 
+def _rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; a seed it rejects is a ConfigurationError."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"seed must be a nonnegative integer, a sequence of them "
+                                 f"or a Generator, got {seed!r}") from None
+
+
 def sample_weights(M: int, K: int, variance: float, seed) -> np.ndarray:
     """M independent N(0, variance I_K) head weights, deterministic per seed; rows are heads."""
     check_count("M", M)
     check_count("K", K)
     _check_variance(variance)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     return rng.normal(0.0, np.sqrt(variance), size=(M, K))
 
 
@@ -495,10 +491,11 @@ def sample_block_orthogonal_weights(M: int, K: int, n_blocks: int, variance: flo
     """
     check_count("M", M)
     check_count("K", K)
-    if n_blocks < 1 or K % n_blocks != 0 or M % n_blocks != 0:
+    if isinstance(n_blocks, numbers.Real) and (n_blocks < 1 or K % n_blocks or M % n_blocks):
         raise ConfigurationError("n_blocks must divide both K and M")
+    check_count("n_blocks", n_blocks)  # 1.5 divides 3, and True divides every count
     _check_variance(variance)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     block = K // n_blocks
     w = np.zeros((M, K))
     per = M // n_blocks
@@ -513,7 +510,7 @@ def sample_cumulants(M: int, n: int, seed) -> np.ndarray:
     """M isotropic standard Gaussian reward vectors on n states; columns are heads."""
     check_count("M", M)
     check_count("n", n)
-    return np.random.default_rng(seed).standard_normal((n, M))
+    return _rng(seed).standard_normal((n, M))
 
 
 def linear_limit_flow(spec: LinearFlowSpec, times) -> Trajectory:
@@ -574,16 +571,10 @@ def multi_task_flow(
     times = _check_times(times)
     if not chains:
         raise ConfigurationError("need at least one chain")
-    weights = np.atleast_2d(np.asarray(weights, dtype=float))
-    phi0 = np.asarray(phi0, dtype=float)
-    if phi0.ndim != 2 or any(c.n_states != phi0.shape[0] for c in chains):
+    state0 = EnsembleState(phi0, weights)
+    phi0, weights = state0.phi, state0.weights
+    if any(c.n_states != phi0.shape[0] for c in chains):
         raise ConfigurationError("phi0 must have one row per state of every chain")
-    if weights.ndim != 2 or weights.shape[1] != phi0.shape[1]:
-        raise ConfigurationError(
-            f"weights must be (M, K) with K = {phi0.shape[1]} phi0 columns, got {weights.shape}"
-        )
-    if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(phi0))):
-        raise ConfigurationError("weights and phi0 entries must be finite")
     L = len(chains)
     M = weights.shape[0]
     assign = split_heads(M, L)

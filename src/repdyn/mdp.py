@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_count
 
 _STOCHASTIC_TOL = 1e-12
 
@@ -79,10 +79,13 @@ class Policy:
 
     @staticmethod
     def uniform(n_states: int, n_actions: int) -> "Policy":
+        check_count("n_states", n_states)
+        check_count("n_actions", n_actions)
         return Policy(np.full((n_states, n_actions), 1.0 / n_actions))
 
     @staticmethod
     def deterministic(actions, n_actions: int) -> "Policy":
+        check_count("n_actions", n_actions)
         actions = np.asarray(actions)
         if (actions.ndim != 1 or np.any(actions != np.round(actions))
                 or np.any((actions < 0) | (actions >= n_actions))):
@@ -145,6 +148,7 @@ def build_chain_mdp(n: int, slip: float, left_reward: float, right_reward: float
     the agent in place. Taking left in state 0 pays ``left_reward``, right in
     state n-1 pays ``right_reward``; every other expected reward is zero.
     """
+    check_count("n", n)
     if n < 2:
         raise ConfigurationError(f"chain needs at least 2 states, got {n}")
     if not 0.0 <= slip <= 1.0:
@@ -256,6 +260,8 @@ def greedy_policy(mdp: Mdp, value: np.ndarray, gamma: float) -> Policy:
     value = np.asarray(value, dtype=float)
     if value.shape != (mdp.n_states,):
         raise ConfigurationError("value vector length must match the MDP")
+    if not (np.all(np.isfinite(value)) and np.isfinite(gamma)):
+        raise ConfigurationError(f"value entries and gamma must be finite, got gamma={gamma}")
     q = mdp.reward + gamma * np.einsum("xay,y->xa", mdp.kernel, value)
     return Policy.deterministic(np.argmax(q, axis=1), mdp.n_actions)
 
@@ -267,8 +273,7 @@ def policy_iteration(mdp: Mdp, gamma: float, max_iters: int, init: Policy) -> Po
     ``converged`` is true iff the greedy step reproduced the current policy
     before ``max_iters`` was exhausted.
     """
-    if max_iters < 1:
-        raise ConfigurationError("max_iters must be at least 1")
+    check_count("max_iters", max_iters)
     policies = [init]
     values = [exact_value(induce(mdp, init, gamma))]
     converged = False

@@ -842,7 +842,7 @@ def test_multi_term_linear_flow_matches_a_taylor_series_of_the_kronecker_generat
 
 @pytest.mark.parametrize("n_chains, weights_shape, phi0_shape, message", [
     (0, (4, 3), (30, 3), "at least one chain"),
-    (2, (4, 2), (30, 3), "weights must be"),
+    (2, (4, 2), (30, 3), "weights are 2-dimensional but phi has 3 columns"),
     (2, (4, 3), (29, 3), "one row per state"),
 ], ids=["no-chains", "weights-columns", "phi0-rows"])
 def test_multi_task_flow_rejects_bad_mode_and_shapes(n_chains, weights_shape, phi0_shape,

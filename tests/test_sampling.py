@@ -69,6 +69,7 @@ def test_block_orthogonal_weights_have_disjoint_support():
 
 NAN = float("nan")
 CHAIN = rd.MarkovChain(np.eye(2), np.zeros(2), 0.9)
+CHAIN_MDP = rd.build_chain_mdp(3, 0.1, 1.0, 2.0)
 
 
 @pytest.mark.parametrize("make", [
@@ -91,12 +92,14 @@ CHAIN = rd.MarkovChain(np.eye(2), np.zeros(2), 0.9)
     lambda: rd.vector_subspace_angle(np.array([NAN, 0.0]), rd.orthonormalize(np.eye(2)[:, :1])),
     lambda: rd.multi_task_flow([CHAIN, CHAIN], np.full((4, 1), NAN), np.ones((2, 1)), [0.0, 1.0]),
     lambda: rd.multi_task_flow([CHAIN, CHAIN], np.ones((4, 1)), np.full((2, 1), NAN), [0.0, 1.0]),
+    lambda: rd.greedy_policy(CHAIN_MDP, np.full(3, NAN), 0.9),
+    lambda: rd.greedy_policy(CHAIN_MDP, np.zeros(3), NAN),
 ], ids=["weights-nan-variance", "weights-inf-variance", "weights-zero-variance",
         "block-negative-variance", "block-nan-variance", "block-zero-blocks",
         "spec-nan-A", "spec-inf-B", "spec-nan-phi0",
         "td-nan-v0", "mc-inf-v0", "ensemble-nan-phi", "ensemble-inf-weights",
         "ensemble-nan-cumulants", "joint-nan-phi0", "joint-inf-w0", "angle-nan-vector",
-        "multi-task-nan-weights", "multi-task-nan-phi0"])
+        "multi-task-nan-weights", "multi-task-nan-phi0", "greedy-nan-value", "greedy-nan-gamma"])
 def test_sampling_and_flow_specs_reject_non_finite_inputs(make):
     with pytest.raises(ConfigurationError, match="finite|divide"):
         make()
@@ -124,7 +127,7 @@ E1 = rd.Subspace(np.eye(3)[:, :1])
     (lambda: rd.ebf(np.diag([0.9, 0.5, 0.1]), 1.5), "K must be an integer of at least 1"),
     (lambda: rd.ebf(np.diag([0.9, 0.5, 0.1]), True), "K must be an integer of at least 1"),
     (lambda: rd.rsbf(np.diag([0.9, 0.5, 0.1]), 0.9, 1.5), "K must be an integer of at least 1"),
-    (lambda: rd.joint_flow(CHAIN, np.ones(2), [1.0], 1.0, 1.0, [0.0, 1.0]), "phi0 must be a 2-d"),
+    (lambda: rd.joint_flow(CHAIN, np.ones(2), [1.0], 1.0, 1.0, [0.0, 1.0]), "phi must be a 2-d"),
     (lambda: rd.EnsembleState(np.ones((2, 1)), np.ones((1, 1, 1))), "weights must be a 2-d"),
     (lambda: rd.LinearFlowSpec(-np.eye(2), np.zeros((2, 1, 1)), np.ones((2, 1, 1))),
      "B and phi0 must be 2-d"),
@@ -137,6 +140,23 @@ E1 = rd.Subspace(np.eye(3)[:, :1])
     (lambda: rd.run_two_state({"gamma": "0.9"}), "gamma must be a real number"),
     (lambda: rd.run_limit_checks({"M_list": 100}), "M_list must be a tuple or list of integers"),
     (lambda: rd.run_multi_task({"mixes": 0.5}), "mixes must be a tuple or list of real numbers"),
+    (lambda: rd.build_chain_mdp(2.5, 0.01, 2.0, 1.0), "n must be an integer of at least 1"),
+    (lambda: rd.policy_iteration(CHAIN_MDP, 0.9, 2.5, rd.Policy.uniform(3, 2)),
+     "max_iters must be an integer of at least 1"),
+    (lambda: rd.sample_block_orthogonal_weights(3, 3, 1.5, 1.0, 0),
+     "n_blocks must be an integer of at least 1"),
+    (lambda: rd.sample_block_orthogonal_weights(4, 2, True, 1.0, 0),
+     "n_blocks must be an integer of at least 1"),
+    (lambda: rd.sample_block_orthogonal_weights(4, 2, "2", 1.0, 0),
+     "n_blocks must be an integer of at least 1"),
+    (lambda: rd.Policy.deterministic(np.array([0, 1]), 2.5),
+     "n_actions must be an integer of at least 1"),
+    (lambda: rd.Policy.uniform(2.5, 2), "n_states must be an integer of at least 1"),
+    (lambda: rd.Policy.uniform(2, 0), "n_actions must be an integer of at least 1"),
+    (lambda: rd.sample_weights(4, 2, 1.0, -1), "seed must be a nonnegative integer"),
+    (lambda: rd.sample_cumulants(4, 2, -1), "seed must be a nonnegative integer"),
+    (lambda: rd.sample_block_orthogonal_weights(4, 2, 2, 1.0, 1.5),
+     "seed must be a nonnegative integer"),
 ], ids=["weights-negative-M", "weights-zero-K", "block-zero-K", "cumulants-negative-M",
         "split-zero-tasks", "nstep-fractional-n", "grassmann-ambient-mismatch",
         "angle-length-mismatch", "ensemble-1d-phi", "orthonormalize-no-columns",
@@ -145,7 +165,11 @@ E1 = rd.Subspace(np.eye(3)[:, :1])
         "subspace-no-columns", "deterministic-action-too-large", "deterministic-action-negative",
         "deterministic-action-fractional",
         "config-float-for-int", "config-fraction-for-int", "config-string-for-float",
-        "config-scalar-for-tuple", "config-scalar-for-task-list"])
+        "config-scalar-for-tuple", "config-scalar-for-task-list", "chain-fractional-n",
+        "policy-iteration-fractional-max-iters", "block-fractional-blocks", "block-bool-blocks",
+        "block-string-blocks", "deterministic-fractional-actions", "uniform-fractional-states",
+        "uniform-zero-actions", "weights-negative-seed", "cumulants-negative-seed",
+        "block-fractional-seed"])
 def test_bad_counts_and_shapes_raise_configuration_errors(make, match):
     with pytest.raises(ConfigurationError, match=match):
         make()
