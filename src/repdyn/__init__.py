@@ -26,8 +26,6 @@ from .mdp import (
     greedy_policy,
     gridworld_from_map,
     induce,
-    mdp_from_json,
-    mdp_to_json,
     policy_iteration,
 )
 from .spectral import (

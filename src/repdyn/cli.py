@@ -13,8 +13,7 @@ import sys
 import numpy as np
 
 from . import experiments, flows, mdp
-from .errors import (ConfigurationError, DivergenceError, DomainError, NumericalError,
-                     RankDeficiencyError)
+from .errors import ERRORS, ConfigurationError
 from .report import write_bundle
 from .svg import emit_svg
 
@@ -187,11 +186,9 @@ def main(argv=None) -> int:
             print(f"{len(failed)} check(s) failed", file=sys.stderr)
             return 2
         return 0
-    except (ConfigurationError, DomainError, RankDeficiencyError) as exc:
-        print(f"repdyn: error: {exc}", file=sys.stderr)
-        return 1
-    except (NumericalError, DivergenceError) as exc:
-        print(f"repdyn: numerical failure: {exc}", file=sys.stderr)
+    except ERRORS as exc:
+        kind = "numerical failure" if isinstance(exc, RuntimeError) else "error"
+        print(f"repdyn: {kind}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 
 import numpy as np
 
 from . import flows, mdp, spectral
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, check_instance, check_real
 from .report import ReportBundle
 from .svg import emit_svg
 
@@ -33,7 +34,7 @@ _ENTRY_KINDS = {  # type of a default (or of its elements) -> accepted type, in 
 
 
 def _finalize_config(defaults: dict, config: dict | None) -> dict:
-    """``defaults`` overridden by ``config``, checked entry by entry.
+    """``defaults`` overridden by ``config`` (None or a mapping), checked entry by entry.
 
     Each entry takes its default's type: an int entry an integral value, a
     float entry any real, a string entry a string, and a tuple entry a tuple
@@ -43,7 +44,8 @@ def _finalize_config(defaults: dict, config: dict | None) -> dict:
     at least 1; ``seed`` must be nonnegative; every float must be finite.
     """
     merged = dict(defaults)
-    for key, value in (config or {}).items():
+    config = {} if config is None else check_instance("config", config, Mapping)
+    for key, value in config.items():
         if key not in defaults:
             raise ConfigurationError(
                 f"unknown config key {key!r}; known keys: {sorted(defaults)}"
@@ -89,6 +91,7 @@ def chain_uniform(gamma: float = 0.9) -> mdp.MarkovChain:
 
 def chain_drift(gamma: float = 0.9, left_prob: float = 1.0) -> mdp.MarkovChain:
     """Drifting-policy chain: large top spectral gap (1 - lambda_2 ~ 0.86 at left_prob=1)."""
+    left_prob = check_real("left_prob", left_prob, 0.0, 1.0)
     return mdp.induce(_chain_mdp(), _mix_policy(CHAIN_N, left_prob), gamma)
 
 
@@ -177,7 +180,8 @@ def run_two_state(config: dict | None = None) -> ReportBundle:
     v_star = mdp.exact_value(chain)
     v0 = np.asarray(cfg["v0"], dtype=float)
 
-    times = np.concatenate([np.linspace(0.0, 8.0, 81), np.linspace(9.0, cfg["t_max"], 172)])
+    t_max = check_real("t_max", cfg["t_max"], 9.0, low_open=True)  # the late grid starts at 9
+    times = np.concatenate([np.linspace(0.0, 8.0, 81), np.linspace(9.0, t_max, 172)])
     td = flows.td_value_flow(chain, v0, times)
     mc = flows.mc_value_flow(chain, v0, times)
 
@@ -244,6 +248,8 @@ def run_four_rooms_features(config: dict | None = None) -> ReportBundle:
     cfg = _finalize_config(FOUR_ROOMS_DEFAULTS, config)
     if not 1 <= cfg["K"] <= 105:
         raise ConfigurationError("K must lie between 1 and the 105 four-rooms states")
+    t_max = check_real("t_max", cfg["t_max"], 0.0, low_open=True)
+    check_t = check_real("check_t", cfg["check_t"], 0.0)
     bundle = ReportBundle("four-rooms", dict(cfg))
     rooms, policy = mdp.build_four_rooms()
     coords = mdp.four_rooms_coords()
@@ -261,9 +267,9 @@ def run_four_rooms_features(config: dict | None = None) -> ReportBundle:
     if cfg["beta_mode"] not in ("trained", "fixed"):
         raise ConfigurationError("beta_mode must be 'trained' or 'fixed'")
 
+    snapshots = [check_real("snapshot_times", t, 0.0) for t in cfg["snapshot_times"]]
     sample_times = np.unique(np.concatenate(
-        [np.asarray(cfg["snapshot_times"], dtype=float), np.arange(0.0, cfg["t_max"] + 1e-9, 1.0)]
-    ))
+        [snapshots, np.arange(0.0, t_max + 1e-9, 1.0)]))
     traj = flows.ensemble_flow(
         chain, flows.EnsembleState(phi0, weights), cfg["alpha"], beta, sample_times, cfg["step"]
     )
@@ -296,7 +302,7 @@ def run_four_rooms_features(config: dict | None = None) -> ReportBundle:
     # frozen-head variant, M >> K: feature span vs leading eigenfunction span
     w_check = flows.sample_weights(
         cfg["check_M"], K, 1.0 / cfg["check_M"], _stream(cfg["seed"], "check heads"))
-    span = frozen_ensemble_span(chain.transition, cfg["gamma"], w_check, phi0, cfg["check_t"])
+    span = frozen_ensemble_span(chain.transition, cfg["gamma"], w_check, phi0, check_t)
     d_span = spectral.grassmann_distance(span, spectral.ebf(chain.transition, K)).distance
     bundle.add_table("frozen_head_span", ["M", "t", "distance"],
                      np.array([[cfg["check_M"], cfg["check_t"], d_span]]))
@@ -307,7 +313,7 @@ def run_four_rooms_features(config: dict | None = None) -> ReportBundle:
     w1 = flows.sample_weights(1, K, 1.0, _stream(cfg["seed"], "single head"))
     traj1 = flows.ensemble_flow(
         chain, flows.EnsembleState(phi0, w1), cfg["alpha"], 1.0,
-        np.array([0.0, cfg["t_max"]]), cfg["step"],
+        np.array([0.0, t_max]), cfg["step"],
     )
     drift = np.linalg.norm(traj1.final() - phi0) / np.linalg.norm(phi0)
     bundle.add_table("single_head_drift", ["relative_change"], np.array([[drift]]))
@@ -455,7 +461,8 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
     bundle = ReportBundle("limit-checks", dict(cfg))
     K = cfg["K"]
     chain = chain_uniform(cfg["gamma"]).with_reward(np.zeros(CHAIN_N))
-    times = np.linspace(0.0, cfg["t_max"], cfg["n_gap_samples"])
+    times = np.linspace(0.0, check_real("t_max", cfg["t_max"], 0.0, low_open=True),
+                        cfg["n_gap_samples"])
     op = cfg["gamma"] * chain.transition - np.eye(CHAIN_N)
 
     m_list = [int(m) for m in cfg["M_list"]]
@@ -659,7 +666,8 @@ def run_multi_task(config: dict | None = None) -> ReportBundle:
     M, K = cfg["M"], cfg["K"]
     if K > CHAIN_N:
         raise ConfigurationError(f"K must lie in 1..{CHAIN_N}, got {K}")
-    chains = [chain_drift(g, p).with_reward(np.zeros(CHAIN_N))
+    chains = [chain_drift(check_real("discounts", g, 0.0, 1.0, high_open=True),
+                          check_real("mixes", p, 0.0, 1.0)).with_reward(np.zeros(CHAIN_N))
               for g, p in zip(cfg["discounts"], cfg["mixes"])]
     L = len(chains)
     policies_differ = len(set(cfg["mixes"])) > 1
@@ -672,10 +680,11 @@ def run_multi_task(config: dict | None = None) -> ReportBundle:
     # dynamic range, so span extraction keeps its numerical rank
     rates = np.sort(-np.linalg.eigvals(op_bar).real)
     t_rank = 8.0 * np.log(10.0) / max(rates[K - 1] - rates[0], 1e-12)
-    t_span = min(cfg["t_subspace"], t_rank)
-    t_fin = min(cfg["t_finite_span"], t_rank)
+    t_span = min(check_real("t_subspace", cfg["t_subspace"], 0.0), t_rank)
+    t_fin = min(check_real("t_finite_span", cfg["t_finite_span"], 0.0), t_rank)
 
-    times = np.linspace(0.0, cfg["t_max"], cfg["n_gap_samples"])
+    times = np.linspace(0.0, check_real("t_max", cfg["t_max"], 0.0, low_open=True),
+                        cfg["n_gap_samples"])
     sample_times = np.unique(np.concatenate([times, [t_fin]]))
     finite = flows.multi_task_flow(chains, weights, phi0, sample_times)
     limit = flows.linear_limit_flow(flows.LinearFlowSpec(op_bar, np.zeros_like(phi0), phi0),

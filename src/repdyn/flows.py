@@ -45,7 +45,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, NumericalError, check_count
+from .errors import (ConfigurationError, DivergenceError, NumericalError, check_array,
+                     check_count, check_instance, check_real)
 from .mdp import MarkovChain, exact_value
 
 DEFAULT_STEP = 1e-3
@@ -61,15 +62,9 @@ class Trajectory:
     meta: dict
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        try:
-            states = np.asarray(self.states, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigurationError("states must form one (T, n, K) array") from None
-        if states.ndim != 3 or times.ndim != 1 or len(times) != len(states):
-            raise ConfigurationError(
-                f"states must be (T, n, K) with one state per time; got {states.shape} "
-                f"for times of shape {times.shape}")
+        times = check_array("times", self.times, ("T",))
+        states = check_array("states", self.states, (len(times), "n", "K"), finite=False)
+        check_instance("meta", self.meta, dict)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
@@ -90,28 +85,13 @@ class EnsembleState:
     cumulants: np.ndarray | None = None  # (n, M), one reward vector per column
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        weights = np.atleast_2d(np.asarray(self.weights, dtype=float))
-        cumulants = None if self.cumulants is None else np.asarray(self.cumulants, dtype=float)
-        if phi.ndim != 2:
-            raise ConfigurationError(f"phi must be a 2-d (n, K) array, got shape {phi.shape}")
-        if weights.ndim != 2:
-            raise ConfigurationError(
-                f"weights must be a 2-d (M, K) array, got shape {weights.shape}")
-        if weights.shape[1] != phi.shape[1]:
-            raise ConfigurationError(
-                f"weights are {weights.shape[1]}-dimensional but phi has {phi.shape[1]} columns"
-            )
-        if cumulants is not None and cumulants.shape != (phi.shape[0], weights.shape[0]):
-            raise ConfigurationError(
-                f"cumulants must be (n, M) = ({phi.shape[0]}, {weights.shape[0]}), "
-                f"got {cumulants.shape}"
-            )
-        if not all(np.all(np.isfinite(x)) for x in (phi, weights, cumulants) if x is not None):
-            raise ConfigurationError("phi, weights and cumulants entries must be finite")
+        phi = check_array("phi", self.phi, ("n", "K"))
+        weights = check_array("weights", self.weights, ("M", phi.shape[1]))
+        if self.cumulants is not None:
+            object.__setattr__(self, "cumulants", check_array(
+                "cumulants", self.cumulants, (phi.shape[0], weights.shape[0])))
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "cumulants", cumulants)
 
     @property
     def n_heads(self) -> int:
@@ -127,28 +107,19 @@ class LinearFlowSpec:
     phi0: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        phi0 = np.atleast_2d(np.asarray(self.phi0, dtype=float))
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ConfigurationError("A must be square")
-        if B.ndim != 2 or phi0.ndim != 2:
-            raise ConfigurationError(
-                f"B and phi0 must be 2-d (n, K) arrays, got shapes {B.shape} and {phi0.shape}")
-        if B.shape != phi0.shape or B.shape[0] != A.shape[0]:
-            raise ConfigurationError("A, B and phi0 shapes are incompatible")
-        if not all(np.all(np.isfinite(x)) for x in (A, B, phi0)):
-            raise ConfigurationError("A, B and phi0 entries must be finite")
+        A = check_array("A", self.A, ("n", "n"))
+        B = check_array("B", self.B, (A.shape[0], "K"))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "phi0", phi0)
+        object.__setattr__(self, "phi0", check_array("phi0", self.phi0, B.shape))
 
 
 def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(t A) by scaling-and-squaring; raises on non-finite input or overflow."""
     import scipy.linalg
 
-    A = np.asarray(A, dtype=float)
+    A = check_array("A", A, ("n", "n"), finite=False)
+    t = check_real("t", t)
     if not np.all(np.isfinite(A)):
         raise NumericalError("matrix exponential of non-finite input")
     with np.errstate(over="ignore"):  # an overflow is reported below, as an error
@@ -160,26 +131,6 @@ def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     return out
 
 
-def _check_times(times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise ConfigurationError("times must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(times)):
-        raise ConfigurationError("times must be finite")
-    if times[0] < 0 or (len(times) > 1 and np.any(np.diff(times) <= 0)):
-        raise ConfigurationError("times must be nonnegative and strictly increasing")
-    return times
-
-
-def _check_v0(chain: MarkovChain, v0) -> np.ndarray:
-    v0 = np.asarray(v0, dtype=float).reshape(-1)
-    if v0.shape[0] != chain.n_states:
-        raise ConfigurationError("v0 length must match the chain")
-    if not np.all(np.isfinite(v0)):
-        raise ConfigurationError("v0 entries must be finite")
-    return v0
-
-
 def _value_flow(chain: MarkovChain, v0, times, decay: Callable, meta: dict) -> Trajectory:
     """Per-sample closed form V_t = V^pi + decay(t) (V_0 - V^pi); V_0 itself at t = 0.
 
@@ -189,8 +140,8 @@ def _value_flow(chain: MarkovChain, v0, times, decay: Callable, meta: dict) -> T
     lambda-return flows step shared propagators instead
     (``_stepped_value_flow``).
     """
-    times = _check_times(times)
-    v0 = _check_v0(chain, v0)
+    times = check_array("times", times, ("T",), increasing=True)
+    v0 = check_array("v0", v0, (chain.n_states,))
     v_star = exact_value(chain)
     delta0 = v0 - v_star
     states = np.empty((len(times), len(v0), 1))
@@ -205,8 +156,8 @@ def _stepped_value_flow(chain: MarkovChain, v0, times, op: np.ndarray, meta: dic
     One (n, 1) column block for ``_affine_path``: one matrix exponential per
     distinct sample interval, and V_0 itself at t = 0.
     """
-    times = _check_times(times)
-    v0 = _check_v0(chain, v0)
+    times = check_array("times", times, ("T",), increasing=True)
+    v0 = check_array("v0", v0, (chain.n_states,))
     forcing = -(op @ exact_value(chain))
     states = _affine_path(op, forcing[:, None], v0[:, None], times)
     return Trajectory(times=times, states=states, meta=meta)
@@ -214,7 +165,7 @@ def _stepped_value_flow(chain: MarkovChain, v0, times, op: np.ndarray, meta: dic
 
 def td_value_flow(chain: MarkovChain, v0, times) -> Trajectory:
     """One-step bootstrapped value flow: V_t = exp(-t(I - gamma P))(V_0 - V^pi) + V^pi."""
-    n = chain.n_states
+    n = check_instance("chain", chain, MarkovChain).n_states
     op = -(np.eye(n) - chain.gamma * chain.transition)
     return _value_flow(chain, v0, times, lambda t: matrix_exponential(op, t),
                        {"flow": "td", "gamma": chain.gamma})
@@ -226,13 +177,14 @@ def mc_value_flow(chain: MarkovChain, v0, times) -> Trajectory:
     The displacement V_t - V^pi stays parallel to V_0 - V^pi for all t; no
     transition structure enters the trajectory.
     """
+    chain = check_instance("chain", chain, MarkovChain)
     return _value_flow(chain, v0, times, lambda t: np.exp(-t), {"flow": "mc", "gamma": chain.gamma})
 
 
 def nstep_value_flow(chain: MarkovChain, n: int, v0, times) -> Trajectory:
     """n-step bootstrapped flow: V_t = exp(-t(I - (gamma P)^n))(V_0 - V^pi) + V^pi."""
     check_count("n", n)
-    dim = chain.n_states
+    dim = check_instance("chain", chain, MarkovChain).n_states
     op = -(np.eye(dim) - np.linalg.matrix_power(chain.gamma * chain.transition, n))
     return _stepped_value_flow(chain, v0, times, op,
                                {"flow": "nstep", "n": n, "gamma": chain.gamma})
@@ -240,9 +192,8 @@ def nstep_value_flow(chain: MarkovChain, n: int, v0, times) -> Trajectory:
 
 def td_lambda_series_operator(chain: MarkovChain, lam: float) -> np.ndarray:
     """(1-lambda) sum_{k>=1} lambda^{k-1} gamma^k P^k, summed exactly via a resolvent."""
-    if not 0.0 <= lam < 1.0:
-        raise ConfigurationError(f"lambda must lie in [0, 1), got {lam}")
-    n = chain.n_states
+    lam = check_real("lambda", lam, 0.0, 1.0, high_open=True)
+    n = check_instance("chain", chain, MarkovChain).n_states
     gp = chain.gamma * chain.transition
     return (1.0 - lam) * gp @ np.linalg.solve(np.eye(n) - lam * gp, np.eye(n))
 
@@ -322,8 +273,7 @@ def _rk4_integrate(rhs: Callable, y0, times: np.ndarray, step: float) -> tuple:
     y; the time still advances step by step, so the sample grid and every
     sampled state are exactly those of computing each step.
     """
-    if not (step > 0 and np.isfinite(step)):
-        raise ConfigurationError(f"step must be finite and positive, got {step}")
+    step = check_real("step", step, 0.0, low_open=True)
     if isinstance(y0, np.ndarray):
         (path,), steps = _rk4_integrate(lambda y: (rhs(y[0]),), (y0,), times, step)
         return path, steps
@@ -390,8 +340,7 @@ def joint_flow(
     recording the steps it computed (``rk4_steps``) and ``rhs_evals``. States
     stack Phi over w: shape (T, n + 1, K) with the last row of each state w^T.
     """
-    w0 = np.asarray(w0, dtype=float).reshape(-1)
-    state0 = EnsembleState(phi0, w0[None, :])
+    state0 = EnsembleState(phi0, check_array("w0", w0, ("K",))[None, :])
     traj, heads = _multi_head_flow(chain, state0, alpha, beta, times, step)
     kept = ("alpha", "beta", "gamma", "step", "rk4_steps", "rhs_evals")
     meta = {"flow": "joint", **{key: traj.meta[key] for key in kept if key in traj.meta}}
@@ -434,13 +383,12 @@ def _multi_head_flow(chain, state0: EnsembleState, alpha, beta, times, step) -> 
 
     B is I_M for frozen heads and the RK4 basis for trained ones.
     """
-    times = _check_times(times)
-    if not (0 <= alpha < np.inf and 0 <= beta < np.inf):
-        raise ConfigurationError(
-            f"alpha and beta must be finite and nonnegative, got alpha={alpha}, beta={beta}")
+    times = check_array("times", times, ("T",), increasing=True)
+    alpha, beta = check_real("alpha", alpha, 0.0), check_real("beta", beta, 0.0)
+    state0 = check_instance("state0", state0, EnsembleState)
     phi0, weights, rewards = state0.phi, state0.weights, state0.cumulants
     shared = rewards is None  # R = r 1_M^T
-    if phi0.shape[0] != chain.n_states:
+    if phi0.shape[0] != check_instance("chain", chain, MarkovChain).n_states:
         raise ConfigurationError("phi0 does not match the chain")
     meta = {"flow": "ensemble", "alpha": alpha, "beta": beta, "gamma": chain.gamma,
             "M": state0.n_heads, "step": step if beta > 0 else None, "cumulants": not shared}
@@ -460,11 +408,6 @@ def _multi_head_flow(chain, state0: EnsembleState, alpha, beta, times, step) -> 
     return Trajectory(times=times, states=states, meta=meta), heads
 
 
-def _check_variance(variance: float) -> None:
-    if not 0.0 < variance < np.inf:  # NaN fails too
-        raise ConfigurationError(f"variance must be positive and finite, got {variance}")
-
-
 def _rng(seed) -> np.random.Generator:
     """``np.random.default_rng(seed)``; a seed it rejects is a ConfigurationError."""
     try:
@@ -478,9 +421,8 @@ def sample_weights(M: int, K: int, variance: float, seed) -> np.ndarray:
     """M independent N(0, variance I_K) head weights, deterministic per seed; rows are heads."""
     check_count("M", M)
     check_count("K", K)
-    _check_variance(variance)
-    rng = _rng(seed)
-    return rng.normal(0.0, np.sqrt(variance), size=(M, K))
+    scale = np.sqrt(check_real("variance", variance, 0.0, low_open=True))
+    return _rng(seed).normal(0.0, scale, size=(M, K))
 
 
 def sample_block_orthogonal_weights(M: int, K: int, n_blocks: int, variance: float, seed) -> np.ndarray:
@@ -494,7 +436,7 @@ def sample_block_orthogonal_weights(M: int, K: int, n_blocks: int, variance: flo
     if isinstance(n_blocks, numbers.Real) and (n_blocks < 1 or K % n_blocks or M % n_blocks):
         raise ConfigurationError("n_blocks must divide both K and M")
     check_count("n_blocks", n_blocks)  # 1.5 divides 3, and True divides every count
-    _check_variance(variance)
+    scale = np.sqrt(check_real("variance", variance, 0.0, low_open=True))
     rng = _rng(seed)
     block = K // n_blocks
     w = np.zeros((M, K))
@@ -502,7 +444,7 @@ def sample_block_orthogonal_weights(M: int, K: int, n_blocks: int, variance: flo
     for i in range(n_blocks):
         rows = slice(i * per, (i + 1) * per)
         cols = slice(i * block, (i + 1) * block)
-        w[rows, cols] = rng.normal(0.0, np.sqrt(variance), size=(per, block))
+        w[rows, cols] = rng.normal(0.0, scale, size=(per, block))
     return w
 
 
@@ -522,7 +464,8 @@ def linear_limit_flow(spec: LinearFlowSpec, times) -> Trajectory:
     A = -(I - gamma P) with B = 0 or a Gaussian forcing matrix, and the
     averaged operator of a multi-task head split (``build_multi_task_operator``).
     """
-    times = _check_times(times)
+    times = check_array("times", times, ("T",), increasing=True)
+    spec = check_instance("spec", spec, LinearFlowSpec)
     states = _affine_path(spec.A, spec.B, spec.phi0, times)
     return Trajectory(times=times, states=states, meta={"flow": "linear_limit"})
 
@@ -533,10 +476,10 @@ def build_multi_task_operator(chains: list) -> np.ndarray:
     Tasks that share a discount give -(I - gamma P_bar), tasks that share a
     policy give -(I - gamma_bar P), and tasks may differ in both.
     """
-    if not chains:
+    if not check_instance("chains", chains, list):
         raise ConfigurationError("need at least one chain")
-    n = chains[0].n_states
-    if any(c.n_states != n for c in chains):
+    n = check_instance("chain", chains[0], MarkovChain).n_states
+    if any(check_instance("chain", c, MarkovChain).n_states != n for c in chains):
         raise ConfigurationError("all chains must share the state space")
     return np.mean([c.gamma * c.transition for c in chains], axis=0) - np.eye(n)
 
@@ -568,12 +511,12 @@ def multi_task_flow(
     ``build_multi_task_operator(chains)``. ``step`` is unused; it stays in
     the signature for callers that pass it by name.
     """
-    times = _check_times(times)
-    if not chains:
+    times = check_array("times", times, ("T",), increasing=True)
+    if not check_instance("chains", chains, list):
         raise ConfigurationError("need at least one chain")
     state0 = EnsembleState(phi0, weights)
     phi0, weights = state0.phi, state0.weights
-    if any(c.n_states != phi0.shape[0] for c in chains):
+    if any(check_instance("chain", c, MarkovChain).n_states != phi0.shape[0] for c in chains):
         raise ConfigurationError("phi0 must have one row per state of every chain")
     L = len(chains)
     M = weights.shape[0]
@@ -591,6 +534,7 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     Value flows (K = 1) take the wide format (t, v_0, ..., v_{n-1}); matrix
     flows take the long format (t, entry_row, entry_col, value).
     """
+    traj = check_instance("traj", traj, Trajectory)
     buf = io.StringIO()
     for key in sorted(traj.meta):
         buf.write(f"# {key}={traj.meta[key]}\n")

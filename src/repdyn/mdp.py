@@ -7,13 +7,12 @@ mutated afterwards, so values are safe to share across threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigurationError, check_count
+from .errors import ConfigurationError, check_array, check_count, check_instance, check_real
 
 _STOCHASTIC_TOL = 1e-12
 
@@ -22,10 +21,6 @@ _GRID_MOVES = ((-1, 0), (0, 1), (1, 0), (0, -1))
 
 
 def _check_rows_stochastic(mat: np.ndarray, what: str) -> None:
-    if mat.size == 0:
-        raise ConfigurationError(f"{what} is empty")
-    if not np.all(np.isfinite(mat)):
-        raise ConfigurationError(f"{what} entries must be finite")
     if np.any(mat < -_STOCHASTIC_TOL):
         raise ConfigurationError(f"{what} has negative entries")
     err = np.abs(mat.sum(axis=-1) - 1.0).max()
@@ -41,19 +36,10 @@ class Mdp:
     reward: np.ndarray
 
     def __post_init__(self):
-        kernel = np.asarray(self.kernel, dtype=float)
-        reward = np.asarray(self.reward, dtype=float)
-        if kernel.ndim != 3 or kernel.shape[0] != kernel.shape[2]:
-            raise ConfigurationError(f"kernel must be (n, a, n), got {kernel.shape}")
-        if reward.shape != kernel.shape[:2]:
-            raise ConfigurationError(
-                f"reward shape {reward.shape} does not match kernel {kernel.shape[:2]}"
-            )
-        if not np.all(np.isfinite(reward)):
-            raise ConfigurationError("reward entries must be finite")
+        kernel = check_array("kernel", self.kernel, ("n", "a", "n"))
         _check_rows_stochastic(kernel, "kernel")
         object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "reward", reward)
+        object.__setattr__(self, "reward", check_array("reward", self.reward, kernel.shape[:2]))
 
     @property
     def n_states(self) -> int:
@@ -71,9 +57,7 @@ class Policy:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 2:
-            raise ConfigurationError("policy must be a 2-d array")
+        probs = check_array("probs", self.probs, ("n", "a"))
         _check_rows_stochastic(probs, "policy")
         object.__setattr__(self, "probs", probs)
 
@@ -86,9 +70,8 @@ class Policy:
     @staticmethod
     def deterministic(actions, n_actions: int) -> "Policy":
         check_count("n_actions", n_actions)
-        actions = np.asarray(actions)
-        if (actions.ndim != 1 or np.any(actions != np.round(actions))
-                or np.any((actions < 0) | (actions >= n_actions))):
+        actions = check_array("actions", actions, ("n",))
+        if np.any(actions != np.round(actions)) or np.any((actions < 0) | (actions >= n_actions)):
             raise ConfigurationError(
                 f"actions must be a 1-d array of integer indices in 0..{n_actions - 1}, "
                 f"got {actions}")
@@ -107,19 +90,11 @@ class MarkovChain:
     gamma: float
 
     def __post_init__(self):
-        transition = np.asarray(self.transition, dtype=float)
-        reward = np.asarray(self.reward, dtype=float)
-        if transition.ndim != 2 or transition.shape[0] != transition.shape[1]:
-            raise ConfigurationError("transition must be square")
-        if reward.shape != (transition.shape[0],):
-            raise ConfigurationError("reward vector length must match transition size")
-        if not np.all(np.isfinite(reward)):
-            raise ConfigurationError("reward entries must be finite")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ConfigurationError(f"gamma must lie in [0, 1), got {self.gamma}")
+        transition = check_array("transition", self.transition, ("n", "n"))
         _check_rows_stochastic(transition, "transition")
         object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "reward", reward)
+        object.__setattr__(self, "reward", check_array("reward", self.reward, transition.shape[:1]))
+        object.__setattr__(self, "gamma", check_real("gamma", self.gamma, 0.0, 1.0, high_open=True))
 
     @property
     def n_states(self) -> int:
@@ -127,7 +102,7 @@ class MarkovChain:
 
     def with_reward(self, reward) -> "MarkovChain":
         """Same chain with the reward vector replaced (e.g. zeroed for reward-free runs)."""
-        return MarkovChain(self.transition, np.asarray(reward, dtype=float), self.gamma)
+        return MarkovChain(self.transition, reward, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -151,8 +126,7 @@ def build_chain_mdp(n: int, slip: float, left_reward: float, right_reward: float
     check_count("n", n)
     if n < 2:
         raise ConfigurationError(f"chain needs at least 2 states, got {n}")
-    if not 0.0 <= slip <= 1.0:
-        raise ConfigurationError(f"slip must lie in [0, 1], got {slip}")
+    slip = check_real("slip", slip, 0.0, 1.0)
     kernel = np.zeros((n, 2, n))
     reward = np.zeros((n, 2))
     for x in range(n):
@@ -161,8 +135,8 @@ def build_chain_mdp(n: int, slip: float, left_reward: float, right_reward: float
             for b in range(2):
                 p = (1.0 - slip) * (a == b) + slip * 0.5
                 kernel[x, a, targets[b]] += p
-    reward[0, 0] = left_reward
-    reward[n - 1, 1] = right_reward
+    reward[0, 0] = check_real("left_reward", left_reward)
+    reward[n - 1, 1] = check_real("right_reward", right_reward)
     return Mdp(kernel, reward)
 
 
@@ -173,7 +147,7 @@ def gridworld_from_map(text: str) -> tuple[Mdp, Policy, list]:
     all rewards are zero. Returns the MDP, the uniform-random policy, and the
     list of (row, col) coordinates of the open cells in state-index order.
     """
-    rows = [line for line in text.splitlines() if line.strip()]
+    rows = [line for line in check_instance("text", text, str).splitlines() if line.strip()]
     if not rows:
         raise ConfigurationError("empty map")
     width = len(rows[0])
@@ -221,16 +195,15 @@ def four_rooms_coords() -> list:
 
 def build_two_state_mdp(stay_prob_a: float, stay_prob_b: float, rewards) -> tuple[Mdp, Policy]:
     """Single-action two-state MDP with given self-transition probabilities."""
-    for p in (stay_prob_a, stay_prob_b):
-        if not 0.0 <= p <= 1.0:
-            raise ConfigurationError(f"stay probability must lie in [0, 1], got {p}")
+    stay_prob_a = check_real("stay_prob_a", stay_prob_a, 0.0, 1.0)
+    stay_prob_b = check_real("stay_prob_b", stay_prob_b, 0.0, 1.0)
     kernel = np.array(
         [
             [[stay_prob_a, 1.0 - stay_prob_a]],
             [[1.0 - stay_prob_b, stay_prob_b]],
         ]
     )
-    reward = np.asarray(rewards, dtype=float)
+    reward = check_array("rewards", rewards, ("n",))
     if reward.size != 2:
         raise ConfigurationError(f"rewards must hold one entry per state (2), got {reward.size}")
     return Mdp(kernel, reward.reshape(2, 1)), Policy(np.ones((2, 1)))
@@ -238,6 +211,7 @@ def build_two_state_mdp(stay_prob_a: float, stay_prob_b: float, rewards) -> tupl
 
 def induce(mdp: Mdp, policy: Policy, gamma: float) -> MarkovChain:
     """Mix the kernel and reward table through a policy: P[x, x'] = sum_a pi[x, a] K[x, a, x']."""
+    mdp, policy = check_instance("mdp", mdp, Mdp), check_instance("policy", policy, Policy)
     if policy.probs.shape != (mdp.n_states, mdp.n_actions):
         raise ConfigurationError(
             f"policy shape {policy.probs.shape} does not match MDP "
@@ -250,19 +224,15 @@ def induce(mdp: Mdp, policy: Policy, gamma: float) -> MarkovChain:
 
 def exact_value(chain: MarkovChain) -> np.ndarray:
     """Solve (I - gamma P) V = R directly."""
-    n = chain.n_states
+    n = check_instance("chain", chain, MarkovChain).n_states
     value = np.linalg.solve(np.eye(n) - chain.gamma * chain.transition, chain.reward)
     return value
 
 
 def greedy_policy(mdp: Mdp, value: np.ndarray, gamma: float) -> Policy:
     """Deterministic argmax_a [R(x,a) + gamma sum_x' K(x,a,x') V(x')], ties to the lowest index."""
-    value = np.asarray(value, dtype=float)
-    if value.shape != (mdp.n_states,):
-        raise ConfigurationError("value vector length must match the MDP")
-    if not (np.all(np.isfinite(value)) and np.isfinite(gamma)):
-        raise ConfigurationError(f"value entries and gamma must be finite, got gamma={gamma}")
-    q = mdp.reward + gamma * np.einsum("xay,y->xa", mdp.kernel, value)
+    value = check_array("value", value, (check_instance("mdp", mdp, Mdp).n_states,))
+    q = mdp.reward + check_real("gamma", gamma) * np.einsum("xay,y->xa", mdp.kernel, value)
     return Policy.deterministic(np.argmax(q, axis=1), mdp.n_actions)
 
 
@@ -286,27 +256,3 @@ def policy_iteration(mdp: Mdp, gamma: float, max_iters: int, init: Policy) -> Po
         values.append(exact_value(induce(mdp, improved, gamma)))
     return PolicyIterationTrace(policies=policies, values=values, converged=converged)
 
-
-def mdp_to_json(mdp: Mdp) -> str:
-    """Serialize to the {n_states, n_actions, kernel, reward} document (row-major arrays)."""
-    doc = {
-        "n_states": mdp.n_states,
-        "n_actions": mdp.n_actions,
-        "kernel": mdp.kernel.tolist(),
-        "reward": mdp.reward.tolist(),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def mdp_from_json(text: str) -> Mdp:
-    """Inverse of :func:`mdp_to_json`; a malformed document is a ConfigurationError."""
-    try:
-        doc = json.loads(text)
-        kernel = np.asarray(doc["kernel"], dtype=float)
-        reward = np.asarray(doc["reward"], dtype=float)
-        sizes = (doc["n_states"], doc["n_actions"], doc["n_states"])
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
-        raise ConfigurationError(f"not an MDP document: {exc!r}") from None
-    if kernel.shape != sizes:
-        raise ConfigurationError("kernel shape does not match declared sizes")
-    return Mdp(kernel, reward)

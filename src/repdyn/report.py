@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_array, check_instance
 
 # how value relates to threshold when a check passes; NaN fails every comparison
 _COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -40,7 +40,7 @@ class Check:
     table: str = ""  # name of the table the check was computed from
 
     def __post_init__(self):
-        if self.comparison not in _COMPARISONS:
+        if check_instance("comparison", self.comparison, str) not in _COMPARISONS:
             raise ConfigurationError(
                 f"check {self.name!r} has unknown comparison {self.comparison!r}")
 
@@ -67,11 +67,8 @@ class Table:
     rows: np.ndarray
 
     def __post_init__(self):
-        self.rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
-        if self.rows.shape[1] != len(self.columns):
-            raise ConfigurationError(
-                f"{len(self.columns)} column names but rows have {self.rows.shape[1]} entries"
-            )
+        width = len(check_instance("columns", self.columns, list))
+        self.rows = check_array("rows", self.rows, ("T", width), finite=False)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

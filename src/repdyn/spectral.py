@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, DomainError, NumericalError, RankDeficiencyError,
-                     check_count)
+                     check_array, check_count, check_instance, check_real)
 
 _DEFAULT_GAP_TOL = 1e-8
 _IMAG_TOL = 1e-10
@@ -59,10 +59,7 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float)
-        if basis.ndim != 2 or basis.shape[1] == 0:
-            raise ConfigurationError(
-                f"basis must be a 2-d array with at least one column, got shape {basis.shape}")
+        basis = check_array("basis", self.basis, ("n", "K"), finite=False)
         gram_err = np.abs(basis.T @ basis - np.eye(basis.shape[1])).max()
         if not gram_err <= 1e-10:  # NaN entries fail too
             raise ConfigurationError(f"basis is not orthonormal (max deviation {gram_err:.3e})")
@@ -85,15 +82,6 @@ class PrincipalAngles:
     distance: float
 
 
-def _check_square(P) -> np.ndarray:
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ConfigurationError("P must be square")
-    if not np.all(np.isfinite(P)):
-        raise ConfigurationError("P entries must be finite")
-    return P
-
-
 def eigen_decompose(P: np.ndarray, gap_tol: float = _DEFAULT_GAP_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a square matrix, sorted by descending |eigenvalue|.
 
@@ -101,7 +89,7 @@ def eigen_decompose(P: np.ndarray, gap_tol: float = _DEFAULT_GAP_TOL) -> Spectra
     is checked against 1e-8. ``gap_tol`` is unused; it stays in the signature
     for callers that pass it by name.
     """
-    P = _check_square(P)
+    P = check_array("P", P, ("n", "n"))
     try:
         values, vectors = np.linalg.eig(P)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
@@ -127,11 +115,10 @@ def ebf(P: np.ndarray, K: int) -> Subspace:
     eigenvalues tie in real part within 1e-8. The span's error is bounded by
     that gap (Stewart 1973), not by the conditioning of the whole eigenbasis.
     """
-    P = _check_square(P)
     check_count("K", K)
-    if K > P.shape[0]:
-        raise ConfigurationError(f"K must lie in 1..{P.shape[0]}, got {K}")
     decomp = eigen_decompose(P)
+    if K > len(decomp.eigenvalues):
+        raise ConfigurationError(f"K must lie in 1..{len(decomp.eigenvalues)}, got {K}")
     order = np.argsort(-decomp.eigenvalues.real, kind="stable")
     values = decomp.eigenvalues[order]
     vectors = decomp.right_vectors[:, order]
@@ -168,9 +155,8 @@ def ebf(P: np.ndarray, K: int) -> Subspace:
 
 def resolvent(P: np.ndarray, gamma: float) -> np.ndarray:
     """(I - gamma P)^{-1} by direct solve; residual checked against 1e-10."""
-    P = _check_square(P)
-    if not 0.0 <= gamma < 1.0:
-        raise ConfigurationError(f"gamma must lie in [0, 1), got {gamma}")
+    P = check_array("P", P, ("n", "n"))
+    gamma = check_real("gamma", gamma, 0.0, 1.0, high_open=True)
     n = P.shape[0]
     A = np.eye(n) - gamma * P
     try:
@@ -193,12 +179,11 @@ def rsbf(P: np.ndarray, gamma: float, K: int) -> Subspace:
     order (for Psi = I that yields the first K canonical directions) and a
     warning is emitted.
     """
-    P = _check_square(P)
-    n = P.shape[0]
     check_count("K", K)
+    psi = resolvent(P, gamma)
+    n = psi.shape[0]
     if K > n:
         raise ConfigurationError(f"K must lie in 1..{n}, got {K}")
-    psi = resolvent(P, gamma)
     cov = psi @ psi.T
     cov = (cov + cov.T) / 2.0
     w, V = np.linalg.eigh(cov)
@@ -222,6 +207,7 @@ def grassmann_distance(S1: Subspace, S2: Subspace) -> PrincipalAngles:
     large ones from the cosines of Y_1^T Y_2; arccos alone cannot resolve
     angles below sqrt(eps).
     """
+    S1, S2 = check_instance("S1", S1, Subspace), check_instance("S2", S2, Subspace)
     if S1.dim != S2.dim:
         raise ConfigurationError(
             f"subspace dimensions differ ({S1.dim} vs {S2.dim}); "
@@ -248,15 +234,9 @@ def vector_subspace_angle(v: np.ndarray, S: Subspace) -> float:
     Computed as atan2(||v - Pv||, ||Pv||), which stays accurate near both
     endpoints (arccos of the cosine loses half the digits near 0).
     """
-    v = np.asarray(v, dtype=float).reshape(-1)
-    norm = np.linalg.norm(v)
-    if not np.isfinite(norm):
-        raise ConfigurationError("vector entries must be finite")
-    if norm == 0.0:
+    v = check_array("v", v, (check_instance("S", S, Subspace).ambient_dim,))
+    if not v.any():
         raise DomainError("cannot measure the angle of the zero vector")
-    if v.shape[0] != S.ambient_dim:
-        raise ConfigurationError(
-            f"vector has length {v.shape[0]} but the subspace lives in dimension {S.ambient_dim}")
     coeff = S.basis.T @ v
     proj = S.basis @ coeff
     return float(np.arctan2(np.linalg.norm(v - proj), np.linalg.norm(proj)))
@@ -268,16 +248,11 @@ def orthonormalize(M: np.ndarray) -> Subspace:
     Raises :class:`RankDeficiencyError` when the smallest singular value falls
     below 1e-10 of the largest, reporting the numerical rank.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 1:
-        M = M[:, None]
-    if M.ndim != 2 or 0 in M.shape:
-        raise ConfigurationError(f"M must be a non-empty 2-d array, got shape {M.shape}")
+    # no finiteness scan: NaN entries make LAPACK fail, and bayes-opt calls this 1,000 times
+    M = check_array("M", M, ("n", "K"), finite=False)
     try:
         U, svals, _ = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        # NaN entries make LAPACK fail; checking for them only here keeps the
-        # finiteness scan off the common path (bayes-opt calls this 1,000 times)
         if not np.all(np.isfinite(M)):
             raise ConfigurationError("M entries must be finite") from None
         raise NumericalError(f"SVD failed: {exc}") from exc  # pragma: no cover

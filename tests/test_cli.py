@@ -128,17 +128,17 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
     (["four-rooms", "--set", "K=106"], {}, "K must lie between 1"),
     (["flow", "--flow", "td", "--seed", "-1"], {}, "seed must be nonnegative"),
     (["flow", "--flow", "joint", "--beta", "1", "--step", "nan"], {},
-     "step must be finite and positive"),
+     "step must be a finite real number in (0, inf)"),
     (["flow", "--flow", "joint", "--beta", "1", "--step", "inf"], {},
-     "step must be finite and positive"),
+     "step must be a finite real number in (0, inf)"),
     (["flow", "--flow", "mc", "--t-max", "nan"], {}, "--t-max must be finite"),
     (["flow", "--flow", "td", "--t-max", "inf"], {}, "--t-max must be finite"),
     (["flow", "--flow", "td", "--samples", "-1"], {}, "--samples must be at least 1"),
     (["flow", "--flow", "td", "--samples", "0"], {}, "--samples must be at least 1"),
     (["flow", "--flow", "ensemble", "--alpha", "nan"], {},
-     "alpha and beta must be finite and nonnegative"),
+     "alpha must be a finite real number in [0, inf)"),
     (["flow", "--flow", "joint", "--beta", "inf"], {},
-     "alpha and beta must be finite and nonnegative"),
+     "beta must be a finite real number in [0, inf)"),
 ], ids=["override-not-a-number", "env-seed-not-an-integer", "chain-transfer-rank",
         "flow-zero-heads", "flow-zero-features", "four-rooms-zero-features",
         "four-rooms-too-many-features", "flow-negative-seed", "flow-step-nan",
@@ -179,6 +179,16 @@ OUT_OF_RANGE_OVERRIDES = [
     ("multi-task", "mode=discounts", "unknown override key 'mode'"),
     ("multi-task", "L=2", "unknown override key 'L'"),
     ("multi-task", "mixes=0.75,0.25,0.5", "one entry per task, got 2 and 3"),
+    ("two-state", "t_max=5", "t_max must be a finite real number in (9, inf), got 5.0"),
+    ("four-rooms", "snapshot_times=-5", "snapshot_times must be a finite real number in [0, inf)"),
+    ("multi-task", "mixes=2,0.5", "mixes must be a finite real number in [0, 1], got 2.0"),
+    ("four-rooms", "t_max=0", "t_max must be a finite real number in (0, inf), got 0.0"),
+    ("four-rooms", "check_t=-5", "check_t must be a finite real number in [0, inf), got -5.0"),
+    ("limit-checks", "t_max=-1", "t_max must be a finite real number in (0, inf), got -1.0"),
+    ("multi-task", "t_max=-1", "t_max must be a finite real number in (0, inf), got -1.0"),
+    ("multi-task", "discounts=1.5,0.9", "discounts must be a finite real number in [0, 1)"),
+    ("multi-task", "t_subspace=-3", "t_subspace must be a finite real number in [0, inf)"),
+    ("multi-task", "t_finite_span=-3", "t_finite_span must be a finite real number in [0, inf)"),
 ]
 
 

@@ -207,14 +207,6 @@ def test_policy_iteration_trace_is_consistent():
         np.testing.assert_allclose(value, expected, atol=1e-12)
 
 
-def test_mdp_json_round_trip():
-    m = rd.build_chain_mdp(7, 0.03, 2.0, 1.0)
-    text = rd.mdp_to_json(m)
-    back = rd.mdp_from_json(text)
-    np.testing.assert_array_equal(back.kernel, m.kernel)
-    np.testing.assert_array_equal(back.reward, m.reward)
-
-
 def test_four_rooms_map_file_geometry():
     text = rd.four_rooms_map()
     rows = [r for r in text.splitlines() if r.strip()]

@@ -119,19 +119,22 @@ E1 = rd.Subspace(np.eye(3)[:, :1])
      "n must be an integer of at least 1"),
     (lambda: rd.grassmann_distance(E1, rd.Subspace(np.eye(4)[:, :1])),
      "different ambient dimensions"),
-    (lambda: rd.vector_subspace_angle(np.ones(4), E1), "lives in dimension 3"),
-    (lambda: rd.EnsembleState(np.ones(2), np.ones((1, 1))), "phi must be a 2-d"),
-    (lambda: rd.orthonormalize(np.zeros((3, 0))), "non-empty 2-d"),
-    (lambda: rd.mdp_from_json("{}"), "not an MDP document"),
-    (lambda: rd.mdp_from_json("x"), "not an MDP document"),
+    (lambda: rd.vector_subspace_angle(np.ones(4), E1),
+     r"v must be a non-empty array of shape \(3,\), got shape \(4,\)"),
+    (lambda: rd.EnsembleState(np.ones(2), np.ones((1, 1))),
+     r"phi must be a non-empty array of shape \(n, K\)"),
+    (lambda: rd.orthonormalize(np.zeros((3, 0))), r"M must be a non-empty array of shape \(n, K\)"),
     (lambda: rd.ebf(np.diag([0.9, 0.5, 0.1]), 1.5), "K must be an integer of at least 1"),
     (lambda: rd.ebf(np.diag([0.9, 0.5, 0.1]), True), "K must be an integer of at least 1"),
     (lambda: rd.rsbf(np.diag([0.9, 0.5, 0.1]), 0.9, 1.5), "K must be an integer of at least 1"),
-    (lambda: rd.joint_flow(CHAIN, np.ones(2), [1.0], 1.0, 1.0, [0.0, 1.0]), "phi must be a 2-d"),
-    (lambda: rd.EnsembleState(np.ones((2, 1)), np.ones((1, 1, 1))), "weights must be a 2-d"),
+    (lambda: rd.joint_flow(CHAIN, np.ones(2), [1.0], 1.0, 1.0, [0.0, 1.0]),
+     r"phi must be a non-empty array of shape \(n, K\)"),
+    (lambda: rd.EnsembleState(np.ones((2, 1)), np.ones((1, 1, 1))),
+     r"weights must be a non-empty array of shape \(M, 1\)"),
     (lambda: rd.LinearFlowSpec(-np.eye(2), np.zeros((2, 1, 1)), np.ones((2, 1, 1))),
-     "B and phi0 must be 2-d"),
-    (lambda: rd.Subspace(np.zeros((3, 0))), "at least one column"),
+     r"B must be a non-empty array of shape \(2, K\)"),
+    (lambda: rd.Subspace(np.zeros((3, 0))),
+     r"basis must be a non-empty array of shape \(n, K\), got shape \(3, 0\)"),
     (lambda: rd.Policy.deterministic(np.array([5, 0]), 2), r"indices in 0\.\.1"),
     (lambda: rd.Policy.deterministic(np.array([-1, 0]), 2), r"indices in 0\.\.1"),
     (lambda: rd.Policy.deterministic(np.array([1.7, 0.2]), 2), r"integer indices in 0\.\.1"),
@@ -157,10 +160,13 @@ E1 = rd.Subspace(np.eye(3)[:, :1])
     (lambda: rd.sample_cumulants(4, 2, -1), "seed must be a nonnegative integer"),
     (lambda: rd.sample_block_orthogonal_weights(4, 2, 2, 1.0, 1.5),
      "seed must be a nonnegative integer"),
+    (lambda: rd.run_two_state([]), "config must be a Mapping, got list"),
+    (lambda: rd.run_two_state("x"), "config must be a Mapping, got str"),
+    (lambda: rd.run_two_state(np.ones(2)), "config must be a Mapping, got ndarray"),
 ], ids=["weights-negative-M", "weights-zero-K", "block-zero-K", "cumulants-negative-M",
         "split-zero-tasks", "nstep-fractional-n", "grassmann-ambient-mismatch",
         "angle-length-mismatch", "ensemble-1d-phi", "orthonormalize-no-columns",
-        "json-missing-keys", "json-malformed", "ebf-fractional-K", "ebf-bool-K",
+        "ebf-fractional-K", "ebf-bool-K",
         "rsbf-fractional-K", "joint-1d-phi0", "ensemble-3d-weights", "spec-3d-B-phi0",
         "subspace-no-columns", "deterministic-action-too-large", "deterministic-action-negative",
         "deterministic-action-fractional",
@@ -169,7 +175,7 @@ E1 = rd.Subspace(np.eye(3)[:, :1])
         "policy-iteration-fractional-max-iters", "block-fractional-blocks", "block-bool-blocks",
         "block-string-blocks", "deterministic-fractional-actions", "uniform-fractional-states",
         "uniform-zero-actions", "weights-negative-seed", "cumulants-negative-seed",
-        "block-fractional-seed"])
+        "block-fractional-seed", "config-list", "config-string", "config-array"])
 def test_bad_counts_and_shapes_raise_configuration_errors(make, match):
     with pytest.raises(ConfigurationError, match=match):
         make()
