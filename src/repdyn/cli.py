@@ -30,16 +30,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _coerce_like(default, text: str):
-    if isinstance(default, (int, float)):
-        try:
-            return type(default)(text)
-        except ValueError:
-            raise ConfigurationError(
-                f"expected {type(default).__name__}, got {text!r}") from None
-    if isinstance(default, (tuple, list)):
-        element = default[0] if len(default) else 0.0
-        return tuple(_coerce_like(element, part) for part in text.split(","))
-    return text
+    if isinstance(default, tuple):
+        return tuple(_coerce_like(default[0], part) for part in text.split(","))
+    try:
+        return type(default)(text)
+    except ValueError:
+        raise ConfigurationError(f"expected {type(default).__name__}, got {text!r}") from None
 
 
 def _parse_overrides(pairs, defaults: dict) -> dict:
@@ -77,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="evaluate a single flow and dump its trajectory")
     p.add_argument("--flow", required=True, choices=FLOW_CHOICES)
     p.add_argument("--mdp", default="chain", choices=MDP_CHOICES)
-    p.add_argument("--policy", default="uniform", choices=("uniform", "left", "right"))
+    p.add_argument("--left-prob", type=float, default=0.5,
+                   help="left-action probability of the chain's policy")
     p.add_argument("--gamma", type=float, default=0.9)
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--samples", type=int, default=101)
@@ -93,11 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_chain(which: str, policy: str, gamma: float) -> mdp.MarkovChain:
+def _build_chain(which: str, left_prob: float, gamma: float) -> mdp.MarkovChain:
     if which == "chain":
-        if policy == "uniform":
-            return experiments.chain_uniform(gamma)
-        return experiments.chain_drift(gamma, left_prob=1.0 if policy == "left" else 0.0)
+        return experiments.chain_drift(gamma, left_prob)
     if which == "four-rooms":
         rooms, pol = mdp.build_four_rooms()
         return mdp.induce(rooms, pol, gamma)
@@ -118,7 +113,7 @@ def _run_flow_command(args) -> int:
             raise ConfigurationError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     if not np.isfinite(args.t_max):
         raise ConfigurationError(f"--t-max must be finite, got {args.t_max}")
-    chain = _build_chain(args.mdp, args.policy, args.gamma)
+    chain = _build_chain(args.mdp, args.left_prob, args.gamma)
     times = np.linspace(0.0, args.t_max, args.samples)
     n = chain.n_states
     rng = np.random.default_rng(seed)

@@ -93,8 +93,9 @@ def check_array(name: str, value, shape: tuple, finite: bool = True,
     return array
 
 
-def check_instance(name: str, value, cls: type):
-    """``value`` itself, when it is a ``cls``."""
+def check_instance(name: str, value, cls):
+    """``value`` itself, when it is a ``cls`` (a type or a tuple of types)."""
     if not isinstance(value, cls):
-        raise ConfigurationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+        kinds = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise ConfigurationError(f"{name} must be a {kinds}, got {type(value).__name__}")
     return value

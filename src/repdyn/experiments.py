@@ -15,7 +15,8 @@ from collections.abc import Mapping
 import numpy as np
 
 from . import flows, mdp, spectral
-from .errors import ConfigurationError, NumericalError, check_instance, check_real
+from .errors import (ConfigurationError, NumericalError, check_array, check_instance,
+                     check_real)
 from .report import ReportBundle
 from .svg import emit_svg
 
@@ -29,7 +30,6 @@ MC_BLOCK = 8192  # Monte Carlo draws (rows or columns) held at once
 _ENTRY_KINDS = {  # type of a default (or of its elements) -> accepted type, in words
     int: (numbers.Integral, "an integer", "integers"),
     float: (numbers.Real, "a real number", "real numbers"),
-    str: (str, "a string", "strings"),
 }
 
 
@@ -37,11 +37,11 @@ def _finalize_config(defaults: dict, config: dict | None) -> dict:
     """``defaults`` overridden by ``config`` (None or a mapping), checked entry by entry.
 
     Each entry takes its default's type: an int entry an integral value, a
-    float entry any real, a string entry a string, and a tuple entry a tuple
-    or list of its default's element type (a rerun reads tuples back from
-    ``config.json`` as lists); a bool is neither an integer nor a real. Every
-    int entry (also inside a tuple) other than ``seed`` is a count and must be
-    at least 1; ``seed`` must be nonnegative; every float must be finite.
+    float entry any real, and a tuple entry a non-empty tuple or list of its
+    default's element type (a rerun reads tuples back from ``config.json`` as
+    lists); a bool is neither an integer nor a real. Every int entry (also
+    inside a tuple) other than ``seed`` is a count and must be at least 1;
+    ``seed`` must be nonnegative; every float must be finite.
     """
     merged = dict(defaults)
     config = {} if config is None else check_instance("config", config, Mapping)
@@ -60,6 +60,8 @@ def _finalize_config(defaults: dict, config: dict | None) -> dict:
             raise ConfigurationError(
                 f"{key} must be {'a tuple or list of ' + many if sequence else one}, "
                 f"got {value!r}")
+        if not entries:
+            raise ConfigurationError(f"{key} must hold at least one entry, got {value!r}")
         for x in entries:
             if kind is numbers.Integral and key == "seed" and x < 0:
                 raise ConfigurationError(f"seed must be nonnegative, got {value!r}")
@@ -86,7 +88,7 @@ def _mix_policy(n: int, left_prob: float) -> mdp.Policy:
 
 def chain_uniform(gamma: float = 0.9) -> mdp.MarkovChain:
     """Uniform-policy chain: the reflecting random walk with a clean real spectrum."""
-    return mdp.induce(_chain_mdp(), _mix_policy(CHAIN_N, 0.5), gamma)
+    return chain_drift(gamma, 0.5)
 
 
 def chain_drift(gamma: float = 0.9, left_prob: float = 1.0) -> mdp.MarkovChain:
@@ -127,7 +129,11 @@ def frozen_ensemble_span(
     orders of magnitude, so the span is extracted after a span-preserving
     column rescaling, in extended precision.
     """
-    P = np.asarray(P, dtype=float)
+    P = check_array("P", P, ("n", "n"))
+    phi0 = check_array("phi0", phi0, (P.shape[0], "K"))
+    weights = check_array("weights", weights, ("M", phi0.shape[1]))
+    gamma = check_real("gamma", gamma, 0.0, 1.0, high_open=True)
+    t = check_real("t", t, 0.0)
     if np.abs(P - P.T).max() > 1e-12:
         raise ConfigurationError("closed-form span extraction requires symmetric P")
     lam, U = np.linalg.eigh(P)
@@ -222,7 +228,7 @@ FOUR_ROOMS_DEFAULTS = {
     "K": 10,
     "M": 20,
     "t_max": 100.0,
-    "beta_mode": "trained",  # "trained" or "fixed"
+    "beta": 1.0,  # head learning rate; 0 freezes the heads
     "alpha": 1.0,
     "gamma": 0.9,
     "step": 0.01,
@@ -230,8 +236,6 @@ FOUR_ROOMS_DEFAULTS = {
     "snapshot_times": (0.0, 25.0, 50.0, 75.0, 100.0),
     "check_M": 200,
     "check_t": 300.0,
-    "subspace_tol": 0.1,
-    "m1_drift_tol": 0.05,
 }
 
 
@@ -263,16 +267,12 @@ def run_four_rooms_features(config: dict | None = None) -> ReportBundle:
     rng = _stream(cfg["seed"], "phi0")
     phi0 = rng.standard_normal((n, K))
     weights = flows.sample_weights(cfg["M"], K, 1.0 / cfg["M"], _stream(cfg["seed"], "heads"))
-    beta = 1.0 if cfg["beta_mode"] == "trained" else 0.0
-    if cfg["beta_mode"] not in ("trained", "fixed"):
-        raise ConfigurationError("beta_mode must be 'trained' or 'fixed'")
 
     snapshots = [check_real("snapshot_times", t, 0.0) for t in cfg["snapshot_times"]]
     sample_times = np.unique(np.concatenate(
         [snapshots, np.arange(0.0, t_max + 1e-9, 1.0)]))
-    traj = flows.ensemble_flow(
-        chain, flows.EnsembleState(phi0, weights), cfg["alpha"], beta, sample_times, cfg["step"]
-    )
+    traj = flows.ensemble_flow(chain, flows.EnsembleState(phi0, weights), cfg["alpha"],
+                               cfg["beta"], sample_times, cfg["step"])
 
     for t_snap in cfg["snapshot_times"]:
         idx = int(np.argmin(np.abs(sample_times - t_snap)))
@@ -306,8 +306,7 @@ def run_four_rooms_features(config: dict | None = None) -> ReportBundle:
     d_span = spectral.grassmann_distance(span, spectral.ebf(chain.transition, K)).distance
     bundle.add_table("frozen_head_span", ["M", "t", "distance"],
                      np.array([[cfg["check_M"], cfg["check_t"], d_span]]))
-    bundle.add_check("frozen_head_span_near_ebf", d_span, cfg["subspace_tol"],
-                     table="frozen_head_span")
+    bundle.add_check("frozen_head_span_near_ebf", d_span, 0.1, table="frozen_head_span")
 
     # single-head variant: features barely move
     w1 = flows.sample_weights(1, K, 1.0, _stream(cfg["seed"], "single head"))
@@ -317,8 +316,7 @@ def run_four_rooms_features(config: dict | None = None) -> ReportBundle:
     )
     drift = np.linalg.norm(traj1.final() - phi0) / np.linalg.norm(phi0)
     bundle.add_table("single_head_drift", ["relative_change"], np.array([[drift]]))
-    bundle.add_check("single_head_features_stay_fixed", drift, cfg["m1_drift_tol"],
-                     table="single_head_drift")
+    bundle.add_check("single_head_features_stay_fixed", drift, 0.05, table="single_head_drift")
     return bundle
 
 
@@ -331,7 +329,7 @@ CHAIN_TRANSFER_DEFAULTS = {
     "gamma": 0.9,
     "J_max": 25,
     "seed": 0,
-    "init_policy": "right",  # "left", "right" or "uniform"
+    "init_left_prob": 0.0,  # left-action probability of the initial policy
 }
 
 
@@ -348,15 +346,7 @@ def run_chain_transfer(config: dict | None = None) -> ReportBundle:
     bundle = ReportBundle("chain-transfer", dict(cfg))
     chain_mdp = _chain_mdp()
     n, K = CHAIN_N, cfg["K"]
-
-    if cfg["init_policy"] == "uniform":
-        init = mdp.Policy.uniform(n, 2)
-    elif cfg["init_policy"] in ("left", "right"):
-        init = mdp.Policy.deterministic(
-            np.full(n, 0 if cfg["init_policy"] == "left" else 1), 2)
-    else:
-        raise ConfigurationError("init_policy must be 'left', 'right' or 'uniform'")
-
+    init = _mix_policy(n, check_real("init_left_prob", cfg["init_left_prob"], 0.0, 1.0))
     trace = mdp.policy_iteration(chain_mdp, cfg["gamma"], cfg["J_max"], init)
     J = len(trace)
     values = trace.values
@@ -433,7 +423,6 @@ LIMIT_CHECKS_DEFAULTS = {
     "n_gap_samples": 26,
     "gap_tol": 0.02,          # absolute gate at the largest M
     "cov_seeds": 2000,
-    "cov_tol": 0.10,
     "weight_M": 100000,
     "weight_K": 10,
     "weight_seeds": 20,
@@ -548,7 +537,7 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
     cov_err = float(np.linalg.norm(emp - target) / np.linalg.norm(target))
     bundle.add_matrix("limit_covariance_empirical", emp)
     bundle.add_table("limit_covariance_error", ["relative_error"], np.array([[cov_err]]))
-    bundle.add_check("limit_covariance_matches_resolvent_form", cov_err, cfg["cov_tol"],
+    bundle.add_check("limit_covariance_matches_resolvent_form", cov_err, 0.10,
                      table="limit_covariance_error")
     return bundle
 
@@ -638,9 +627,6 @@ MULTI_TASK_DEFAULTS = {
     "n_gap_samples": 26,
     "t_subspace": 200.0,
     "t_finite_span": 120.0,
-    "gap_tol": 0.05,
-    "subspace_tol": 0.05,
-    "distinct_tol": 0.1,
     "seed": 0,
 }
 
@@ -693,8 +679,7 @@ def run_multi_task(config: dict | None = None) -> ReportBundle:
     limit_at = dict(zip(limit.times, limit.states))
     gap = max(float(np.linalg.norm(by_time[t] - limit_at[t])) for t in times)
     bundle.add_table("trajectory_gap", ["gap"], np.array([[gap]]))
-    bundle.add_check("finite_head_flow_matches_averaged_limit", gap, cfg["gap_tol"],
-                     table="trajectory_gap")
+    bundle.add_check("finite_head_flow_matches_averaged_limit", gap, 0.05, table="trajectory_gap")
 
     if L == 1:
         ens = flows.ensemble_flow(chains[0], flows.EnsembleState(phi0, weights), 1.0,
@@ -719,11 +704,11 @@ def run_multi_task(config: dict | None = None) -> ReportBundle:
                          ["limit_to_averaged_ebf", "limit_to_first_task_ebf",
                           "finite_head_to_averaged_ebf", "t_subspace", "t_finite_span"],
                          np.array([[d_bar, d_first, d_finite, t_span, t_fin]]))
-        bundle.add_check("limit_span_is_averaged_operator_ebf", d_bar, cfg["subspace_tol"],
+        bundle.add_check("limit_span_is_averaged_operator_ebf", d_bar, 0.05,
                          table="subspace_distances")
         if policies_differ:
-            bundle.add_check("limit_span_distinct_from_first_task_ebf", d_first,
-                             cfg["distinct_tol"], comparison=">", table="subspace_distances")
+            bundle.add_check("limit_span_distinct_from_first_task_ebf", d_first, 0.1,
+                             comparison=">", table="subspace_distances")
 
     if policies_differ and K % L == 0:
         wb = flows.sample_block_orthogonal_weights(

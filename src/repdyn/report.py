@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import io
 import json
+import numbers
 import operator
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +42,14 @@ class Check:
     table: str = ""  # name of the table the check was computed from
 
     def __post_init__(self):
+        check_instance("name", self.name, str)
+        check_instance("table", self.table, str)
+        for attr in ("value", "threshold"):  # NaN stays: a NaN check fails
+            number = getattr(self, attr)
+            if isinstance(number, bool) or not isinstance(number, numbers.Real):
+                raise ConfigurationError(
+                    f"check {self.name!r} {attr} must be a real number, got {number!r}")
+            object.__setattr__(self, attr, float(number))
         if check_instance("comparison", self.comparison, str) not in _COMPARISONS:
             raise ConfigurationError(
                 f"check {self.name!r} has unknown comparison {self.comparison!r}")
@@ -52,8 +62,8 @@ class Check:
         return {
             "name": self.name,
             "passed": bool(self.passed),
-            "value": float(self.value),
-            "threshold": float(self.threshold),
+            "value": self.value,
+            "threshold": self.threshold,
             "comparison": self.comparison,
             "table": self.table,
         }
@@ -68,6 +78,8 @@ class Table:
 
     def __post_init__(self):
         width = len(check_instance("columns", self.columns, list))
+        for column in self.columns:
+            check_instance("column name", column, str)
         self.rows = check_array("rows", self.rows, ("T", width), finite=False)
 
     def to_csv(self) -> str:
@@ -86,15 +98,26 @@ class ReportBundle:
     figures: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
 
+    def __post_init__(self):
+        check_instance("name", self.name, str)
+        check_instance("config", self.config, Mapping)
+        for table in check_instance("tables", self.tables, dict).values():
+            check_instance("table", table, Table)
+        for figure in check_instance("figures", self.figures, dict).values():
+            check_instance("figure", figure, str)
+        for check in check_instance("checks", self.checks, list):
+            check_instance("check", check, Check)
+
     def add_table(self, name: str, columns, rows) -> None:
-        self.tables[name] = Table(list(columns), rows)
+        self.tables[check_instance("name", name, str)] = Table(columns, rows)
 
     def add_matrix(self, name: str, matrix, prefix: str = "c") -> None:
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+        matrix = check_array("matrix", matrix, ("T", "C"), finite=False)
+        check_instance("prefix", prefix, str)
         self.add_table(name, [f"{prefix}{j}" for j in range(matrix.shape[1])], matrix)
 
     def add_check(self, name, value, threshold, comparison="<", table="") -> None:
-        self.checks.append(Check(name, float(value), float(threshold), comparison, table))
+        self.checks.append(Check(name, value, threshold, comparison, table))
 
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -111,7 +134,7 @@ def write_bundle(out_dir, config: dict, tables: dict, figures: dict, checks: lis
     ``tables`` maps names to CSV text, ``figures`` maps names to SVG text, and
     ``checks`` is the list of check records that ``checks.json`` holds.
     """
-    out_dir = os.fspath(out_dir)
+    out_dir = os.fspath(check_instance("out_dir", out_dir, (str, os.PathLike)))
     os.makedirs(os.path.join(out_dir, "tables"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "figures"), exist_ok=True)
     _atomic_write(os.path.join(out_dir, "config.json"),

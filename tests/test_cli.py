@@ -31,7 +31,7 @@ def test_experiment_command_writes_bundle_and_exits_zero(tmp_path):
 def test_chain_transfer_reports_a_cut_complex_pair_on_stderr(tmp_path):
     # from the all-left policy the improvement path passes a chain whose
     # fourth and fifth eigenvalues are a complex pair, which K = 4 cuts
-    result = run_cli(["chain-transfer", "--set", "init_policy=left", "--out", str(tmp_path)])
+    result = run_cli(["chain-transfer", "--set", "init_left_prob=1", "--out", str(tmp_path)])
     assert result.returncode != 1, result.stderr  # 2 = a check failed, which is no error here
     assert "K cuts through a complex conjugate pair" in result.stderr
 
@@ -139,11 +139,16 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
      "alpha must be a finite real number in [0, inf)"),
     (["flow", "--flow", "joint", "--beta", "inf"], {},
      "beta must be a finite real number in [0, inf)"),
+    (["flow", "--flow", "td", "--left-prob", "2"], {},
+     "left_prob must be a finite real number in [0, 1], got 2.0"),
+    (["flow", "--flow", "td", "--left-prob", "nan"], {},
+     "left_prob must be a finite real number in [0, 1], got nan"),
 ], ids=["override-not-a-number", "env-seed-not-an-integer", "chain-transfer-rank",
         "flow-zero-heads", "flow-zero-features", "four-rooms-zero-features",
         "four-rooms-too-many-features", "flow-negative-seed", "flow-step-nan",
         "flow-step-inf", "flow-t-max-nan", "flow-t-max-inf", "flow-negative-samples",
-        "flow-zero-samples", "flow-alpha-nan", "flow-beta-inf"])
+        "flow-zero-samples", "flow-alpha-nan", "flow-beta-inf", "flow-left-prob-above-one",
+        "flow-left-prob-nan"])
 def test_bad_input_is_one_error_line_and_exit_one(argv, env, message, tmp_path,
                                                    monkeypatch, capsys):
     for key, value in env.items():
@@ -189,6 +194,9 @@ OUT_OF_RANGE_OVERRIDES = [
     ("multi-task", "discounts=1.5,0.9", "discounts must be a finite real number in [0, 1)"),
     ("multi-task", "t_subspace=-3", "t_subspace must be a finite real number in [0, inf)"),
     ("multi-task", "t_finite_span=-3", "t_finite_span must be a finite real number in [0, inf)"),
+    ("chain-transfer", "init_left_prob=1.5",
+     "init_left_prob must be a finite real number in [0, 1], got 1.5"),
+    ("four-rooms", "beta=-1", "beta must be a finite real number in [0, inf), got -1.0"),
 ]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import repdyn as rd
 from repdyn.errors import ConfigurationError
-from repdyn.experiments import EXPERIMENT_DEFAULTS, EXPERIMENTS
+from repdyn.experiments import EXPERIMENT_DEFAULTS, EXPERIMENTS, _mix_policy
 
 # light overrides so the whole module stays fast; the acceptance suite runs
 # the full-size configurations
@@ -43,6 +43,24 @@ def test_experiment_rerun_is_byte_identical(name, tmp_path):
         assert run_a.tables[key].to_csv() == run_b.tables[key].to_csv()
     for key in run_a.figures:
         assert run_a.figures[key] == run_b.figures[key]
+
+
+def test_every_config_entry_is_a_number_or_a_non_empty_tuple_of_numbers():
+    # an entry is the quantity itself (a rate, a probability, a count), never a
+    # name that a branch decodes into one
+    for name, defaults in EXPERIMENT_DEFAULTS.items():
+        for key, value in defaults.items():
+            kinds = {type(x) for x in value} if isinstance(value, tuple) else {type(value)}
+            assert kinds in ({int}, {float}), f"{name} {key}={value!r}"
+
+
+@pytest.mark.parametrize("left_prob, policy", [
+    (1.0, rd.Policy.deterministic(np.zeros(30, dtype=int), 2)),
+    (0.0, rd.Policy.deterministic(np.ones(30, dtype=int), 2)),
+    (0.5, rd.Policy.uniform(30, 2)),
+], ids=["all-left", "all-right", "uniform"])
+def test_left_action_probability_builds_the_policy_bit_for_bit(left_prob, policy):
+    assert _mix_policy(30, left_prob).probs.tobytes() == policy.probs.tobytes()
 
 
 def test_unknown_config_key_rejected():
@@ -98,11 +116,11 @@ def test_four_rooms_emits_grid_figures():
 
 
 def test_four_rooms_fixed_weight_mode():
-    cfg = dict(FAST_CONFIGS["four-rooms"], beta_mode="fixed", t_max=10.0,
+    cfg = dict(FAST_CONFIGS["four-rooms"], beta=0.0, t_max=10.0,
                snapshot_times=(0.0, 10.0))
     bundle = rd.run_four_rooms_features(cfg)
     assert bundle.all_passed()
-    assert bundle.config["beta_mode"] == "fixed"
+    assert bundle.config["beta"] == 0.0
 
 
 def test_limit_checks_single_head_reduction():

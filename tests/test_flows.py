@@ -1005,3 +1005,67 @@ def test_relabelling_states_permutes_every_flow_output(name):
     out = flow(*chains, v0, phi0, forcing, cumulants).states
     moved = flow(*moved_chains, v0[perm], phi0[perm], forcing[perm], cumulants[perm]).states
     assert np.abs(moved - out[:, perm]).max() <= 1e-12 * np.abs(out).max()
+
+
+def _ensemble(chain, phi0, heads, cumulants, alpha, beta, times, step=0.01):
+    return rd.ensemble_flow(chain, rd.EnsembleState(phi0, heads, cumulants), alpha, beta,
+                            times, step).states
+
+
+@pytest.mark.parametrize("cumulants", [False, True], ids=["shared-reward", "cumulants"])
+@pytest.mark.parametrize("beta", [0.0, 1.0], ids=["frozen", "trained"])
+def test_relabelling_heads_leaves_the_features_unchanged(beta, cumulants):
+    # heads enter the flow only through sums over m, so their order is immaterial
+    rng = np.random.default_rng(73)
+    chain = chain_drift(0.9, 0.75).with_reward(rng.standard_normal(30))
+    phi0 = rng.standard_normal((30, 4))
+    cum = rd.sample_cumulants(16, 30, 74) if cumulants else None
+    perm = rng.permutation(16)
+    out = _ensemble(chain, phi0, RELABEL_HEADS, cum, 1.0, beta, RELABEL_TIMES)
+    moved = _ensemble(chain, phi0, RELABEL_HEADS[perm], None if cum is None else cum[:, perm],
+                      1.0, beta, RELABEL_TIMES)
+    assert np.abs(moved - out).max() <= 1e-12 * np.abs(out).max()
+
+
+@pytest.mark.parametrize("c", [2.0, 0.5])
+@pytest.mark.parametrize("cumulants", [False, True], ids=["shared-reward", "cumulants"])
+@pytest.mark.parametrize("beta", [0.0, 1.0], ids=["frozen", "trained"])
+def test_scaling_the_rates_by_a_power_of_two_rescales_time_exactly(beta, cumulants, c):
+    # the flow of (c alpha, c beta) at t / c is the flow of (alpha, beta) at t; a
+    # power of two scales every product exactly, so the states agree bit for bit
+    rng = np.random.default_rng(75)
+    chain = chain_drift(0.9, 0.75).with_reward(rng.standard_normal(30))
+    phi0 = rng.standard_normal((30, 4))
+    cum = rd.sample_cumulants(16, 30, 76) if cumulants else None
+    out = _ensemble(chain, phi0, RELABEL_HEADS, cum, 1.0, beta, RELABEL_TIMES, 0.01)
+    scaled = _ensemble(chain, phi0, RELABEL_HEADS, cum, c, c * beta, RELABEL_TIMES / c, 0.01 / c)
+    assert np.array_equal(scaled, out)
+
+
+@pytest.mark.parametrize("name", ["td", "mc", "nstep", "tdlambda"])
+def test_value_flows_are_linear_in_the_reward_and_start(name):
+    # V_t = exp(t op) v0 + (I - exp(t op)) V^pi, and V^pi is linear in the reward
+    rng = np.random.default_rng(77)
+    chain = chain_drift(0.9, 0.75)
+    r1, r2, v1, v2 = rng.standard_normal((4, 30))
+    flow = RELABEL_FLOWS[name]
+
+    def values(reward, v0):
+        return flow(chain.with_reward(reward), None, v0, None, None, None).states
+
+    combined = values(3.0 * r1 + r2, 3.0 * v1 + v2)
+    separate = 3.0 * values(r1, v1) + values(r2, v2)
+    assert np.abs(combined - separate).max() <= 1e-12 * np.abs(combined).max()
+
+
+def test_reordering_tasks_with_their_head_blocks_leaves_the_features_unchanged():
+    # task i owns the i-th contiguous block of heads; moving a task moves its block
+    rng = np.random.default_rng(78)
+    chains = [chain_drift(g, p) for g, p in ((0.9, 0.75), (0.8, 0.25), (0.95, 0.5), (0.9, 1.0))]
+    phi0 = rng.standard_normal((30, 4))
+    blocks = RELABEL_HEADS.reshape(4, 4, 4)  # (task, head in block, K)
+    perm = rng.permutation(4)
+    out = rd.multi_task_flow(chains, RELABEL_HEADS, phi0, RELABEL_TIMES).states
+    moved = rd.multi_task_flow([chains[i] for i in perm], blocks[perm].reshape(16, 4), phi0,
+                               RELABEL_TIMES).states
+    assert np.abs(moved - out).max() <= 1e-12 * np.abs(out).max()

@@ -1,11 +1,13 @@
 """Every exported callable either returns or raises a typed ``repdyn`` error, whatever it is given.
 
-Each row calls one export with valid keyword arguments on a 3-state chain.
-The sweep swaps each argument in turn for each of ``BAD_VALUES``; the call
-must return or raise a member of ``errors.ERRORS``, and it may warn only with
-the non-uniqueness ``RuntimeWarning`` that ``ebf`` and ``rsbf`` document.
+Each row calls one export, or one public method of an exported class, with
+valid keyword arguments on a 3-state chain. The sweep swaps each argument in
+turn for each of ``BAD_VALUES``; the call must return or raise a member of
+``errors.ERRORS``, and it may warn only with the non-uniqueness
+``RuntimeWarning`` that ``ebf`` and ``rsbf`` document.
 """
 
+import inspect
 import re
 import warnings
 
@@ -14,6 +16,7 @@ import pytest
 
 import repdyn as rd
 from repdyn.errors import ERRORS
+from repdyn.experiments import frozen_ensemble_span
 
 BAD_VALUES = {"string": "x", "none": None, "bool": True, "nan": float("nan"), "minus-one": -1,
               "zero": 0, "fraction": 1.5, "3d-array": np.ones((2, 2, 2)),
@@ -32,6 +35,7 @@ STATE = rd.EnsembleState(PHI, HEADS)
 SPEC = rd.LinearFlowSpec(CHAIN.gamma * P - np.eye(3), np.zeros((3, 2)), PHI)
 TRAJECTORY = rd.td_value_flow(CHAIN, np.zeros(3), TIMES)
 FLOW = {"chain": CHAIN, "times": TIMES}
+CHECK = {"name": "c", "value": 1.0, "threshold": 2.0, "comparison": "<", "table": "t"}
 
 # row id: (callable, valid keyword arguments)
 ROWS = {
@@ -92,8 +96,7 @@ ROWS = {
     "multi_task_flow": (rd.multi_task_flow, {"chains": [CHAIN, CHAIN], "weights": HEADS,
                                              "phi0": PHI, "times": TIMES, "step": 0.1}),
     "trajectory_to_csv": (rd.trajectory_to_csv, {"traj": TRAJECTORY}),
-    "Check": (rd.Check, {"name": "c", "value": 1.0, "threshold": 2.0, "comparison": "<",
-                         "table": "t"}),
+    "Check": (rd.Check, CHECK),
     "Table": (rd.Table, {"columns": ["a", "b"], "rows": np.ones((2, 2))}),
     "ReportBundle": (rd.ReportBundle, {"name": "b", "config": {}, "tables": {}, "figures": {},
                                        "checks": []}),
@@ -102,6 +105,48 @@ ROWS = {
 RUNNERS = ("run_two_state", "run_four_rooms_features", "run_chain_transfer",
            "run_limit_checks", "run_bayes_optimality", "run_multi_task")
 ROWS.update({name: (getattr(rd, name), {"config": {"seed": 0}}) for name in RUNNERS})
+ROWS["frozen_ensemble_span"] = (frozen_ensemble_span, {
+    "P": np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]), "gamma": 0.9,
+    "weights": HEADS, "phi0": PHI, "t": 1.0})
+
+
+def on_instance(row: str, attr: str):
+    """Read ``attr`` of the object that ``row``'s constructor builds, calling it if a method."""
+    def call(**kwargs):
+        value = getattr(ROWS[row][0](**kwargs), attr)
+        return value() if callable(value) else value
+    return call, ROWS[row][1]
+
+
+def bundle() -> rd.ReportBundle:
+    """A fresh bundle with one table, figure and check."""
+    out = rd.ReportBundle("b", {"seed": 0})
+    out.add_table("t", ["a", "b"], np.ones((2, 2)))
+    out.figures["f"] = "<svg/>"
+    out.add_check("c", 1.0, 2.0, table="t")
+    return out
+
+
+# a method without arguments is swept through its class's constructor arguments
+ROWS.update({f"{row}.{attr}": on_instance(row, attr) for row, attr in [
+    ("Mdp", "n_states"), ("Mdp", "n_actions"), ("MarkovChain", "n_states"),
+    ("Subspace", "dim"), ("Subspace", "ambient_dim"), ("EnsembleState", "n_heads"),
+    ("Trajectory", "final"), ("Trajectory", "values"), ("Check", "passed"),
+    ("Check", "as_dict"), ("Table", "to_csv"), ("ReportBundle", "all_passed")]})
+ROWS.update({
+    "MarkovChain.with_reward": (CHAIN.with_reward, {"reward": np.ones(3)}),
+    "ReportBundle.add_table": (lambda **kw: bundle().add_table(**kw),
+                               {"name": "u", "columns": ["a"], "rows": np.ones((2, 1))}),
+    "ReportBundle.add_matrix": (lambda **kw: bundle().add_matrix(**kw),
+                                {"name": "m", "matrix": np.ones((2, 2)), "prefix": "c"}),
+    "ReportBundle.add_check": (lambda **kw: bundle().add_check(**kw), dict(CHECK, name="d")),
+    "ReportBundle.save": (lambda **kw: bundle().save(**kw), {"out_dir": "bundle"}),
+})
+
+
+@pytest.fixture(autouse=True)
+def in_tmp_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where the save rows write their bundles
 
 
 def test_rows_cover_every_public_callable():
@@ -109,6 +154,16 @@ def test_rows_cover_every_public_callable():
     missing = [name for name, value in vars(rd).items()
                if callable(value) and not name.startswith("_") and value not in ERRORS
                and value not in covered]
+    assert not missing
+
+
+def test_rows_cover_every_public_method():
+    missing = [f"{name}.{attr}" for name, cls in vars(rd).items()
+               if inspect.isclass(cls) and cls not in ERRORS
+               for attr, value in vars(cls).items()
+               if not attr.startswith("_") and (callable(value) or isinstance(
+                   value, (property, staticmethod, classmethod)))
+               and f"{name}.{attr}" not in ROWS]
     assert not missing
 
 

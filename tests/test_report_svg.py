@@ -108,6 +108,22 @@ def test_check_with_unknown_comparison_is_rejected():
     assert bundle.checks == []
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: rd.Table([1, 2], np.ones((2, 2))), "column name must be a str, got int"),
+    (lambda: rd.ReportBundle("b", {}, tables={"t": np.ones((2, 2))}),
+     "table must be a Table, got ndarray"),
+    (lambda: rd.ReportBundle("b", {}, figures={"f": 1}), "figure must be a str, got int"),
+    (lambda: rd.ReportBundle("b", {}, checks=[{"name": "c"}]), "check must be a Check, got dict"),
+    (lambda: rd.ReportBundle("b", {}).add_matrix("m", np.ones(3)),
+     r"matrix must be a non-empty array of shape \(T, C\), got shape \(3,\)"),
+    (lambda: rd.ReportBundle("b", {}).save(b"out"), "out_dir must be a str or PathLike, got bytes"),
+], ids=["column-not-a-name", "table-not-a-table", "figure-not-text", "check-not-a-check",
+        "matrix-one-dimensional", "out-dir-bytes"])
+def test_bundle_contents_of_the_wrong_kind_are_rejected(make, match):
+    with pytest.raises(ConfigurationError, match=match):
+        make()
+
+
 def test_saved_check_records_its_derived_verdict(tmp_path):
     bundle = rd.ReportBundle("demo", {})
     bundle.add_check("small", 0.5, 1.0, table="numbers")

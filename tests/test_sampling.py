@@ -163,6 +163,10 @@ E1 = rd.Subspace(np.eye(3)[:, :1])
     (lambda: rd.run_two_state([]), "config must be a Mapping, got list"),
     (lambda: rd.run_two_state("x"), "config must be a Mapping, got str"),
     (lambda: rd.run_two_state(np.ones(2)), "config must be a Mapping, got ndarray"),
+    (lambda: rd.run_limit_checks({"M_list": ()}), r"M_list must hold at least one entry, got \(\)"),
+    (lambda: rd.run_multi_task({"mixes": (), "discounts": ()}),
+     r"mixes must hold at least one entry, got \(\)"),
+    (lambda: rd.run_two_state({"v0": []}), r"v0 must hold at least one entry, got \[\]"),
 ], ids=["weights-negative-M", "weights-zero-K", "block-zero-K", "cumulants-negative-M",
         "split-zero-tasks", "nstep-fractional-n", "grassmann-ambient-mismatch",
         "angle-length-mismatch", "ensemble-1d-phi", "orthonormalize-no-columns",
@@ -175,7 +179,8 @@ E1 = rd.Subspace(np.eye(3)[:, :1])
         "policy-iteration-fractional-max-iters", "block-fractional-blocks", "block-bool-blocks",
         "block-string-blocks", "deterministic-fractional-actions", "uniform-fractional-states",
         "uniform-zero-actions", "weights-negative-seed", "cumulants-negative-seed",
-        "block-fractional-seed", "config-list", "config-string", "config-array"])
+        "block-fractional-seed", "config-list", "config-string", "config-array",
+        "config-empty-M_list", "config-empty-mixes", "config-empty-v0"])
 def test_bad_counts_and_shapes_raise_configuration_errors(make, match):
     with pytest.raises(ConfigurationError, match=match):
         make()
