@@ -19,6 +19,12 @@ from .svg import emit_svg
 
 FLOW_CHOICES = ("td", "mc", "nstep", "tdlambda", "joint", "ensemble", "rc", "limit")
 MDP_CHOICES = ("chain", "four-rooms", "two-state")
+# the flags each --flow reads besides flow, mdp, gamma, t_max, samples, seed and out;
+# config.json records only flags the run read (left_prob on the chain, step at beta > 0)
+_HEAD_FLAGS = ("k", "m", "alpha", "beta", "step")
+_FLOW_FLAGS = {"td": (), "mc": (), "nstep": ("n",), "tdlambda": ("lam",),
+               "joint": ("k", "alpha", "beta", "step"), "ensemble": _HEAD_FLAGS,
+               "rc": _HEAD_FLAGS, "limit": ("k",)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,7 +151,12 @@ def _run_flow_command(args) -> int:
             -(np.eye(n) - chain.gamma * chain.transition), np.zeros((n, args.k)), phi0)
         traj = flows.linear_limit_flow(spec, times)
 
-    config = {k: v for k, v in vars(args).items() if k not in ("command", "overrides")}
+    read = {"flow", "mdp", "gamma", "t_max", "samples", "out", *_FLOW_FLAGS[args.flow]}
+    if args.mdp == "chain":
+        read.add("left_prob")
+    if not args.beta > 0:
+        read.discard("step")
+    config = {k: v for k, v in vars(args).items() if k in read}
     config["seed"] = seed
     if traj.states.shape[2] == 1:
         figure = emit_svg(np.column_stack([traj.times, traj.values()]), "line",

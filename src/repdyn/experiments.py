@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from collections.abc import Mapping
 
 import numpy as np
@@ -74,8 +75,9 @@ def _finalize_config(defaults: dict, config: dict | None) -> dict:
 
 def _stream(seed: int, label: str, *extra) -> np.random.Generator:
     """Independent substream keyed by (seed, label, indices); order of use is irrelevant."""
-    digest = [seed] + [ord(c) for c in label] + [int(x) for x in extra]
-    return np.random.default_rng(digest)
+    # the label as one uint32 word array hashes the same words as one int per character
+    label_words = np.array([ord(c) for c in label], dtype=np.uint32)
+    return np.random.default_rng([seed, label_words, *(int(x) for x in extra)])
 
 
 def _chain_mdp() -> mdp.Mdp:
@@ -493,16 +495,23 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
                          table="trajectory_gaps")
 
     # second-moment identity of frozen heads; the weights are drawn in row
-    # blocks from one generator, the same draws as one (weight_M, K) sample
+    # blocks from one generator, the same draws as one (weight_M, K) sample.
+    # Each seed runs whole in one thread, so the errors match at any worker count.
+    from concurrent.futures import ThreadPoolExecutor
+
     wk, wm = cfg["weight_K"], cfg["weight_M"]
-    errs = []
-    for i in range(cfg["weight_seeds"]):
+
+    def second_moment_error(i: int) -> float:
         rng = _stream(cfg["seed"], "weight identity", i)
         second = np.zeros((wk, wk))
         for start in range(0, wm, MC_BLOCK):
             w = flows.sample_weights(min(MC_BLOCK, wm - start), wk, 1.0 / wm, rng)
             second += w.T @ w
-        errs.append(float(np.linalg.norm(second - np.eye(wk))))
+        return float(np.linalg.norm(second - np.eye(wk)))
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(min(cpus or 1, cfg["weight_seeds"])) as pool:
+        errs = list(pool.map(second_moment_error, range(cfg["weight_seeds"])))
     bundle.add_table("weight_second_moment", ["seed", "error"],
                      np.column_stack([np.arange(cfg["weight_seeds"]), errs]))
     bundle.add_check("weight_second_moment_identity", max(errs), cfg["weight_tol"],

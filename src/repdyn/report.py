@@ -123,6 +123,7 @@ class ReportBundle:
         return all(c.passed for c in self.checks)
 
     def save(self, out_dir) -> None:
+        self.__post_init__()  # experiments fill the fields by assignment after construction
         write_bundle(out_dir, {"name": self.name, **self.config},
                      {name: table.to_csv() for name, table in self.tables.items()},
                      self.figures, [c.as_dict() for c in self.checks])
@@ -132,18 +133,29 @@ def write_bundle(out_dir, config: dict, tables: dict, figures: dict, checks: lis
     """Write a bundle directory in the layout above, each file atomically.
 
     ``tables`` maps names to CSV text, ``figures`` maps names to SVG text, and
-    ``checks`` is the list of check records that ``checks.json`` holds.
+    ``checks`` is the list of check records that ``checks.json`` holds. Every
+    file's text is checked before the first write, so a wrong kind of content
+    is a ConfigurationError that leaves no file behind.
     """
     out_dir = os.fspath(check_instance("out_dir", out_dir, (str, os.PathLike)))
+    files = {"config.json": _json_text("config", config, sort_keys=True)}
+    for folder, kind, suffix, texts in (("tables", "table", ".csv", tables),
+                                        ("figures", "figure", ".svg", figures)):
+        for name, text in check_instance(folder, texts, dict).items():
+            path = os.path.join(folder, check_instance(f"{kind} name", name, str) + suffix)
+            files[path] = check_instance(f"{kind} text", text, str)
+    files["checks.json"] = _json_text("checks", check_instance("checks", checks, list))
     os.makedirs(os.path.join(out_dir, "tables"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "figures"), exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "config.json"),
-                  json.dumps(config, sort_keys=True, indent=2) + "\n")
-    for name, text in sorted(tables.items()):
-        _atomic_write(os.path.join(out_dir, "tables", f"{name}.csv"), text)
-    for name, text in sorted(figures.items()):
-        _atomic_write(os.path.join(out_dir, "figures", f"{name}.svg"), text)
-    _atomic_write(os.path.join(out_dir, "checks.json"), json.dumps(checks, indent=2) + "\n")
+    for path, text in sorted(files.items()):
+        _atomic_write(os.path.join(out_dir, path), text)
+
+
+def _json_text(what: str, value, sort_keys: bool = False) -> str:
+    try:
+        return json.dumps(value, sort_keys=sort_keys, indent=2) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what} cannot be written as JSON: {exc}") from None
 
 
 def _atomic_write(path: str, text: str) -> None:

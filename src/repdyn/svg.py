@@ -127,12 +127,8 @@ def _line(table: np.ndarray, title: str) -> str:
     y0, y1 = float(ys.min()), float(ys.max())
     xspan = (x1 - x0) or 1.0
     yspan = (y1 - y0) or 1.0
-
-    def sx(v):
-        return pad + (v - x0) / xspan * (width - 2 * pad)
-
-    def sy(v):
-        return height - pad - (v - y0) / yspan * (height - 2 * pad)
+    px = (pad + (x - x0) / xspan * (width - 2 * pad)).tolist()
+    py = (height - pad - (ys - y0) / yspan * (height - 2 * pad)).T.tolist()
 
     buf = io.StringIO()
     buf.write(_header(width, height))
@@ -142,10 +138,9 @@ def _line(table: np.ndarray, title: str) -> str:
         f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
         'fill="none" stroke="#888"/>\n'
     )
-    xs = x.tolist()
-    for k, curve in enumerate(ys.T.tolist()):
+    for k, curve in enumerate(py):
         u = 0.5 if ys.shape[1] == 1 else k / (ys.shape[1] - 1)
-        pts = " ".join(f"{_fmt(sx(a))},{_fmt(sy(b))}" for a, b in zip(xs, curve))
+        pts = " ".join(map("{:.6g},{:.6g}".format, px, curve))
         buf.write(f'<polyline points="{pts}" fill="none" stroke="{_color(u)}" stroke-width="1"/>\n')
     buf.write(
         f'<text x="{pad}" y="{height - 8}" font-size="11">x [{_fmt(x0)}, {_fmt(x1)}] '

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +110,37 @@ def test_flow_command_variants(flow, tmp_path):
                       "--m", "8", "--k", "2", "--step", "0.01", "--out", str(out)])
     assert result.returncode == 0, result.stderr
     assert (out / "tables" / "trajectory.csv").exists()
+
+
+FLOW_RECORD = ["flow", "gamma", "mdp", "out", "samples", "seed", "t_max"]
+
+
+@pytest.mark.parametrize("argv, ignored, recorded", [
+    (["--flow", "td", "--mdp", "two-state"],
+     ["--left-prob", "0.25", "--n", "5", "--lam", "0.9", "--k", "2", "--m", "3",
+      "--alpha", "2", "--beta", "1", "--step", "0.5"], []),
+    (["--flow", "nstep", "--mdp", "chain"], ["--lam", "0.9", "--k", "2", "--step", "0.5"],
+     ["left_prob", "n"]),
+    (["--flow", "limit", "--mdp", "four-rooms"], ["--left-prob", "0.25", "--m", "3"], ["k"]),
+    (["--flow", "ensemble", "--mdp", "chain", "--beta", "0"], ["--step", "0.5", "--n", "5"],
+     ["alpha", "beta", "k", "left_prob", "m"]),
+    (["--flow", "joint", "--mdp", "two-state", "--beta", "1"], ["--m", "3", "--lam", "0.9"],
+     ["alpha", "beta", "k", "step"]),
+], ids=["td", "nstep", "limit", "frozen-ensemble", "trained-joint"])
+def test_flow_bundle_records_only_the_flags_its_run_read(argv, ignored, recorded, tmp_path,
+                                                          monkeypatch):
+    # two runs that differ only in flags the flow ignores write the same bundle
+    files = []
+    for run, extra in (("plain", []), ("ignored", ignored)):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        assert cli.main(["flow", *argv, "--t-max", "2", "--samples", "5", *extra,
+                         "--out", "bundle"]) == 0
+        out = tmp_path / run / "bundle"
+        files.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert files[0] == files[1]
+    config = json.loads(files[0][Path("config.json")])
+    assert sorted(config) == sorted(FLOW_RECORD + recorded)
 
 
 def test_step_override_on_limit_checks_is_rejected(tmp_path):

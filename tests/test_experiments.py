@@ -1,11 +1,15 @@
+import concurrent.futures
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repdyn as rd
 from repdyn.errors import ConfigurationError
-from repdyn.experiments import EXPERIMENT_DEFAULTS, EXPERIMENTS, _mix_policy
+from repdyn.experiments import EXPERIMENT_DEFAULTS, EXPERIMENTS, _mix_policy, _stream
 
 # light overrides so the whole module stays fast; the acceptance suite runs
 # the full-size configurations
@@ -130,6 +134,55 @@ def test_limit_checks_single_head_reduction():
                                   "rewmat_seeds": 50, "rewmat_tol": 1.0})
     names = {c.name: c for c in bundle.checks}
     assert names["single_head_reduces_to_joint_flow"].passed
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**80), label=st.text(),
+       extra=st.lists(st.integers(0, 10**6), max_size=3))
+def test_substreams_hash_the_words_of_the_flat_key_list(seed, label, extra):
+    # the key is the seed's words, one word per label character (astral ones
+    # included), then the extras' words; every recorded bundle rests on it
+    flat = np.random.default_rng([seed] + [ord(c) for c in label] + extra)
+    assert (_stream(seed, label, *extra).bit_generator.random_raw(4)
+            == flat.bit_generator.random_raw(4)).all()
+
+
+# a reduced limit-checks whose second-moment block has several seeds to spread
+LIMIT_WORKERS_CONFIG = {"M_list": (100,), "n_seeds": 1, "cov_seeds": 50, "weight_M": 20000,
+                        "weight_seeds": 4, "rewmat_seeds": 50}
+
+
+def _limit_checks_on(cpus, monkeypatch, out):
+    """Bundle files of the reduced limit-checks as a process on ``cpus`` CPUs saves them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    workers = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    bundle = rd.run_limit_checks(LIMIT_WORKERS_CONFIG)
+    bundle.save(out)
+    assert workers == [cpus]
+    return bundle, {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def test_limit_checks_is_byte_identical_on_one_and_two_workers(monkeypatch, tmp_path):
+    one, files_one = _limit_checks_on(1, monkeypatch, tmp_path / "one")
+    _, files_two = _limit_checks_on(2, monkeypatch, tmp_path / "two")
+    assert files_one == files_two
+    # seed i's error comes from the substream keyed "weight identity", i, in seed order
+    wk, wm = EXPERIMENT_DEFAULTS["limit-checks"]["weight_K"], LIMIT_WORKERS_CONFIG["weight_M"]
+    expected = []
+    for i in range(LIMIT_WORKERS_CONFIG["weight_seeds"]):
+        flat = np.random.default_rng([0] + [ord(c) for c in "weight identity"] + [i])
+        w = flat.normal(0.0, np.sqrt(1.0 / wm), size=(wm, wk))
+        expected.append(np.linalg.norm(w.T @ w - np.eye(wk)))
+    np.testing.assert_allclose(one.tables["weight_second_moment"].rows[:, 1], expected,
+                               rtol=1e-12)
 
 
 def test_multi_task_discount_mode():

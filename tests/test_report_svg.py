@@ -8,6 +8,7 @@ import pytest
 import repdyn as rd
 from repdyn.errors import ConfigurationError
 from repdyn.flows import Trajectory, trajectory_to_csv
+from repdyn.report import write_bundle
 from repdyn.svg import emit_svg
 
 
@@ -108,20 +109,42 @@ def test_check_with_unknown_comparison_is_rejected():
     assert bundle.checks == []
 
 
+def _bundle_with_figure(figure) -> rd.ReportBundle:
+    """A bundle with a table, then ``figure`` set by assignment, as the experiments do."""
+    bundle = rd.ReportBundle("b", {"seed": 0})
+    bundle.add_table("t", ["a"], np.ones((2, 1)))
+    bundle.figures["f"] = figure
+    return bundle
+
+
 @pytest.mark.parametrize("make, match", [
-    (lambda: rd.Table([1, 2], np.ones((2, 2))), "column name must be a str, got int"),
-    (lambda: rd.ReportBundle("b", {}, tables={"t": np.ones((2, 2))}),
+    (lambda out: rd.Table([1, 2], np.ones((2, 2))), "column name must be a str, got int"),
+    (lambda out: rd.ReportBundle("b", {}, tables={"t": np.ones((2, 2))}),
      "table must be a Table, got ndarray"),
-    (lambda: rd.ReportBundle("b", {}, figures={"f": 1}), "figure must be a str, got int"),
-    (lambda: rd.ReportBundle("b", {}, checks=[{"name": "c"}]), "check must be a Check, got dict"),
-    (lambda: rd.ReportBundle("b", {}).add_matrix("m", np.ones(3)),
+    (lambda out: rd.ReportBundle("b", {}, figures={"f": 1}), "figure must be a str, got int"),
+    (lambda out: rd.ReportBundle("b", {}, checks=[{"name": "c"}]),
+     "check must be a Check, got dict"),
+    (lambda out: rd.ReportBundle("b", {}).add_matrix("m", np.ones(3)),
      r"matrix must be a non-empty array of shape \(T, C\), got shape \(3,\)"),
-    (lambda: rd.ReportBundle("b", {}).save(b"out"), "out_dir must be a str or PathLike, got bytes"),
+    (lambda out: rd.ReportBundle("b", {}).save(b"out"),
+     "out_dir must be a str or PathLike, got bytes"),
+    (lambda out: _bundle_with_figure(1).save(out), "figure must be a str, got int"),
+    (lambda out: write_bundle(out, {}, {"t": "a\n"}, {"f": b"<svg/>"}, []),
+     "figure text must be a str, got bytes"),
+    (lambda out: write_bundle(out, {}, {"t": 1.0}, {}, []), "table text must be a str, got float"),
+    (lambda out: write_bundle(out, {}, {}, {}, ({"name": "c"},)),
+     "checks must be a list, got tuple"),
+    (lambda out: write_bundle(out, {"seed": object()}, {}, {}, []),
+     "config cannot be written as JSON"),
 ], ids=["column-not-a-name", "table-not-a-table", "figure-not-text", "check-not-a-check",
-        "matrix-one-dimensional", "out-dir-bytes"])
-def test_bundle_contents_of_the_wrong_kind_are_rejected(make, match):
+        "matrix-one-dimensional", "out-dir-bytes", "figure-assigned-after-construction",
+        "written-figure-not-text", "written-table-not-text", "written-checks-not-a-list",
+        "written-config-not-json"])
+def test_bundle_contents_of_the_wrong_kind_are_rejected(make, match, tmp_path):
+    out = tmp_path / "bundle"
     with pytest.raises(ConfigurationError, match=match):
-        make()
+        make(out)
+    assert not out.exists()  # rejected before the first file or folder is written
 
 
 def test_saved_check_records_its_derived_verdict(tmp_path):

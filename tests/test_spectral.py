@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repdyn as rd
+from repdyn.experiments import chain_drift
 from repdyn.errors import ConfigurationError, DomainError, RankDeficiencyError
 
 
@@ -239,3 +240,31 @@ def test_subspace_rejects_a_nan_basis():
     with pytest.raises(ConfigurationError, match="not orthonormal"):
         rd.Subspace(np.full((3, 1), np.nan))
 
+
+
+SPAN_CHAINS = {
+    "drift": lambda: chain_drift(0.9, 0.75),
+    "uniform": uniform_chain,
+    "four-rooms": lambda: rd.induce(*rd.build_four_rooms(), 0.9),
+}
+SPANS = {  # span of a chain's transition matrix at K, and its bound in Grassmann distance
+    "ebf": (lambda P, gamma, K: rd.ebf(P, K), 1e-9),
+    "rsbf": (lambda P, gamma, K: rd.rsbf(P, gamma, K), 1e-12),
+}
+
+
+@pytest.mark.parametrize("chain_name", SPAN_CHAINS)
+@pytest.mark.parametrize("span_name", SPANS)
+def test_relabelling_states_permutes_every_span(span_name, chain_name):
+    # spans of Pi P Pi^T are Pi times the spans of P; ebf's error follows its
+    # eigengap conditioning, rsbf's the well-separated singular spectrum
+    chain = SPAN_CHAINS[chain_name]()
+    span, bound = SPANS[span_name]
+    P, n = chain.transition, chain.n_states
+    rng = np.random.default_rng(75)
+    for K in (1, 2, 4):
+        basis = span(P, chain.gamma, K).basis
+        for _ in range(5):
+            perm = rng.permutation(n)
+            moved = span(P[perm][:, perm], chain.gamma, K)
+            assert rd.grassmann_distance(moved, rd.Subspace(basis[perm])).distance <= bound
