@@ -20,7 +20,8 @@ from .svg import emit_svg
 FLOW_CHOICES = ("td", "mc", "nstep", "tdlambda", "joint", "ensemble", "rc", "limit")
 MDP_CHOICES = ("chain", "four-rooms", "two-state")
 # the flags each --flow reads besides flow, mdp, gamma, t_max, samples, seed and out;
-# config.json records only flags the run read (left_prob on the chain, step at beta > 0)
+# a run checks and records (in config.json) only the flags it read (left_prob on the
+# chain, step at beta > 0)
 _HEAD_FLAGS = ("k", "m", "alpha", "beta", "step")
 _FLOW_FLAGS = {"td": (), "mc": (), "nstep": ("n",), "tdlambda": ("lam",),
                "joint": ("k", "alpha", "beta", "step"), "ensemble": _HEAD_FLAGS,
@@ -57,14 +58,6 @@ def _parse_overrides(pairs, defaults: dict) -> dict:
     return out
 
 
-def _default_seed() -> int:
-    env = os.environ.get("REPDYN_SEED") or "0"
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigurationError(f"REPDYN_SEED must be an integer, got {env!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="repdyn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -91,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=4, help="feature count for matrix flows")
     p.add_argument("--m", type=int, default=64, help="head count for ensemble flows")
     p.add_argument("--step", type=float, default=flows.DEFAULT_STEP)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     return parser
 
@@ -102,27 +95,26 @@ def _build_chain(which: str, left_prob: float, gamma: float) -> mdp.MarkovChain:
     if which == "four-rooms":
         rooms, pol = mdp.build_four_rooms()
         return mdp.induce(rooms, pol, gamma)
-    two, pol = mdp.build_two_state_mdp(**{
-        "stay_prob_a": experiments.TWO_STATE_DEFAULTS["stay_prob_a"],
-        "stay_prob_b": experiments.TWO_STATE_DEFAULTS["stay_prob_b"],
-        "rewards": experiments.TWO_STATE_DEFAULTS["rewards"],
-    })
-    return mdp.induce(two, pol, gamma)
+    return experiments.two_state_chain(gamma)
 
 
 def _run_flow_command(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    if seed < 0:
+    read = {"flow", "mdp", "gamma", "t_max", "samples", "seed", "out", *_FLOW_FLAGS[args.flow]}
+    if args.mdp == "chain":
+        read.add("left_prob")
+    if not args.beta > 0:
+        read.discard("step")
+    if args.seed < 0:
         raise ConfigurationError("seed must be nonnegative")
     for flag in ("k", "m", "samples"):
-        if getattr(args, flag) < 1:
+        if flag in read and getattr(args, flag) < 1:
             raise ConfigurationError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
-    if not np.isfinite(args.t_max):
-        raise ConfigurationError(f"--t-max must be finite, got {args.t_max}")
+    if not (np.isfinite(args.t_max) and args.t_max >= 0):
+        raise ConfigurationError(f"--t-max must be finite and nonnegative, got {args.t_max}")
     chain = _build_chain(args.mdp, args.left_prob, args.gamma)
     times = np.linspace(0.0, args.t_max, args.samples)
     n = chain.n_states
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     v0 = np.zeros(n)
 
     if args.flow == "td":
@@ -139,10 +131,10 @@ def _run_flow_command(args) -> int:
         traj = flows.joint_flow(chain, phi0, w0, args.alpha, args.beta, times, args.step)
     elif args.flow in ("ensemble", "rc"):
         phi0 = rng.standard_normal((n, args.k))
-        weights = flows.sample_weights(args.m, args.k, 1.0 / args.m, seed)
+        weights = flows.sample_weights(args.m, args.k, 1.0 / args.m, args.seed)
         cumulants = None
         if args.flow == "rc":
-            cumulants = flows.sample_cumulants(args.m, n, seed + 1)
+            cumulants = flows.sample_cumulants(args.m, n, args.seed + 1)
         state0 = flows.EnsembleState(phi0, weights, cumulants)
         traj = flows.ensemble_flow(chain, state0, args.alpha, args.beta, times, args.step)
     else:  # limit
@@ -151,13 +143,7 @@ def _run_flow_command(args) -> int:
             -(np.eye(n) - chain.gamma * chain.transition), np.zeros((n, args.k)), phi0)
         traj = flows.linear_limit_flow(spec, times)
 
-    read = {"flow", "mdp", "gamma", "t_max", "samples", "out", *_FLOW_FLAGS[args.flow]}
-    if args.mdp == "chain":
-        read.add("left_prob")
-    if not args.beta > 0:
-        read.discard("step")
     config = {k: v for k, v in vars(args).items() if k in read}
-    config["seed"] = seed
     if traj.states.shape[2] == 1:
         figure = emit_svg(np.column_stack([traj.times, traj.values()]), "line",
                           title=f"{args.flow} value flow")
@@ -178,8 +164,7 @@ def main(argv=None) -> int:
             return _run_flow_command(args)
         defaults = experiments.EXPERIMENT_DEFAULTS[args.command]
         overrides = _parse_overrides(args.overrides, defaults)
-        overrides["seed"] = args.seed if args.seed is not None else \
-            overrides.get("seed", _default_seed())
+        overrides["seed"] = args.seed if args.seed is not None else overrides.get("seed", 0)
         bundle = experiments.EXPERIMENTS[args.command](overrides)
         out_dir = args.out or os.path.join("out", args.command)
         bundle.save(out_dir)

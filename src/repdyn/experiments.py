@@ -26,6 +26,7 @@ CHAIN_SLIP = 0.01
 CHAIN_LEFT_REWARD = 2.0
 CHAIN_RIGHT_REWARD = 1.0
 MC_BLOCK = 8192  # Monte Carlo draws (rows or columns) held at once
+WEIGHT_K = 10  # head dimension of limit-checks' second-moment identity
 
 
 _ENTRY_KINDS = {  # type of a default (or of its elements) -> accepted type, in words
@@ -99,6 +100,11 @@ def chain_drift(gamma: float = 0.9, left_prob: float = 1.0) -> mdp.MarkovChain:
     return mdp.induce(_chain_mdp(), _mix_policy(CHAIN_N, left_prob), gamma)
 
 
+def two_state_chain(gamma: float = 0.9) -> mdp.MarkovChain:
+    """The two-state world: stay probabilities 0.9 and 0.1, rewards 1 and 0."""
+    return mdp.induce(*mdp.build_two_state_mdp(0.9, 0.1, (1.0, 0.0)), gamma)
+
+
 def _normalized_phi0(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     g = rng.standard_normal((n, k))
     return g / np.linalg.norm(g)
@@ -162,12 +168,7 @@ def frozen_ensemble_span(
 # ---------------------------------------------------------------------------
 
 TWO_STATE_DEFAULTS = {
-    "stay_prob_a": 0.9,
-    "stay_prob_b": 0.1,
-    "rewards": (1.0, 0.0),
     "gamma": 0.9,
-    "v0": (2.0, -1.0),
-    "t_max": 180.0,
     "seed": 0,
 }
 
@@ -181,15 +182,10 @@ def run_two_state(config: dict | None = None) -> ReportBundle:
     """
     cfg = _finalize_config(TWO_STATE_DEFAULTS, config)
     bundle = ReportBundle("two-state", dict(cfg))
-    two_mdp, policy = mdp.build_two_state_mdp(
-        cfg["stay_prob_a"], cfg["stay_prob_b"], cfg["rewards"]
-    )
-    chain = mdp.induce(two_mdp, policy, cfg["gamma"])
+    chain = two_state_chain(cfg["gamma"])
     v_star = mdp.exact_value(chain)
-    v0 = np.asarray(cfg["v0"], dtype=float)
-
-    t_max = check_real("t_max", cfg["t_max"], 9.0, low_open=True)  # the late grid starts at 9
-    times = np.concatenate([np.linspace(0.0, 8.0, 81), np.linspace(9.0, t_max, 172)])
+    v0 = np.array([2.0, -1.0])
+    times = np.concatenate([np.linspace(0.0, 8.0, 81), np.linspace(9.0, 180.0, 172)])
     td = flows.td_value_flow(chain, v0, times)
     mc = flows.mc_value_flow(chain, v0, times)
 
@@ -329,7 +325,6 @@ def run_four_rooms_features(config: dict | None = None) -> ReportBundle:
 CHAIN_TRANSFER_DEFAULTS = {
     "K": 4,
     "gamma": 0.9,
-    "J_max": 25,
     "seed": 0,
     "init_left_prob": 0.0,  # left-action probability of the initial policy
 }
@@ -349,7 +344,7 @@ def run_chain_transfer(config: dict | None = None) -> ReportBundle:
     chain_mdp = _chain_mdp()
     n, K = CHAIN_N, cfg["K"]
     init = _mix_policy(n, check_real("init_left_prob", cfg["init_left_prob"], 0.0, 1.0))
-    trace = mdp.policy_iteration(chain_mdp, cfg["gamma"], cfg["J_max"], init)
+    trace = mdp.policy_iteration(chain_mdp, cfg["gamma"], 25, init)
     J = len(trace)
     values = trace.values
     bundle.add_matrix("values", np.stack(values), prefix="v")
@@ -421,16 +416,12 @@ LIMIT_CHECKS_DEFAULTS = {
     "n_seeds": 20,
     "K": 4,
     "gamma": 0.9,
-    "t_max": 5.0,
-    "n_gap_samples": 26,
     "gap_tol": 0.02,          # absolute gate at the largest M
     "cov_seeds": 2000,
     "weight_M": 100000,
-    "weight_K": 10,
     "weight_seeds": 20,
     "weight_tol": 0.05,
     "rewmat_seeds": 2000,
-    "rewmat_M": 64,
     "rewmat_tol": 0.10,
     "seed": 0,
 }
@@ -440,23 +431,23 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
     """Finite-head convergence to the infinite-head flow, plus the Gaussian limits.
 
     Measures the sup-Frobenius gap between the frozen-head flow (zero reward,
-    head variance 1/M) and exp(-t(I - gamma P)) Phi_0 on [0, t_max] across
-    seeds and head counts; checks the 1/sqrt(M) decay by per-seed comparison
-    across M and an absolute gate at the largest M. Also verifies the
-    second-moment identity sum_m w^m (w^m)^T -> I, the reward-weight product
-    limit covariance, and the limiting feature covariance Psi Psi^T.
+    head variance 1/M) and exp(-t(I - gamma P)) Phi_0 at 26 even times on
+    [0, 5] across seeds and head counts; checks the 1/sqrt(M) decay by
+    per-seed comparison across distinct M and an absolute gate at the largest
+    M. Also verifies the second-moment identity sum_m w^m (w^m)^T -> I, the
+    reward-weight product limit covariance, and the limiting feature
+    covariance Psi Psi^T.
     """
     cfg = _finalize_config(LIMIT_CHECKS_DEFAULTS, config)
-    if cfg["n_gap_samples"] < 2:  # at t = 0 alone every gap is 0 and their ratios are 0/0
-        raise ConfigurationError(f"n_gap_samples must be at least 2, got {cfg['n_gap_samples']}")
     bundle = ReportBundle("limit-checks", dict(cfg))
     K = cfg["K"]
     chain = chain_uniform(cfg["gamma"]).with_reward(np.zeros(CHAIN_N))
-    times = np.linspace(0.0, check_real("t_max", cfg["t_max"], 0.0, low_open=True),
-                        cfg["n_gap_samples"])
+    times = np.linspace(0.0, 5.0, 26)
     op = cfg["gamma"] * chain.transition - np.eye(CHAIN_N)
 
     m_list = [int(m) for m in cfg["M_list"]]
+    if len(set(m_list)) != len(m_list):  # a repeat would compare an M's gaps with themselves
+        raise ConfigurationError(f"M_list entries must be distinct, got {cfg['M_list']!r}")
     rows = []
     gaps = {}
     for i in range(cfg["n_seeds"]):
@@ -499,7 +490,7 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
     # Each seed runs whole in one thread, so the errors match at any worker count.
     from concurrent.futures import ThreadPoolExecutor
 
-    wk, wm = cfg["weight_K"], cfg["weight_M"]
+    wk, wm = WEIGHT_K, cfg["weight_M"]
 
     def second_moment_error(i: int) -> float:
         rng = _stream(cfg["seed"], "weight identity", i)
@@ -521,10 +512,8 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
     sigma = np.eye(CHAIN_N)
     cols = []
     for i in range(cfg["rewmat_seeds"]):
-        r = flows.sample_cumulants(cfg["rewmat_M"], CHAIN_N,
-                                   _stream(cfg["seed"], "reward matrix", i))
-        w = flows.sample_weights(cfg["rewmat_M"], K, 1.0 / cfg["rewmat_M"],
-                                 _stream(cfg["seed"], "reward matrix heads", i))
+        r = flows.sample_cumulants(64, CHAIN_N, _stream(cfg["seed"], "reward matrix", i))
+        w = flows.sample_weights(64, K, 1.0 / 64, _stream(cfg["seed"], "reward matrix heads", i))
         cols.append(r @ w)
     pooled = np.concatenate([z.T for z in cols])  # rows are column samples
     emp = pooled.T @ pooled / pooled.shape[0]
@@ -632,9 +621,6 @@ MULTI_TASK_DEFAULTS = {
     "K": 4,
     "mixes": (0.75, 0.25),     # per-task probability of the left action
     "discounts": (0.9, 0.9),   # per-task discount
-    "t_max": 5.0,
-    "n_gap_samples": 26,
-    "t_subspace": 200.0,
     "t_finite_span": 120.0,
     "seed": 0,
 }
@@ -646,11 +632,12 @@ def run_multi_task(config: dict | None = None) -> ReportBundle:
     Task i is the drifting chain with discount ``discounts[i]`` and left-action
     probability ``mixes[i]``. With M heads split evenly over the L tasks, zero
     rewards and frozen weights, the trajectory tracks the flow of the averaged
-    operator, and the averaged flow's limiting feature span is the averaged
-    operator's eigen span, distinguishable from the first task's when the
-    policies differ. The finite-head span distance is reported for reference:
-    at fixed M it does not sharpen indefinitely, since the head-split noise
-    perturbs the invariant subspaces.
+    operator at 26 even times on [0, 5], and the averaged flow's feature span
+    at t = 200 (or earlier, while the leading K modes keep 8 digits of range)
+    is the averaged operator's eigen span, distinguishable from the first
+    task's when the policies differ. The finite-head span distance is reported
+    for reference: at fixed M it does not sharpen indefinitely, since the
+    head-split noise perturbs the invariant subspaces.
     """
     cfg = _finalize_config(MULTI_TASK_DEFAULTS, config)
     if len(cfg["discounts"]) != len(cfg["mixes"]):
@@ -675,11 +662,10 @@ def run_multi_task(config: dict | None = None) -> ReportBundle:
     # dynamic range, so span extraction keeps its numerical rank
     rates = np.sort(-np.linalg.eigvals(op_bar).real)
     t_rank = 8.0 * np.log(10.0) / max(rates[K - 1] - rates[0], 1e-12)
-    t_span = min(check_real("t_subspace", cfg["t_subspace"], 0.0), t_rank)
+    t_span = min(200.0, t_rank)
     t_fin = min(check_real("t_finite_span", cfg["t_finite_span"], 0.0), t_rank)
 
-    times = np.linspace(0.0, check_real("t_max", cfg["t_max"], 0.0, low_open=True),
-                        cfg["n_gap_samples"])
+    times = np.linspace(0.0, 5.0, 26)
     sample_times = np.unique(np.concatenate([times, [t_fin]]))
     finite = flows.multi_task_flow(chains, weights, phi0, sample_times)
     limit = flows.linear_limit_flow(flows.LinearFlowSpec(op_bar, np.zeros_like(phi0), phi0),

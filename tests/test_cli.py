@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -53,15 +52,6 @@ def test_different_seed_changes_tables(tmp_path):
     run_cli(["bayes-opt", "--seed", "4", "--out", str(b)] + FAST_BAYES)
     assert (a / "tables" / "projected_traces.csv").read_bytes() != \
         (b / "tables" / "projected_traces.csv").read_bytes()
-
-
-def test_env_seed_fallback(tmp_path):
-    env = dict(os.environ, REPDYN_SEED="3")
-    out_env = tmp_path / "env"
-    result = run_cli(["bayes-opt", "--out", str(out_env)] + FAST_BAYES, env=env)
-    assert result.returncode == 0
-    config = json.loads((out_env / "config.json").read_text())
-    assert config["seed"] == 3
 
 
 def test_usage_error_exits_one():
@@ -126,7 +116,10 @@ FLOW_RECORD = ["flow", "gamma", "mdp", "out", "samples", "seed", "t_max"]
      ["alpha", "beta", "k", "left_prob", "m"]),
     (["--flow", "joint", "--mdp", "two-state", "--beta", "1"], ["--m", "3", "--lam", "0.9"],
      ["alpha", "beta", "k", "step"]),
-], ids=["td", "nstep", "limit", "frozen-ensemble", "trained-joint"])
+    (["--flow", "td", "--mdp", "chain"], ["--m", "0", "--k", "0"], ["left_prob"]),
+    (["--flow", "limit", "--mdp", "four-rooms"], ["--m", "0", "--left-prob", "7"], ["k"]),
+], ids=["td", "nstep", "limit", "frozen-ensemble", "trained-joint", "td-zero-heads-and-features",
+        "limit-zero-heads"])
 def test_flow_bundle_records_only_the_flags_its_run_read(argv, ignored, recorded, tmp_path,
                                                           monkeypatch):
     # two runs that differ only in flags the flow ignores write the same bundle
@@ -152,7 +145,6 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
 
 @pytest.mark.parametrize("argv, env, message", [
     (["two-state", "--set", "gamma=abc"], {}, "expected float"),
-    (["two-state"], {"REPDYN_SEED": "x"}, "REPDYN_SEED"),
     (["chain-transfer", "--set", "K=30"], {}, "numerically dependent"),
     (["flow", "--flow", "ensemble", "--m", "0"], {}, "--m must be at least 1"),
     (["flow", "--flow", "joint", "--k", "0"], {}, "--k must be at least 1"),
@@ -165,6 +157,8 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
      "step must be a finite real number in (0, inf)"),
     (["flow", "--flow", "mc", "--t-max", "nan"], {}, "--t-max must be finite"),
     (["flow", "--flow", "td", "--t-max", "inf"], {}, "--t-max must be finite"),
+    (["flow", "--flow", "td", "--t-max", "-1"], {},
+     "--t-max must be finite and nonnegative, got -1.0"),
     (["flow", "--flow", "td", "--samples", "-1"], {}, "--samples must be at least 1"),
     (["flow", "--flow", "td", "--samples", "0"], {}, "--samples must be at least 1"),
     (["flow", "--flow", "ensemble", "--alpha", "nan"], {},
@@ -175,10 +169,11 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
      "left_prob must be a finite real number in [0, 1], got 2.0"),
     (["flow", "--flow", "td", "--left-prob", "nan"], {},
      "left_prob must be a finite real number in [0, 1], got nan"),
-], ids=["override-not-a-number", "env-seed-not-an-integer", "chain-transfer-rank",
+], ids=["override-not-a-number", "chain-transfer-rank",
         "flow-zero-heads", "flow-zero-features", "four-rooms-zero-features",
         "four-rooms-too-many-features", "flow-negative-seed", "flow-step-nan",
-        "flow-step-inf", "flow-t-max-nan", "flow-t-max-inf", "flow-negative-samples",
+        "flow-step-inf", "flow-t-max-nan", "flow-t-max-inf", "flow-t-max-negative",
+        "flow-negative-samples",
         "flow-zero-samples", "flow-alpha-nan", "flow-beta-inf", "flow-left-prob-above-one",
         "flow-left-prob-nan"])
 def test_bad_input_is_one_error_line_and_exit_one(argv, env, message, tmp_path,
@@ -198,7 +193,7 @@ OUT_OF_RANGE_OVERRIDES = [
     ("limit-checks", "M_list=0", "M_list must be at least 1"),
     ("limit-checks", "M_list=100,0", "M_list must be at least 1"),
     ("limit-checks", "weight_M=0", "weight_M must be at least 1"),
-    ("limit-checks", "rewmat_M=0", "rewmat_M must be at least 1"),
+    ("limit-checks", "rewmat_M=0", "unknown override key 'rewmat_M'"),
     ("multi-task", "M=0", "M must be at least 1"),
     ("limit-checks", "n_seeds=0", "n_seeds must be at least 1"),
     ("limit-checks", "cov_seeds=0", "cov_seeds must be at least 1"),
@@ -207,28 +202,35 @@ OUT_OF_RANGE_OVERRIDES = [
     ("four-rooms", "t_max=inf", "t_max must be finite"),
     ("multi-task", "K=0", "K must be at least 1"),
     ("limit-checks", "K=0", "K must be at least 1"),
-    ("multi-task", "t_max=nan", "t_max must be finite"),
+    ("multi-task", "t_max=nan", "unknown override key 't_max'"),
     ("two-state", "seed=-1", "seed must be nonnegative"),
     ("multi-task", "K=31", "K must lie in 1..30, got 31"),
-    ("two-state", "rewards=1,2,3", "rewards must hold one entry per state (2), got 3"),
-    ("limit-checks", "n_gap_samples=1", "n_gap_samples must be at least 2"),
+    ("two-state", "rewards=1,2,3", "unknown override key 'rewards'"),
+    ("limit-checks", "n_gap_samples=1", "unknown override key 'n_gap_samples'"),
     ("bayes-opt", "mc_samples=1", "mc_samples must be at least 2"),
     ("multi-task", "mode=discounts", "unknown override key 'mode'"),
     ("multi-task", "L=2", "unknown override key 'L'"),
     ("multi-task", "mixes=0.75,0.25,0.5", "one entry per task, got 2 and 3"),
-    ("two-state", "t_max=5", "t_max must be a finite real number in (9, inf), got 5.0"),
+    ("two-state", "t_max=5", "unknown override key 't_max'"),
     ("four-rooms", "snapshot_times=-5", "snapshot_times must be a finite real number in [0, inf)"),
     ("multi-task", "mixes=2,0.5", "mixes must be a finite real number in [0, 1], got 2.0"),
     ("four-rooms", "t_max=0", "t_max must be a finite real number in (0, inf), got 0.0"),
     ("four-rooms", "check_t=-5", "check_t must be a finite real number in [0, inf), got -5.0"),
-    ("limit-checks", "t_max=-1", "t_max must be a finite real number in (0, inf), got -1.0"),
-    ("multi-task", "t_max=-1", "t_max must be a finite real number in (0, inf), got -1.0"),
+    ("limit-checks", "t_max=-1", "unknown override key 't_max'"),
+    ("multi-task", "t_max=-1", "unknown override key 't_max'"),
     ("multi-task", "discounts=1.5,0.9", "discounts must be a finite real number in [0, 1)"),
-    ("multi-task", "t_subspace=-3", "t_subspace must be a finite real number in [0, inf)"),
+    ("multi-task", "t_subspace=-3", "unknown override key 't_subspace'"),
     ("multi-task", "t_finite_span=-3", "t_finite_span must be a finite real number in [0, inf)"),
     ("chain-transfer", "init_left_prob=1.5",
      "init_left_prob must be a finite real number in [0, 1], got 1.5"),
     ("four-rooms", "beta=-1", "beta must be a finite real number in [0, inf), got -1.0"),
+    ("limit-checks", "M_list=100,100", "M_list entries must be distinct"),
+    ("two-state", "stay_prob_a=2", "unknown override key 'stay_prob_a'"),
+    ("two-state", "stay_prob_b=-1", "unknown override key 'stay_prob_b'"),
+    ("two-state", "v0=1,2,3", "unknown override key 'v0'"),
+    ("chain-transfer", "J_max=0", "unknown override key 'J_max'"),
+    ("limit-checks", "weight_K=0", "unknown override key 'weight_K'"),
+    ("multi-task", "n_gap_samples=0", "unknown override key 'n_gap_samples'"),
 ]
 
 

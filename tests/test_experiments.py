@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import repdyn as rd
 from repdyn.errors import ConfigurationError
-from repdyn.experiments import EXPERIMENT_DEFAULTS, EXPERIMENTS, _mix_policy, _stream
+from repdyn.experiments import (EXPERIMENT_DEFAULTS, EXPERIMENTS, WEIGHT_K, _mix_policy,
+                                _stream)
 
 # light overrides so the whole module stays fast; the acceptance suite runs
 # the full-size configurations
@@ -175,7 +176,7 @@ def test_limit_checks_is_byte_identical_on_one_and_two_workers(monkeypatch, tmp_
     _, files_two = _limit_checks_on(2, monkeypatch, tmp_path / "two")
     assert files_one == files_two
     # seed i's error comes from the substream keyed "weight identity", i, in seed order
-    wk, wm = EXPERIMENT_DEFAULTS["limit-checks"]["weight_K"], LIMIT_WORKERS_CONFIG["weight_M"]
+    wk, wm = WEIGHT_K, LIMIT_WORKERS_CONFIG["weight_M"]
     expected = []
     for i in range(LIMIT_WORKERS_CONFIG["weight_seeds"]):
         flat = np.random.default_rng([0] + [ord(c) for c in "weight identity"] + [i])

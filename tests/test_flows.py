@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import mpmath
 import numpy as np
 import pytest
@@ -968,43 +970,70 @@ def test_trained_heads_drift_from_their_invariant_at_fourth_order(seed, n, k, m,
 
 RELABEL_TIMES = np.linspace(0.0, 5.0, 11)
 RELABEL_HEADS = rd.sample_weights(16, 4, 1.0 / 16, 70)
-RELABEL_FLOWS = {  # name: flow of (chain, second chain, v0, phi0, forcing, cumulants)
-    "td": lambda c, c2, v0, phi0, f, cum: rd.td_value_flow(c, v0, RELABEL_TIMES),
-    "mc": lambda c, c2, v0, phi0, f, cum: rd.mc_value_flow(c, v0, RELABEL_TIMES),
-    "nstep": lambda c, c2, v0, phi0, f, cum: rd.nstep_value_flow(c, 3, v0, RELABEL_TIMES),
-    "tdlambda": lambda c, c2, v0, phi0, f, cum: rd.td_lambda_value_flow(c, 0.5, v0,
-                                                                        RELABEL_TIMES),
-    "ensemble-frozen": lambda c, c2, v0, phi0, f, cum: rd.ensemble_flow(
-        c, rd.EnsembleState(phi0, RELABEL_HEADS), 1.0, 0.0, RELABEL_TIMES),
-    "ensemble-frozen-cumulants": lambda c, c2, v0, phi0, f, cum: rd.ensemble_flow(
-        c, rd.EnsembleState(phi0, RELABEL_HEADS, cum), 1.0, 0.0, RELABEL_TIMES),
-    "ensemble-trained": lambda c, c2, v0, phi0, f, cum: rd.ensemble_flow(
-        c, rd.EnsembleState(phi0, RELABEL_HEADS), 1.0, 1.0, RELABEL_TIMES, step=0.01),
-    "ensemble-trained-cumulants": lambda c, c2, v0, phi0, f, cum: rd.ensemble_flow(
-        c, rd.EnsembleState(phi0, RELABEL_HEADS, cum), 1.0, 1.0, RELABEL_TIMES, step=0.01),
-    "linear-limit": lambda c, c2, v0, phi0, f, cum: rd.linear_limit_flow(
-        rd.LinearFlowSpec(c.gamma * c.transition - np.eye(c.n_states), f, phi0), RELABEL_TIMES),
-    "multi-task": lambda c, c2, v0, phi0, f, cum: rd.multi_task_flow(
-        [c, c2], RELABEL_HEADS, phi0, RELABEL_TIMES),
+RELABEL_FLOWS = {  # name: flow of the inputs x (chains, v0, phi0, forcing, heads, cumulants,
+    #                times and the trained flows' step); all but multi-task read chains[0]
+    "td": lambda x: rd.td_value_flow(x.chains[0], x.v0, x.times),
+    "mc": lambda x: rd.mc_value_flow(x.chains[0], x.v0, x.times),
+    "nstep": lambda x: rd.nstep_value_flow(x.chains[0], 3, x.v0, x.times),
+    "tdlambda": lambda x: rd.td_lambda_value_flow(x.chains[0], 0.5, x.v0, x.times),
+    "ensemble-frozen": lambda x: rd.ensemble_flow(
+        x.chains[0], rd.EnsembleState(x.phi0, x.heads), 1.0, 0.0, x.times),
+    "ensemble-frozen-cumulants": lambda x: rd.ensemble_flow(
+        x.chains[0], rd.EnsembleState(x.phi0, x.heads, x.cumulants), 1.0, 0.0, x.times),
+    "ensemble-trained": lambda x: rd.ensemble_flow(
+        x.chains[0], rd.EnsembleState(x.phi0, x.heads), 1.0, 1.0, x.times, x.step),
+    "ensemble-trained-cumulants": lambda x: rd.ensemble_flow(
+        x.chains[0], rd.EnsembleState(x.phi0, x.heads, x.cumulants), 1.0, 1.0, x.times, x.step),
+    "linear-limit": lambda x: rd.linear_limit_flow(rd.LinearFlowSpec(
+        x.chains[0].gamma * x.chains[0].transition - np.eye(x.chains[0].n_states), x.forcing,
+        x.phi0), x.times),
+    "multi-task": lambda x: rd.multi_task_flow(x.chains, x.heads, x.phi0, x.times),
 }
+
+
+def _assert_relabelling_permutes(name, x, perm):
+    # a permutation of the states maps each output to the same permutation of
+    # itself, in exact arithmetic; the relation needs no closed form or RK4 oracle
+    moved = SimpleNamespace(**{**vars(x), "v0": x.v0[perm], "phi0": x.phi0[perm],
+                               "forcing": x.forcing[perm], "cumulants": x.cumulants[perm]})
+    moved.chains = [rd.MarkovChain(c.transition[perm][:, perm], c.reward[perm], c.gamma)
+                    for c in x.chains]
+    out = RELABEL_FLOWS[name](x).states
+    error = np.abs(RELABEL_FLOWS[name](moved).states - out[:, perm]).max()
+    assert error <= 1e-12 * np.abs(out).max(), (name, error)
 
 
 @pytest.mark.parametrize("name", RELABEL_FLOWS)
 def test_relabelling_states_permutes_every_flow_output(name):
-    # a permutation of the states maps each output to the same permutation of
-    # itself, in exact arithmetic; the relation needs no closed form or RK4 oracle
     rng = np.random.default_rng(71)
     perm = rng.permutation(30)
     reward, v0 = rng.standard_normal(30), rng.standard_normal(30)
     phi0, forcing = rng.standard_normal((30, 4)), rng.standard_normal((30, 4))
-    cumulants = rd.sample_cumulants(16, 30, 72)
     chains = [chain_drift(0.9, 0.75).with_reward(reward), chain_drift(0.8, 0.25).with_reward(reward)]
-    moved_chains = [rd.MarkovChain(c.transition[perm][:, perm], c.reward[perm], c.gamma)
-                    for c in chains]
-    flow = RELABEL_FLOWS[name]
-    out = flow(*chains, v0, phi0, forcing, cumulants).states
-    moved = flow(*moved_chains, v0[perm], phi0[perm], forcing[perm], cumulants[perm]).states
-    assert np.abs(moved - out[:, perm]).max() <= 1e-12 * np.abs(out).max()
+    x = SimpleNamespace(chains=chains, v0=v0, phi0=phi0, forcing=forcing, heads=RELABEL_HEADS,
+                        cumulants=rd.sample_cumulants(16, 30, 72), times=RELABEL_TIMES, step=0.01)
+    _assert_relabelling_permutes(name, x, perm)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), k=st.integers(1, 3),
+       m=st.integers(1, 6))
+def test_relabelling_states_of_a_random_chain_permutes_every_flow_output(seed, n, k, m):
+    # the same relation on random row-stochastic chains, rewards and starts;
+    # multi-task splits the heads over its two chains, so it needs an even M
+    rng = np.random.default_rng(seed)
+    transitions = rng.random((2, n, n))
+    transitions /= transitions.sum(axis=2, keepdims=True)
+    reward = rng.standard_normal(n)
+    x = SimpleNamespace(
+        chains=[rd.MarkovChain(p, reward, g) for p, g in zip(transitions, (0.9, 0.8))],
+        v0=rng.standard_normal(n), phi0=rng.standard_normal((n, k)),
+        forcing=rng.standard_normal((n, k)), heads=rd.sample_weights(m, k, 1.0 / m, rng),
+        cumulants=rd.sample_cumulants(m, n, rng), times=np.linspace(0.0, 2.0, 5), step=0.05)
+    perm = rng.permutation(n)
+    for name in RELABEL_FLOWS:
+        if name != "multi-task" or m % 2 == 0:
+            _assert_relabelling_permutes(name, x, perm)
 
 
 def _ensemble(chain, phi0, heads, cumulants, alpha, beta, times, step=0.01):
@@ -1051,7 +1080,8 @@ def test_value_flows_are_linear_in_the_reward_and_start(name):
     flow = RELABEL_FLOWS[name]
 
     def values(reward, v0):
-        return flow(chain.with_reward(reward), None, v0, None, None, None).states
+        return flow(SimpleNamespace(chains=[chain.with_reward(reward)], v0=v0,
+                                    times=RELABEL_TIMES)).states
 
     combined = values(3.0 * r1 + r2, 3.0 * v1 + v2)
     separate = 3.0 * values(r1, v1) + values(r2, v2)

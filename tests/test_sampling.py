@@ -166,7 +166,9 @@ E1 = rd.Subspace(np.eye(3)[:, :1])
     (lambda: rd.run_limit_checks({"M_list": ()}), r"M_list must hold at least one entry, got \(\)"),
     (lambda: rd.run_multi_task({"mixes": (), "discounts": ()}),
      r"mixes must hold at least one entry, got \(\)"),
-    (lambda: rd.run_two_state({"v0": []}), r"v0 must hold at least one entry, got \[\]"),
+    (lambda: rd.run_two_state({"v0": []}), "unknown config key 'v0'"),
+    (lambda: rd.build_two_state_mdp(0.9, 0.1, (1.0, 2.0, 3.0)),
+     r"rewards must hold one entry per state \(2\), got 3"),
 ], ids=["weights-negative-M", "weights-zero-K", "block-zero-K", "cumulants-negative-M",
         "split-zero-tasks", "nstep-fractional-n", "grassmann-ambient-mismatch",
         "angle-length-mismatch", "ensemble-1d-phi", "orthonormalize-no-columns",
@@ -180,7 +182,8 @@ E1 = rd.Subspace(np.eye(3)[:, :1])
         "block-string-blocks", "deterministic-fractional-actions", "uniform-fractional-states",
         "uniform-zero-actions", "weights-negative-seed", "cumulants-negative-seed",
         "block-fractional-seed", "config-list", "config-string", "config-array",
-        "config-empty-M_list", "config-empty-mixes", "config-empty-v0"])
+        "config-empty-M_list", "config-empty-mixes", "config-empty-v0",
+        "two-state-three-rewards"])
 def test_bad_counts_and_shapes_raise_configuration_errors(make, match):
     with pytest.raises(ConfigurationError, match=match):
         make()
