@@ -111,8 +111,11 @@ def _run_flow_command(args) -> int:
             raise ConfigurationError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     if not (np.isfinite(args.t_max) and args.t_max >= 0):
         raise ConfigurationError(f"--t-max must be finite and nonnegative, got {args.t_max}")
-    chain = _build_chain(args.mdp, args.left_prob, args.gamma)
     times = np.linspace(0.0, args.t_max, args.samples)
+    if np.any(np.diff(times) <= 0.0):
+        raise ConfigurationError(f"--samples {args.samples} needs distinct times in "
+                                 f"[0, --t-max], got --t-max {args.t_max:g}")
+    chain = _build_chain(args.mdp, args.left_prob, args.gamma)
     n = chain.n_states
     rng = np.random.default_rng(args.seed)
     v0 = np.zeros(n)

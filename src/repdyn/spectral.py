@@ -245,8 +245,9 @@ def vector_subspace_angle(v: np.ndarray, S: Subspace) -> float:
 def orthonormalize(M: np.ndarray) -> Subspace:
     """Orthonormal basis of the column space of ``M`` (SVD-based, sign-fixed).
 
-    Raises :class:`RankDeficiencyError` when the smallest singular value falls
-    below 1e-10 of the largest, reporting the numerical rank.
+    Raises :class:`RankDeficiencyError` when ``M`` has more columns than rows
+    or its smallest singular value falls below 1e-10 of the largest, reporting
+    the numerical rank.
     """
     # no finiteness scan: NaN entries make LAPACK fail, and bayes-opt calls this 1,000 times
     M = check_array("M", M, ("n", "K"), finite=False)
@@ -256,7 +257,7 @@ def orthonormalize(M: np.ndarray) -> Subspace:
         if not np.all(np.isfinite(M)):
             raise ConfigurationError("M entries must be finite") from None
         raise NumericalError(f"SVD failed: {exc}") from exc  # pragma: no cover
-    if svals[0] == 0.0 or svals[-1] <= _RANK_TOL * svals[0]:
+    if M.shape[1] > M.shape[0] or svals[0] == 0.0 or svals[-1] <= _RANK_TOL * svals[0]:
         rank = int(np.sum(svals > _RANK_TOL * max(svals[0], 1.0)))
         raise RankDeficiencyError(
             f"columns are numerically dependent (rank {rank} of {M.shape[1]})",

@@ -161,6 +161,8 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
      "--t-max must be finite and nonnegative, got -1.0"),
     (["flow", "--flow", "td", "--samples", "-1"], {}, "--samples must be at least 1"),
     (["flow", "--flow", "td", "--samples", "0"], {}, "--samples must be at least 1"),
+    (["flow", "--flow", "td", "--t-max", "0"], {},
+     "--samples 101 needs distinct times in [0, --t-max], got --t-max 0"),
     (["flow", "--flow", "ensemble", "--alpha", "nan"], {},
      "alpha must be a finite real number in [0, inf)"),
     (["flow", "--flow", "joint", "--beta", "inf"], {},
@@ -174,8 +176,8 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
         "four-rooms-too-many-features", "flow-negative-seed", "flow-step-nan",
         "flow-step-inf", "flow-t-max-nan", "flow-t-max-inf", "flow-t-max-negative",
         "flow-negative-samples",
-        "flow-zero-samples", "flow-alpha-nan", "flow-beta-inf", "flow-left-prob-above-one",
-        "flow-left-prob-nan"])
+        "flow-zero-samples", "flow-t-max-zero", "flow-alpha-nan", "flow-beta-inf",
+        "flow-left-prob-above-one", "flow-left-prob-nan"])
 def test_bad_input_is_one_error_line_and_exit_one(argv, env, message, tmp_path,
                                                    monkeypatch, capsys):
     for key, value in env.items():
@@ -185,6 +187,12 @@ def test_bad_input_is_one_error_line_and_exit_one(argv, env, message, tmp_path,
     assert err.count("\n") == 1 and err.startswith("repdyn: error: ")
     assert message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_flow_at_t_max_zero_takes_one_sample(tmp_path):
+    assert cli.main(["flow", "--flow", "td", "--t-max", "0", "--samples", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "tables" / "trajectory.csv").exists()
 
 
 OUT_OF_RANGE_OVERRIDES = [
@@ -247,13 +255,16 @@ def test_out_of_range_override_is_one_error_line_and_exit_one(command, override,
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["four-rooms", "--set", "check_t=1000", "--set", "t_max=1", "--set", "snapshot_times=0,1"],
-     "horizon t = 1000"),
+    (["four-rooms", "--seed", "0", "--set", "check_t=100000", "--set", "t_max=1",
+      "--set", "snapshot_times=0,1"], "horizon t = 100000"),
+    (["four-rooms", "--seed", "6", "--set", "check_t=100000", "--set", "t_max=1",
+      "--set", "snapshot_times=0,1"], "horizon t = 100000"),
     (["flow", "--flow", "td", "--samples", "2", "--t-max", "1e308"],
      "matrix exponential overflowed at t = 1.000e+308"),
     (["flow", "--flow", "nstep", "--samples", "2", "--t-max", "1e308"],
      "matrix exponential overflowed at t = 1.000e+308"),
-], ids=["four-rooms-check_t=1000", "flow-td-t-max-huge", "flow-nstep-t-max-huge"])
+], ids=["four-rooms-seed-0-t=100000", "four-rooms-seed-6-t=100000",
+        "flow-td-t-max-huge", "flow-nstep-t-max-huge"])
 def test_numerical_limit_is_one_failure_line_and_exit_one(argv, message, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err

@@ -229,6 +229,10 @@ def test_orthonormalize_rank_deficient():
     with pytest.raises(RankDeficiencyError) as info:
         rd.orthonormalize(m)
     assert info.value.numerical_rank == 1
+    # more columns than rows: full row rank is still short of one per column
+    with pytest.raises(RankDeficiencyError, match=r"rank 2 of 3") as info:
+        rd.orthonormalize(np.random.default_rng(0).standard_normal((2, 3)))
+    assert info.value.numerical_rank == 2
 
 
 def test_subspace_validation():
