@@ -473,13 +473,17 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
         bundle.add_check("gap_shrinks_with_M_per_seed", worst_ratio, 1.0,
                          table="trajectory_gaps")
     if 1 in m_list:
-        # single-head reduction: identical to the single-head joint flow
+        # one head w is the joint flow, whose rank-one closed form at zero reward is
+        # Phi0 + (e^{t |w|^2 G} - I) Phi0 w^ w^T, G = U diag(gamma lam - 1) U^T
         phi0 = _normalized_phi0(_stream(cfg["seed"], "phi0", 0), CHAIN_N, K)
-        w = flows.sample_weights(1, K, 1.0, _stream(cfg["seed"], "heads", 0, 1))
-        ens = flows.ensemble_flow(chain, flows.EnsembleState(phi0, w), 1.0, 0.0, times)
-        joint = flows.joint_flow(chain, phi0, w[0], 1.0, 0.0, times)
-        diff = max(float(np.abs(a - b[:CHAIN_N]).max())
-                   for a, b in zip(ens.states, joint.states))
+        w = flows.sample_weights(1, K, 1.0, _stream(cfg["seed"], "heads", 0, 1))[0]
+        ens = flows.ensemble_flow(chain, flows.EnsembleState(phi0, w[None, :]), 1.0, 0.0, times)
+        lam, U = np.linalg.eigh(chain.transition)
+        unit = w / np.linalg.norm(w)
+        coeff = U.T @ (phi0 @ unit)
+        diff = max(float(np.abs(state - phi0 - np.outer(
+            U @ (np.expm1(t * (w @ w) * (cfg["gamma"] * lam - 1.0)) * coeff), unit)).max())
+            for t, state in zip(times, ens.states))
         bundle.add_check("single_head_reduces_to_joint_flow", diff, 1e-12,
                          table="trajectory_gaps")
 

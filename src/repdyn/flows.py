@@ -19,10 +19,17 @@ W^T(t) never leaves the span of the rows of W^T(0) and of the reward matrix
 R, so the M heads are integrated as K x d heads W^T B, B an orthonormal basis
 of that span with d <= min(M, K + rank R): trained heads, too, cost the same
 at any head count.
-RK4 steps the representation and the head weights as a tuple of arrays, and
-it stops computing once its state is a bit-for-bit fixed point of the step:
-the skipped steps would have returned the same state, so the output is
-unchanged.
+RK4 steps the representation and the head weights packed into one float
+array, through buffers allocated once per flow. When P is exactly symmetric,
+P = U diag(lambda) U^T, it integrates U^T Phi, where G = gamma P - I is the
+diagonal diag(gamma lambda - 1) and one O(nd) scaling replaces the O(n^2 d)
+product, and it returns Phi_0 + U (U^T Phi(t) - U^T Phi_0), so a state that
+never moves is Phi_0 bit for bit; any other P keeps the dense G in state
+coordinates. RK4 stops computing once its state is a bit-for-bit fixed point
+of the step: the skipped steps would have returned the same state, so the
+output is unchanged. With zero reward the head weights decay through the
+whole float64 range, subnormals included, before that point; those steps are
+computed like any other.
 
 Heads split evenly over tasks follow, as their number grows, the flow of one
 averaged operator, ``build_multi_task_operator``: the mean of the task
@@ -258,15 +265,15 @@ def _linear_flow(terms: list, forcing: np.ndarray, phi0: np.ndarray, times: np.n
     return states
 
 
-def _rk4_integrate(rhs: Callable, y0, times: np.ndarray, step: float) -> tuple:
-    """Classical RK4 with fixed step; sample times are hit exactly.
+def _rk4_integrate(rhs: Callable, y0: np.ndarray, times: np.ndarray, step: float) -> tuple:
+    """Classical RK4 with fixed step on one float array; sample times are hit exactly.
 
-    The state is an array or a tuple of arrays, and ``rhs`` maps it to a
-    derivative of the same structure. The state norm (the root of the summed
-    squares of all parts) is monitored; exceeding 1e12 raises DivergenceError
-    with the time of blowup. Returns the sampled states, one (T, ...) array
-    per part (a single array for a bare-array state), and the number of
-    steps computed. No step changes ``y`` in place.
+    ``rhs`` maps the state to a new array of the same shape. The state norm
+    is monitored; exceeding 1e12 raises DivergenceError with the time of
+    blowup. Returns the (T, ...) sampled states and the number of steps
+    computed. A step writes its stages, the sum k1 + 2 k2 + 2 k3 + k4 and
+    the next state into buffers allocated once, with the operations of
+    y + (h / 6)(k1 + 2 k2 + 2 k3 + k4) in that order.
 
     A step is a pure function of (y, h). Once a step of size h returns y bit
     for bit, later steps of that size are skipped until a computed step moves
@@ -274,11 +281,9 @@ def _rk4_integrate(rhs: Callable, y0, times: np.ndarray, step: float) -> tuple:
     sampled state are exactly those of computing each step.
     """
     step = check_real("step", step, 0.0, low_open=True)
-    if isinstance(y0, np.ndarray):
-        (path,), steps = _rk4_integrate(lambda y: (rhs(y[0]),), (y0,), times, step)
-        return path, steps
-    y = tuple(part.copy() for part in y0)  # C order: BLAS rounds a transposed view differently
-    paths = tuple(np.empty((len(times),) + part.shape) for part in y)
+    y = np.array(y0, dtype=float, order="C")  # BLAS rounds a transposed view differently
+    moved, stage, total = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    path = np.empty((len(times),) + y.shape)
     t, steps = 0.0, 0
     still = set()  # step sizes whose last computed step returned y bit for bit
     for i, target in enumerate(times):
@@ -288,33 +293,54 @@ def _rk4_integrate(rhs: Callable, y0, times: np.ndarray, step: float) -> tuple:
             if h in still:
                 continue
             k1 = rhs(y)
-            k2 = rhs(tuple(a + 0.5 * h * k for a, k in zip(y, k1)))
-            k3 = rhs(tuple(a + 0.5 * h * k for a, k in zip(y, k2)))
-            k4 = rhs(tuple(a + h * k for a, k in zip(y, k3)))
-            moved = tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                          for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+            np.add(y, np.multiply(0.5 * h, k1, out=stage), out=stage)
+            k2 = rhs(stage)
+            np.add(y, np.multiply(0.5 * h, k2, out=stage), out=stage)
+            k3 = rhs(stage)
+            np.add(y, np.multiply(h, k3, out=stage), out=stage)
+            k4 = rhs(stage)
+            np.add(k1, np.multiply(2.0, k2, out=total), out=total)
+            total += np.multiply(2.0, k3, out=k3)
+            total += k4
+            np.add(y, np.multiply(h / 6.0, total, out=total), out=moved)
             steps += 1
-            norm = np.sqrt(sum(np.vdot(part, part) for part in moved))
+            norm = np.sqrt(np.vdot(moved, moved))
             if not np.isfinite(norm) or norm > _DIVERGENCE_NORM:
                 raise DivergenceError(f"flow diverged at t = {t:.6g}", time=t)
-            if all(a.tobytes() == b.tobytes() for a, b in zip(moved, y)):
+            if moved.tobytes() == y.tobytes():
                 still.add(h)
             else:
                 still.clear()
-            y = moved
-        for path, part in zip(paths, y):
-            path[i] = part
-    return paths, steps
+            y, moved = moved, y
+        path[i] = y
+    return path, steps
 
 
-def _trained_heads_rhs(chain: MarkovChain, rewards: np.ndarray, alpha: float, beta: float):
-    """Right-hand side of the trained-head flow on (Phi, W^T); W^T is (K, d), rewards (n, d)."""
-    G = chain.gamma * chain.transition - np.eye(chain.n_states)
+def _trained_heads_rhs(apply_G: Callable, G: np.ndarray, rewards: np.ndarray, alpha: float,
+                       beta: float, shapes: tuple) -> Callable:
+    """Right-hand side of the trained-head flow on the packed state (Phi, W^T).
 
-    def rhs(state):
-        phi, wmat = state
-        delta = rewards + G @ (phi @ wmat)
-        return alpha * (delta @ wmat.T), beta * (phi.T @ delta)
+    ``shapes`` are those of Phi, (n, K), and of W^T, (K, d); rewards are
+    (n, d). ``apply_G(G, X, out)`` writes G X: ``np.matmul`` of the dense
+    gamma P - I, or ``np.multiply`` of its eigenvalues as an (n, 1) column.
+    A rate of exactly 1 is not applied, which leaves every bit unchanged.
+    """
+    (n, k), (_, d) = shapes
+    split = n * k
+    pred, delta = np.empty((n, d)), np.empty((n, d))
+
+    def rhs(y):
+        phi, wmat = y[:split].reshape(n, k), y[split:].reshape(k, d)
+        out = np.empty_like(y)
+        dphi, dw = out[:split].reshape(n, k), out[split:].reshape(k, d)
+        np.add(apply_G(G, np.matmul(phi, wmat, out=pred), out=delta), rewards, out=delta)
+        np.matmul(delta, wmat.T, out=dphi)
+        np.matmul(phi.T, delta, out=dw)
+        if alpha != 1.0:
+            dphi *= alpha
+        if beta != 1.0:
+            dw *= beta
+        return out
 
     return rhs
 
@@ -371,9 +397,13 @@ def ensemble_flow(
     reduced QR of [weights, r]: r is 1_M for a nonzero shared reward, the
     cumulants' transpose for nonzero cumulants, and absent for zero reward.
     W^T(t) stays in the row span of W^T(0) and R, so this equals RK4 on all M
-    heads in exact arithmetic, at a cost that does not grow with M. ``meta``
-    records the steps RK4 computed (``rk4_steps``), ``rhs_evals`` and d
-    (``head_dim``). Trajectory states are the (T, n, K) Phi path.
+    heads in exact arithmetic, at a cost that does not grow with M. A
+    symmetric P runs in its eigenbasis (see the module docstring). ``meta``
+    records the steps RK4 computed (``rk4_steps``), ``rhs_evals``, d
+    (``head_dim``) and ``invariant_drift``, the largest entry of
+    |C(t) - C(0)| over the samples for C = beta Phi^T Phi - alpha H H^T,
+    H = W^T B: C is constant along the exact flow, so its drift measures the
+    integration error. Trajectory states are the (T, n, K) Phi path.
     """
     return _multi_head_flow(chain, state0, alpha, beta, times, step)[0]
 
@@ -402,9 +432,28 @@ def _multi_head_flow(chain, state0: EnsembleState, alpha, beta, times, step) -> 
         nonzero = np.any(chain.reward) if shared else np.any(rewards)
         basis, _ = np.linalg.qr(np.hstack([weights, reward_rows]) if nonzero else weights)
         reduced = np.outer(chain.reward, basis.sum(axis=0)) if shared else rewards @ basis
-        rhs = _trained_heads_rhs(chain, reduced, alpha, beta)
-        (states, heads), steps = _rk4_integrate(rhs, (phi0, weights.T @ basis), times, step)
-        meta.update(rk4_steps=steps, rhs_evals=4 * steps, head_dim=basis.shape[1])
+        heads0, P = weights.T @ basis, chain.transition
+        rotate = np.array_equal(P, P.T)  # P = U diag(lam) U^T: RK4 on U^T Phi, G diagonal
+        if rotate:
+            lam, U = np.linalg.eigh(P)
+            G, apply_G = (chain.gamma * lam - 1.0)[:, None], np.multiply
+            start, reduced = U.T @ phi0, U.T @ reduced
+        else:
+            G, apply_G = chain.gamma * P - np.eye(chain.n_states), np.matmul
+            start = phi0
+        rhs = _trained_heads_rhs(apply_G, G, reduced, alpha, beta, (phi0.shape, heads0.shape))
+        path, steps = _rk4_integrate(rhs, np.concatenate([start.ravel(), heads0.ravel()]),
+                                     times, step)
+        states = path[:, :phi0.size].reshape((len(times),) + phi0.shape)
+        heads = path[:, phi0.size:].reshape((len(times),) + heads0.shape)
+        # C = beta Phi^T Phi - alpha H H^T is constant along the exact flow and under U
+        invariant = (beta * np.matmul(states.transpose(0, 2, 1), states)
+                     - alpha * np.matmul(heads, heads.transpose(0, 2, 1)))
+        invariant0 = beta * start.T @ start - alpha * heads0 @ heads0.T
+        if rotate:
+            states = phi0 + np.matmul(U, states - start)
+        meta.update(rk4_steps=steps, rhs_evals=4 * steps, head_dim=basis.shape[1],
+                    invariant_drift=float(np.abs(invariant - invariant0).max()))
     return Trajectory(times=times, states=states, meta=meta), heads
 
 

@@ -12,7 +12,7 @@ from repdyn import flows
 from repdyn.errors import (ConfigurationError, DivergenceError, NumericalError,
                            RankDeficiencyError)
 from repdyn.experiments import (FOUR_ROOMS_DEFAULTS, _stream, chain_drift, chain_uniform,
-                                frozen_ensemble_span)
+                                frozen_ensemble_span, two_state_chain)
 from repdyn.flows import (_linear_flow, _rk4_integrate, td_lambda_series_operator,
                           trajectory_to_csv)
 
@@ -73,6 +73,49 @@ def trained_heads_rhs(chain, rewards):
         delta = rewards + G @ (phi @ wmat)
         return delta @ wmat.T, phi.T @ delta
     return rhs
+
+
+def trained_heads_coordinates(chain, rewards, phi0):
+    """(rhs, start, back) of the trained heads in the coordinates ``ensemble_flow`` takes.
+
+    A symmetric P = U diag(lam) U^T takes its eigenbasis: the state (U^T Phi, W^T),
+    G = diag(gamma lam - 1), the rewards U^T R, and back(Phi^) = Phi0 + U (Phi^ - U^T Phi0)
+    rotates a sample back. Any other P takes ``trained_heads_rhs`` in state coordinates.
+    """
+    P = chain.transition
+    if not np.array_equal(P, P.T):
+        return trained_heads_rhs(chain, rewards), phi0, lambda phi: phi
+    lam, U = np.linalg.eigh(P)
+    g, rotated, start = (chain.gamma * lam - 1.0)[:, None], U.T @ rewards, U.T @ phi0
+
+    def rhs(state):
+        phi, wmat = state
+        delta = rotated + g * (phi @ wmat)
+        return delta @ wmat.T, phi.T @ delta
+    return rhs, start, lambda phi: phi0 + U @ (phi - start)
+
+
+def trained_heads_path(chain, rewards, phi0, wb, times, step):
+    """Every-step RK4 samples (Phi, W^T) and step count in ``ensemble_flow``'s coordinates."""
+    rhs, start, back = trained_heads_coordinates(chain, rewards, phi0)
+    path, steps = plain_rk4_path(rhs, (start, wb), times, step)
+    return [(back(phi), w) for phi, w in path], steps
+
+
+def symmetric_transition(rng, n):
+    """A random row-stochastic P that equals its transpose bit for bit."""
+    sym = rng.random((n, n))
+    sym = sym + sym.T
+    scale = sym.sum(axis=1).max()
+    return sym / scale + np.diag(1.0 - sym.sum(axis=1) / scale)
+
+
+def random_transitions(rng, n, symmetric, count=1):
+    """``count`` random row-stochastic n x n matrices, each its own transpose when ``symmetric``."""
+    if symmetric:
+        return np.array([symmetric_transition(rng, n) for _ in range(count)])
+    transitions = rng.random((count, n, n))
+    return transitions / transitions.sum(axis=2, keepdims=True)
 
 
 def reduced_heads(chain, weights, cumulants=None):
@@ -374,17 +417,40 @@ def test_joint_flow_divergence_detection():
     assert info.value.time is not None
 
 
+def single_head_closed_form(chain, phi0, w, times):
+    """Phi(t) of one frozen head w at alpha = 1, from one eigh of a symmetric P.
+
+    Phi (I - w^ w^T) stays put, and x = Phi w^ follows x' = |w|^2 G x + |w| r with
+    G = gamma P - I = U diag(g) U^T, so Phi(t) = Phi0 + (x(t) - x(0)) w^T with
+    x(t) - x(0) = (e^{t |w|^2 G} - I)(x(0) - x*), x* = -G^{-1} r / |w|. At zero reward
+    that is Phi0 + (e^{t |w|^2 G} - I) Phi0 w^ w^T.
+    """
+    lam, U = np.linalg.eigh(chain.transition)
+    g = chain.gamma * lam - 1.0
+    norm = np.linalg.norm(w)
+    unit = w / norm
+    offset = U.T @ (phi0 @ unit) + (U.T @ chain.reward) / (g * norm)
+    return np.array([phi0 + np.outer(U @ (np.expm1(t * norm**2 * g) * offset), unit)
+                     for t in times])
+
+
 def test_ensemble_single_head_reduces_to_joint_flow():
+    # frozen, both flows meet the rank-one closed form; trained, they share one code path
     chain = chain_uniform()
     rng = np.random.default_rng(14)
     phi0 = rng.standard_normal((30, 3))
     w = rd.sample_weights(1, 3, 1.0, 15)
     times = np.linspace(0.0, 3.0, 4)
+    oracle = single_head_closed_form(chain, phi0, w[0], times)
     for beta in (0.0, 1.0):
         ens = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, beta, times,
                                step=1e-2)
         joint = rd.joint_flow(chain, phi0, w[0], 1.0, beta, times, step=1e-2)
-        assert np.array_equal(ens.states, joint.states[:, :30])
+        if beta == 0.0:
+            assert np.abs(ens.states - oracle).max() <= 1e-12
+            assert np.abs(joint.states[:, :30] - oracle).max() <= 1e-12
+        else:
+            assert np.array_equal(ens.states, joint.states[:, :30])
 
 
 def test_ensemble_flow_matches_rk4_oracle_with_trained_heads():
@@ -405,20 +471,23 @@ def test_ensemble_flow_matches_rk4_oracle_with_trained_heads():
     assert np.abs(traj.final() - oracle).max() < 1e-10
 
 
-@pytest.mark.parametrize("rewarded", [False, True], ids=["zero-reward", "rewarded"])
-def test_trained_heads_stop_computing_at_a_bitwise_fixed_point(rewarded):
-    # both flows stop moving in float64 before t = 150 (zero reward drives the
-    # head weights to zero); the samples after that include shortened steps
-    chain = chain_uniform()
-    if not rewarded:
-        chain = chain.with_reward(np.zeros(30))
+@pytest.mark.parametrize("chain", [
+    chain_uniform().with_reward(np.zeros(30)),
+    chain_uniform(),
+    chain_drift(0.9, 0.75).with_reward(np.zeros(30)),
+    two_state_chain(),
+], ids=["zero-reward", "rewarded", "drift-zero-reward", "two-state-rewarded"])
+def test_trained_heads_stop_computing_at_a_bitwise_fixed_point(chain):
+    # every flow stops moving in float64 before t = 150 (zero reward drives the
+    # head weights to zero); the samples after that include shortened steps. The
+    # symmetric chains run in P's eigenbasis, the others in state coordinates
     rng = np.random.default_rng(0)
-    phi0 = rng.standard_normal((30, 2))
+    phi0 = rng.standard_normal((chain.n_states, 2))
     w = rd.sample_weights(3, 2, 1.0 / 3, 1)
     times = [0.0, 10.05, 150.3, 200.0]
     traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 1.0, times, step=0.1)
     wb, rb = reduced_heads(chain, w)
-    path, steps = plain_rk4_path(trained_heads_rhs(chain, rb), (phi0, wb), times, 0.1)
+    path, steps = trained_heads_path(chain, rb, phi0, wb, times, 0.1)
     for state, (phi, _) in zip(traj.states, path):
         assert np.array_equal(state, phi)
     assert all(np.array_equal(a, b) for a, b in zip(path[2], path[3]))
@@ -427,20 +496,21 @@ def test_trained_heads_stop_computing_at_a_bitwise_fixed_point(rewarded):
 
 
 def test_rewarded_trained_heads_compute_every_step():
-    chain = chain_uniform()
-    rng = np.random.default_rng(2)
-    phi0 = rng.standard_normal((30, 2))
-    w = rd.sample_weights(3, 2, 1.0 / 3, 3)
-    times = [0.0, 0.5, 1.25, 2.0]
-    traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 1.0, times, step=0.1)
-    wb, rb = reduced_heads(chain, w)
-    path, steps = plain_rk4_path(trained_heads_rhs(chain, rb), (phi0, wb), times, 0.1)
-    for state, (phi, _) in zip(traj.states, path):
-        assert np.array_equal(state, phi)
-    assert traj.meta["rk4_steps"] == steps
-    assert traj.meta["rhs_evals"] == 4 * steps
-    joint = rd.joint_flow(chain, phi0, w[0], 1.0, 1.0, times, step=0.1)
-    assert joint.meta["rk4_steps"] == steps
+    # the symmetric chain runs in P's eigenbasis, the two-state chain in state coordinates
+    for chain in (chain_uniform(), two_state_chain()):
+        rng = np.random.default_rng(2)
+        phi0 = rng.standard_normal((chain.n_states, 2))
+        w = rd.sample_weights(3, 2, 1.0 / 3, 3)
+        times = [0.0, 0.5, 1.25, 2.0]
+        traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 1.0, times, step=0.1)
+        wb, rb = reduced_heads(chain, w)
+        path, steps = trained_heads_path(chain, rb, phi0, wb, times, 0.1)
+        for state, (phi, _) in zip(traj.states, path):
+            assert np.array_equal(state, phi)
+        assert traj.meta["rk4_steps"] == steps == 21
+        assert traj.meta["rhs_evals"] == 4 * steps
+        joint = rd.joint_flow(chain, phi0, w[0], 1.0, 1.0, times, step=0.1)
+        assert joint.meta["rk4_steps"] == steps
 
 
 def test_rk4_skip_is_keyed_by_step_size_and_cleared_when_the_state_moves():
@@ -457,34 +527,33 @@ def test_rk4_skip_is_keyed_by_step_size_and_cleared_when_the_state_moves():
     assert (steps, every) == (4, 5)
 
 
-@example(seed=2, n=2, k=1, m=3, gamma=0.9, rewarded=True)  # RK4 at step 0.125 diverges
+@example(seed=2, n=2, k=1, m=3, gamma=0.9, rewarded=True, symmetric=True)  # diverges at 0.125
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), k=st.integers(1, 4),
-       m=st.integers(1, 3), gamma=st.sampled_from([0.0, 0.5, 0.9]), rewarded=st.booleans())
-def test_trained_heads_match_every_step_rk4_bit_for_bit(seed, n, k, m, gamma, rewarded):
-    # symmetric stochastic P keeps the flow bounded, but a step of 0.125 may leave
+       m=st.integers(1, 3), gamma=st.sampled_from([0.0, 0.5, 0.9]), rewarded=st.booleans(),
+       symmetric=st.booleans())
+def test_trained_heads_match_every_step_rk4_bit_for_bit(seed, n, k, m, gamma, rewarded, symmetric):
+    # a symmetric stochastic P keeps the flow bounded and runs in its eigenbasis; any
+    # other row-stochastic P runs in state coordinates. A step of 0.125 may leave
     # RK4's stability region; K may exceed n
     rng = np.random.default_rng(seed)
-    sym = rng.random((n, n))
-    sym = sym + sym.T
-    scale = sym.sum(axis=1).max()
-    P = sym / scale + np.diag(1.0 - sym.sum(axis=1) / scale)
+    P = random_transitions(rng, n, symmetric)[0]
     reward = rng.standard_normal(n) if rewarded else np.zeros(n)
     chain = rd.MarkovChain(P, reward, gamma)
     phi0 = rng.standard_normal((n, k))
     w = rng.standard_normal((m, k)) / np.sqrt(m)
     times = np.sort(rng.uniform(0.0, 60.0, 3))
     wb, rb = reduced_heads(chain, w)
-    rhs = trained_heads_rhs(chain, rb)
+    rhs, start, back = trained_heads_coordinates(chain, rb, phi0)
     try:
         traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 1.0, times, step=0.125)
     except DivergenceError as exc:
         # every-step RK4 first leaves the divergence norm on the step that ends at
         # exc.time, and the integrator returns every sample before that step
         samples = []
-        for t, y, sample in rk4_every_step(rhs, (phi0, wb), times, 0.125):
+        for t, y, sample in rk4_every_step(rhs, (start, wb), times, 0.125):
             if sample is not None:
-                samples.append(y[0])
+                samples.append(back(y[0]))
             elif not np.sqrt(sum(np.vdot(part, part) for part in y)) <= 1e12:
                 break
         else:
@@ -496,10 +565,51 @@ def test_trained_heads_match_every_step_rk4_bit_for_bit(seed, n, k, m, gamma, re
                                      times[:len(samples)], step=0.125)
             assert all(np.array_equal(a, b) for a, b in zip(early.states, samples))
     else:
-        path, steps = plain_rk4_path(rhs, (phi0, wb), times, 0.125)
+        path, steps = trained_heads_path(chain, rb, phi0, wb, times, 0.125)
         for state, (phi, _) in zip(traj.states, path):
             assert np.array_equal(state, phi)
         assert traj.meta["rk4_steps"] <= steps
+
+
+def _assert_matches_state_coordinate_rk4(chain, state0, times, step):
+    # every-step RK4 with the dense G = gamma P - I in state coordinates shares no
+    # rotation with the eigenbasis that ensemble_flow takes for a symmetric P;
+    # returns the largest drift of C = Phi^T Phi - H H^T in the flow's meta and
+    # along the oracle
+    traj = rd.ensemble_flow(chain, state0, 1.0, 1.0, times, step)
+    wb, rb = reduced_heads(chain, state0.weights, state0.cumulants)
+    path, _ = plain_rk4_path(trained_heads_rhs(chain, rb), (state0.phi, wb), times, step)
+    oracle = np.array([phi for phi, _ in path])
+    assert np.abs(traj.states - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    invariant = [phi.T @ phi - h @ h.T for phi, h in [(state0.phi, wb)] + path]
+    return traj.meta["invariant_drift"], max(np.abs(c - invariant[0]).max() for c in invariant)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), k=st.integers(1, 3),
+       m=st.integers(1, 6), rewards=st.sampled_from(["none", "shared", "cumulants"]))
+def test_trained_heads_on_a_symmetric_chain_match_state_coordinate_rk4(seed, n, k, m, rewards):
+    rng = np.random.default_rng(seed)
+    reward = rng.standard_normal(n) if rewards == "shared" else np.zeros(n)
+    chain = rd.MarkovChain(symmetric_transition(rng, n), reward, 0.9)
+    cumulants = rd.sample_cumulants(m, n, rng) if rewards == "cumulants" else None
+    state0 = rd.EnsembleState(rng.standard_normal((n, k)), rd.sample_weights(m, k, 1.0 / m, rng),
+                              cumulants)
+    _assert_matches_state_coordinate_rk4(chain, state0, np.linspace(0.0, 2.0, 41), 0.05)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_four_rooms_trained_heads_match_state_coordinate_rk4(seed):
+    # four-rooms' own inputs over its first 5 time units; the drift of the
+    # invariant, taken in the eigenbasis, stays within 2x of the oracle's
+    cfg = FOUR_ROOMS_DEFAULTS
+    rooms, policy = rd.build_four_rooms()
+    chain = rd.induce(rooms, policy, cfg["gamma"])
+    phi0 = _stream(seed, "phi0").standard_normal((rooms.n_states, cfg["K"]))
+    w = rd.sample_weights(cfg["M"], cfg["K"], 1.0 / cfg["M"], _stream(seed, "heads"))
+    drift, oracle_drift = _assert_matches_state_coordinate_rk4(
+        chain, rd.EnsembleState(phi0, w), np.arange(0.0, 6.0), cfg["step"])
+    assert drift <= 2.0 * oracle_drift
 
 
 @pytest.mark.parametrize("reward, M, alpha, head_dim", [
@@ -1004,6 +1114,7 @@ def test_trained_heads_drift_from_their_invariant_at_fourth_order(seed, n, k, m,
                                              np.linspace(0.0, 2.0, 11), step)
         invariant = [beta * phi.T @ phi - alpha * h @ h.T for phi, h in zip(traj.states, heads)]
         drifts.append(max(np.abs(c - invariant[0]).max() for c in invariant))
+        assert abs(traj.meta["invariant_drift"] - drifts[-1]) <= 1e-12
     if drifts[0] > 1e-10:
         assert drifts[0] >= 8.0 * drifts[1]
 
@@ -1057,13 +1168,15 @@ def test_relabelling_states_permutes_every_flow_output(name):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), k=st.integers(1, 3),
-       m=st.integers(1, 6))
-def test_relabelling_states_of_a_random_chain_permutes_every_flow_output(seed, n, k, m):
-    # the same relation on random row-stochastic chains, rewards and starts;
-    # multi-task splits the heads over its two chains, so it needs an even M
+       m=st.integers(1, 6), symmetric=st.booleans())
+def test_relabelling_states_of_a_random_chain_permutes_every_flow_output(seed, n, k, m,
+                                                                         symmetric):
+    # the same relation on random row-stochastic chains, rewards and starts; a
+    # relabelled symmetric chain stays symmetric, so its trained heads run in the
+    # eigenbasis on both sides. Multi-task splits the heads over its two chains,
+    # so it needs an even M
     rng = np.random.default_rng(seed)
-    transitions = rng.random((2, n, n))
-    transitions /= transitions.sum(axis=2, keepdims=True)
+    transitions = random_transitions(rng, n, symmetric, count=2)
     reward = rng.standard_normal(n)
     x = SimpleNamespace(
         chains=[rd.MarkovChain(p, reward, g) for p, g in zip(transitions, (0.9, 0.8))],
@@ -1109,6 +1222,30 @@ def test_scaling_the_rates_by_a_power_of_two_rescales_time_exactly(beta, cumulan
     out = _ensemble(chain, phi0, RELABEL_HEADS, cum, 1.0, beta, RELABEL_TIMES, 0.01)
     scaled = _ensemble(chain, phi0, RELABEL_HEADS, cum, c, c * beta, RELABEL_TIMES / c, 0.01 / c)
     assert np.array_equal(scaled, out)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), k=st.integers(1, 3),
+       m=st.integers(1, 6), symmetric=st.booleans())
+def test_relabelling_heads_and_rescaling_time_on_a_random_chain(seed, n, k, m, symmetric):
+    # the two relations above on random chains, rewards, starts and heads, frozen
+    # and trained, with a shared reward and with cumulants; a symmetric chain's
+    # trained heads run in its eigenbasis, any other chain's in state coordinates
+    rng = np.random.default_rng(seed)
+    chain = rd.MarkovChain(random_transitions(rng, n, symmetric)[0], rng.standard_normal(n), 0.9)
+    phi0 = rng.standard_normal((n, k))
+    heads = rd.sample_weights(m, k, 1.0 / m, rng)
+    perm = rng.permutation(m)
+    times = np.linspace(0.0, 2.0, 5)
+    for cum in (None, rd.sample_cumulants(m, n, rng)):
+        for beta in (0.0, 1.0):
+            out = _ensemble(chain, phi0, heads, cum, 1.0, beta, times, 0.05)
+            moved = _ensemble(chain, phi0, heads[perm], None if cum is None else cum[:, perm],
+                              1.0, beta, times, 0.05)
+            assert np.abs(moved - out).max() <= 1e-12 * np.abs(out).max()
+            for c in (2.0, 0.5):
+                scaled = _ensemble(chain, phi0, heads, cum, c, c * beta, times / c, 0.05 / c)
+                assert np.array_equal(scaled, out)
 
 
 @pytest.mark.parametrize("name", ["td", "mc", "nstep", "tdlambda"])
