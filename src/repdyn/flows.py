@@ -23,9 +23,9 @@ RK4 steps the representation and the head weights packed into one float
 array, through buffers allocated once per flow. When P is exactly symmetric,
 P = U diag(lambda) U^T, it integrates U^T Phi, where G = gamma P - I is the
 diagonal diag(gamma lambda - 1) and one O(nd) scaling replaces the O(n^2 d)
-product, and it returns Phi_0 + U (U^T Phi(t) - U^T Phi_0), so a state that
-never moves is Phi_0 bit for bit; any other P keeps the dense G in state
-coordinates. RK4 stops computing once its state is a bit-for-bit fixed point
+product, and it returns Phi_0 + U (U^T Phi(t) - U^T Phi_0), so a sample at
+which U^T Phi has not moved (t = 0 included) returns Phi_0 bit for bit; any
+other P keeps the dense G in state coordinates. RK4 stops computing once its state is a bit-for-bit fixed point
 of the step: the skipped steps would have returned the same state, so the
 output is unchanged. With zero reward the head weights decay through the
 whole float64 range, subnormals included, before that point; those steps are
@@ -316,14 +316,13 @@ def _rk4_integrate(rhs: Callable, y0: np.ndarray, times: np.ndarray, step: float
     return path, steps
 
 
-def _trained_heads_rhs(apply_G: Callable, G: np.ndarray, rewards: np.ndarray, alpha: float,
-                       beta: float, shapes: tuple) -> Callable:
+def _trained_heads_rhs(apply_G: Callable, rewards: np.ndarray, alpha: float, beta: float,
+                       shapes: tuple) -> Callable:
     """Right-hand side of the trained-head flow on the packed state (Phi, W^T).
 
     ``shapes`` are those of Phi, (n, K), and of W^T, (K, d); rewards are
-    (n, d). ``apply_G(G, X, out)`` writes G X: ``np.matmul`` of the dense
-    gamma P - I, or ``np.multiply`` of its eigenvalues as an (n, 1) column.
-    A rate of exactly 1 is not applied, which leaves every bit unchanged.
+    (n, d). ``apply_G(X, out)`` writes G X into ``out`` and returns it. A
+    rate of exactly 1 is not applied, which leaves every bit unchanged.
     """
     (n, k), (_, d) = shapes
     split = n * k
@@ -333,7 +332,7 @@ def _trained_heads_rhs(apply_G: Callable, G: np.ndarray, rewards: np.ndarray, al
         phi, wmat = y[:split].reshape(n, k), y[split:].reshape(k, d)
         out = np.empty_like(y)
         dphi, dw = out[:split].reshape(n, k), out[split:].reshape(k, d)
-        np.add(apply_G(G, np.matmul(phi, wmat, out=pred), out=delta), rewards, out=delta)
+        np.add(apply_G(np.matmul(phi, wmat, out=pred), delta), rewards, out=delta)
         np.matmul(delta, wmat.T, out=dphi)
         np.matmul(phi.T, delta, out=dw)
         if alpha != 1.0:
@@ -436,12 +435,14 @@ def _multi_head_flow(chain, state0: EnsembleState, alpha, beta, times, step) -> 
         rotate = np.array_equal(P, P.T)  # P = U diag(lam) U^T: RK4 on U^T Phi, G diagonal
         if rotate:
             lam, U = np.linalg.eigh(P)
-            G, apply_G = (chain.gamma * lam - 1.0)[:, None], np.multiply
+            g = (chain.gamma * lam - 1.0)[:, None]  # diagonal G as an (n, 1) column
+            apply_G = lambda X, out: np.multiply(g, X, out=out)
             start, reduced = U.T @ phi0, U.T @ reduced
         else:
-            G, apply_G = chain.gamma * P - np.eye(chain.n_states), np.matmul
+            G = chain.gamma * P - np.eye(chain.n_states)
+            apply_G = lambda X, out: np.matmul(G, X, out=out)
             start = phi0
-        rhs = _trained_heads_rhs(apply_G, G, reduced, alpha, beta, (phi0.shape, heads0.shape))
+        rhs = _trained_heads_rhs(apply_G, reduced, alpha, beta, (phi0.shape, heads0.shape))
         path, steps = _rk4_integrate(rhs, np.concatenate([start.ravel(), heads0.ravel()]),
                                      times, step)
         states = path[:, :phi0.size].reshape((len(times),) + phi0.shape)
