@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import experiments, flows, mdp
-from .errors import ERRORS, ConfigurationError
+from .errors import ERRORS, ConfigurationError, check_count, check_real
 from .report import write_bundle
 from .svg import emit_svg
 
@@ -104,13 +104,11 @@ def _run_flow_command(args) -> int:
         read.add("left_prob")
     if not args.beta > 0:
         read.discard("step")
-    if args.seed < 0:
-        raise ConfigurationError("seed must be nonnegative")
+    check_count("--seed", args.seed, 0)
     for flag in ("k", "m", "samples"):
-        if flag in read and getattr(args, flag) < 1:
-            raise ConfigurationError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
-    if not (np.isfinite(args.t_max) and args.t_max >= 0):
-        raise ConfigurationError(f"--t-max must be finite and nonnegative, got {args.t_max}")
+        if flag in read:
+            check_count(f"--{flag}", getattr(args, flag))
+    check_real("--t-max", args.t_max, 0.0)
     times = np.linspace(0.0, args.t_max, args.samples)
     if np.any(np.diff(times) <= 0.0):
         raise ConfigurationError(f"--samples {args.samples} needs distinct times in "
@@ -180,7 +178,7 @@ def main(argv=None) -> int:
             print(f"{len(failed)} check(s) failed", file=sys.stderr)
             return 2
         return 0
-    except ERRORS as exc:
+    except (*ERRORS, MemoryError) as exc:  # MemoryError: an allocation the machine refused
         kind = "numerical failure" if isinstance(exc, RuntimeError) else "error"
         print(f"repdyn: {kind}: {exc}", file=sys.stderr)
         return 1

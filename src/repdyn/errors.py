@@ -1,9 +1,9 @@
 """Exception types shared across the package, and the boundary coercers that raise them.
 
-The arguments of exported callables pass through these coercers where they
-enter: a count, a real number within an interval, a finite array of a given
-shape, or an instance of a type. What a coercer rejects is a
-``ConfigurationError``.
+The arguments of exported callables, the experiments' config entries and
+the ``repdyn flow`` flags pass through these coercers where they enter: a
+count, a real number within an interval, a finite array of a given shape, or
+an instance of a type. What a coercer rejects is a ``ConfigurationError``.
 """
 
 import math
@@ -44,10 +44,11 @@ class DivergenceError(RuntimeError):
 ERRORS = (ConfigurationError, DomainError, RankDeficiencyError, NumericalError, DivergenceError)
 
 
-def check_count(name: str, value) -> None:
-    """Raise unless ``value`` is an integer of at least 1; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ConfigurationError(f"{name} must be an integer of at least 1, got {value!r}")
+def check_count(name: str, value, low: int = 1) -> int:
+    """``value`` as an int of at least ``low`` (0 for a seed); a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigurationError(f"{name} must be an integer of at least {low}, got {value!r}")
+    return int(value)
 
 
 def check_real(name: str, value, low=-math.inf, high=math.inf, *, low_open=False,

@@ -8,8 +8,6 @@ from its own config reproduces the tables byte for byte.
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 from collections.abc import Mapping
 
@@ -17,7 +15,7 @@ import numpy as np
 
 from . import flows, mdp, spectral
 from .errors import (ConfigurationError, NumericalError, RankDeficiencyError, check_array,
-                     check_instance, check_real)
+                     check_count, check_instance, check_real)
 from .report import ReportBundle
 from .svg import emit_svg
 
@@ -29,21 +27,14 @@ MC_BLOCK = 8192  # Monte Carlo draws (rows or columns) held at once
 WEIGHT_K = 10  # head dimension of limit-checks' second-moment identity
 
 
-_ENTRY_KINDS = {  # type of a default (or of its elements) -> accepted type, in words
-    int: (numbers.Integral, "an integer", "integers"),
-    float: (numbers.Real, "a real number", "real numbers"),
-}
-
-
 def _finalize_config(defaults: dict, config: dict | None) -> dict:
-    """``defaults`` overridden by ``config`` (None or a mapping), checked entry by entry.
+    """``defaults`` overridden by ``config`` (None or a mapping), coerced entry by entry.
 
-    Each entry takes its default's type: an int entry an integral value, a
-    float entry any real, and a tuple entry a non-empty tuple or list of its
-    default's element type (a rerun reads tuples back from ``config.json`` as
-    lists); a bool is neither an integer nor a real. Every int entry (also
-    inside a tuple) other than ``seed`` is a count and must be at least 1;
-    ``seed`` must be nonnegative; every float must be finite.
+    Each entry takes its default's kind: an int entry is a count
+    (``check_count``; ``seed`` may be 0), a float entry a finite real
+    (``check_real``), and a tuple entry a non-empty tuple or list of its
+    default's element kind (a rerun reads tuples back from ``config.json`` as
+    lists). Entries are stored as the Python numbers the coercers return.
     """
     merged = dict(defaults)
     config = {} if config is None else check_instance("config", config, Mapping)
@@ -55,22 +46,13 @@ def _finalize_config(defaults: dict, config: dict | None) -> dict:
         merged[key] = value
     for key, value in merged.items():
         sequence = isinstance(defaults[key], tuple)
-        kind, one, many = _ENTRY_KINDS[type(defaults[key][0] if sequence else defaults[key])]
-        entries = value if sequence else (value,)
-        if sequence != isinstance(value, (tuple, list)) or not all(
-                isinstance(x, kind) and not isinstance(x, bool) for x in entries):
-            raise ConfigurationError(
-                f"{key} must be {'a tuple or list of ' + many if sequence else one}, "
-                f"got {value!r}")
-        if not entries:
+        if sequence and not check_instance(key, value, (tuple, list)):
             raise ConfigurationError(f"{key} must hold at least one entry, got {value!r}")
-        for x in entries:
-            if kind is numbers.Integral and key == "seed" and x < 0:
-                raise ConfigurationError(f"seed must be nonnegative, got {value!r}")
-            if kind is numbers.Integral and key != "seed" and x < 1:
-                raise ConfigurationError(f"{key} must be at least 1, got {value!r}")
-            if kind is numbers.Real and not math.isfinite(x):
-                raise ConfigurationError(f"{key} must be finite, got {value!r}")
+        real = isinstance(defaults[key][0] if sequence else defaults[key], float)
+        low = 0 if key == "seed" else 1
+        entries = tuple(check_real(key, x) if real else check_count(key, x, low)
+                        for x in (value if sequence else (value,)))
+        merged[key] = entries if sequence else entries[0]
     return merged
 
 
@@ -248,7 +230,8 @@ def run_four_rooms_features(config: dict | None = None) -> ReportBundle:
     cfg = _finalize_config(FOUR_ROOMS_DEFAULTS, config)
     if not 1 <= cfg["K"] <= 105:
         raise ConfigurationError("K must lie between 1 and the 105 four-rooms states")
-    t_max = check_real("t_max", cfg["t_max"], 0.0, low_open=True)
+    # above 2^53 the unit-spaced sample times are no longer distinct floats
+    t_max = check_real("t_max", cfg["t_max"], 0.0, 2.0 ** 53, low_open=True, high_open=True)
     check_t = check_real("check_t", cfg["check_t"], 0.0)
     bundle = ReportBundle("four-rooms", dict(cfg))
     rooms, policy = mdp.build_four_rooms()
@@ -443,9 +426,9 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
     times = np.linspace(0.0, 5.0, 26)
     op = cfg["gamma"] * chain.transition - np.eye(CHAIN_N)
 
-    m_list = [int(m) for m in cfg["M_list"]]
+    m_list = cfg["M_list"]
     if len(set(m_list)) != len(m_list):  # a repeat would compare an M's gaps with themselves
-        raise ConfigurationError(f"M_list entries must be distinct, got {cfg['M_list']!r}")
+        raise ConfigurationError(f"M_list entries must be distinct, got {m_list!r}")
     rows = []
     gaps = {}
     for i in range(cfg["n_seeds"]):
@@ -563,8 +546,7 @@ def run_bayes_optimality(config: dict | None = None) -> ReportBundle:
     error is cross-checked against the trace identity.
     """
     cfg = _finalize_config(BAYES_OPT_DEFAULTS, config)
-    if cfg["mc_samples"] < 2:  # the standard error needs two samples
-        raise ConfigurationError(f"mc_samples must be at least 2, got {cfg['mc_samples']}")
+    check_count("mc_samples", cfg["mc_samples"], 2)  # the standard error needs two samples
     bundle = ReportBundle("bayes-opt", dict(cfg))
     chain = chain_uniform(cfg["gamma"])
     psi = spectral.resolvent(chain.transition, cfg["gamma"])

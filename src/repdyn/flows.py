@@ -278,9 +278,14 @@ def _rk4_integrate(rhs: Callable, y0: np.ndarray, times: np.ndarray, step: float
     A step is a pure function of (y, h). Once a step of size h returns y bit
     for bit, later steps of that size are skipped until a computed step moves
     y; the time still advances step by step, so the sample grid and every
-    sampled state are exactly those of computing each step.
+    sampled state are exactly those of computing each step. From t = 2^52 step
+    on, ``t += h`` need not advance t in float64, so a horizon that far is a
+    ConfigurationError.
     """
     step = check_real("step", step, 0.0, low_open=True)
+    if times[-1] >= 2.0 ** 52 * step:
+        raise ConfigurationError(f"step {step:g} cannot reach the horizon t = {times[-1]:g}: "
+                                 f"float64 time stops advancing at 2^52 steps")
     y = np.array(y0, dtype=float, order="C")  # BLAS rounds a transposed view differently
     moved, stage, total = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     path = np.empty((len(times),) + y.shape)

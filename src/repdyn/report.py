@@ -135,7 +135,8 @@ def write_bundle(out_dir, config: dict, tables: dict, figures: dict, checks: lis
     ``tables`` maps names to CSV text, ``figures`` maps names to SVG text, and
     ``checks`` is the list of check records that ``checks.json`` holds. Every
     file's text is checked before the first write, so a wrong kind of content
-    is a ConfigurationError that leaves no file behind.
+    is a ConfigurationError that leaves no file behind. An ``OSError`` from
+    creating or writing the bundle is a ConfigurationError naming ``out_dir``.
     """
     out_dir = os.fspath(check_instance("out_dir", out_dir, (str, os.PathLike)))
     files = {"config.json": _json_text("config", config, sort_keys=True)}
@@ -145,10 +146,13 @@ def write_bundle(out_dir, config: dict, tables: dict, figures: dict, checks: lis
             path = os.path.join(folder, check_instance(f"{kind} name", name, str) + suffix)
             files[path] = check_instance(f"{kind} text", text, str)
     files["checks.json"] = _json_text("checks", check_instance("checks", checks, list))
-    os.makedirs(os.path.join(out_dir, "tables"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "figures"), exist_ok=True)
-    for path, text in sorted(files.items()):
-        _atomic_write(os.path.join(out_dir, path), text)
+    try:
+        os.makedirs(os.path.join(out_dir, "tables"), exist_ok=True)
+        os.makedirs(os.path.join(out_dir, "figures"), exist_ok=True)
+        for path, text in sorted(files.items()):
+            _atomic_write(os.path.join(out_dir, path), text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write a bundle to out_dir {out_dir!r}: {exc}") from None
 
 
 def _json_text(what: str, value, sort_keys: bool = False) -> str:

@@ -146,21 +146,27 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
 @pytest.mark.parametrize("argv, env, message", [
     (["two-state", "--set", "gamma=abc"], {}, "expected float"),
     (["chain-transfer", "--set", "K=30"], {}, "numerically dependent"),
-    (["flow", "--flow", "ensemble", "--m", "0"], {}, "--m must be at least 1"),
-    (["flow", "--flow", "joint", "--k", "0"], {}, "--k must be at least 1"),
-    (["four-rooms", "--set", "K=0"], {}, "K must be at least 1"),
+    (["flow", "--flow", "ensemble", "--m", "0"], {},
+     "--m must be an integer of at least 1, got 0"),
+    (["flow", "--flow", "joint", "--k", "0"], {}, "--k must be an integer of at least 1, got 0"),
+    (["four-rooms", "--set", "K=0"], {}, "K must be an integer of at least 1, got 0"),
     (["four-rooms", "--set", "K=106"], {}, "K must lie between 1"),
-    (["flow", "--flow", "td", "--seed", "-1"], {}, "seed must be nonnegative"),
+    (["flow", "--flow", "td", "--seed", "-1"], {},
+     "--seed must be an integer of at least 0, got -1"),
     (["flow", "--flow", "joint", "--beta", "1", "--step", "nan"], {},
      "step must be a finite real number in (0, inf)"),
     (["flow", "--flow", "joint", "--beta", "1", "--step", "inf"], {},
      "step must be a finite real number in (0, inf)"),
-    (["flow", "--flow", "mc", "--t-max", "nan"], {}, "--t-max must be finite"),
-    (["flow", "--flow", "td", "--t-max", "inf"], {}, "--t-max must be finite"),
+    (["flow", "--flow", "mc", "--t-max", "nan"], {},
+     "--t-max must be a finite real number in [0, inf), got nan"),
+    (["flow", "--flow", "td", "--t-max", "inf"], {},
+     "--t-max must be a finite real number in [0, inf), got inf"),
     (["flow", "--flow", "td", "--t-max", "-1"], {},
-     "--t-max must be finite and nonnegative, got -1.0"),
-    (["flow", "--flow", "td", "--samples", "-1"], {}, "--samples must be at least 1"),
-    (["flow", "--flow", "td", "--samples", "0"], {}, "--samples must be at least 1"),
+     "--t-max must be a finite real number in [0, inf), got -1.0"),
+    (["flow", "--flow", "td", "--samples", "-1"], {},
+     "--samples must be an integer of at least 1, got -1"),
+    (["flow", "--flow", "td", "--samples", "0"], {},
+     "--samples must be an integer of at least 1, got 0"),
     (["flow", "--flow", "td", "--t-max", "0"], {},
      "--samples 101 needs distinct times in [0, --t-max], got --t-max 0"),
     (["flow", "--flow", "ensemble", "--alpha", "nan"], {},
@@ -171,13 +177,22 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
      "left_prob must be a finite real number in [0, 1], got 2.0"),
     (["flow", "--flow", "td", "--left-prob", "nan"], {},
      "left_prob must be a finite real number in [0, 1], got nan"),
+    (["flow", "--flow", "joint", "--beta", "1", "--step", "1e-300", "--t-max", "1",
+      "--samples", "2"], {}, "step 1e-300 cannot reach the horizon t = 1:"),
+    (["flow", "--flow", "ensemble", "--beta", "1", "--t-max", "1e308", "--samples", "2"], {},
+     "step 0.001 cannot reach the horizon t = 1e+308"),
+    # allocations above 2^57 bytes, which no address space can map
+    (["flow", "--flow", "td", "--samples", "100000000000000000"], {}, "Unable to allocate"),
+    (["bayes-opt", "--set", "n_random_subspaces=2", "--set", "mc_samples=10000000000000000"], {},
+     "Unable to allocate"),
 ], ids=["override-not-a-number", "chain-transfer-rank",
         "flow-zero-heads", "flow-zero-features", "four-rooms-zero-features",
         "four-rooms-too-many-features", "flow-negative-seed", "flow-step-nan",
         "flow-step-inf", "flow-t-max-nan", "flow-t-max-inf", "flow-t-max-negative",
         "flow-negative-samples",
         "flow-zero-samples", "flow-t-max-zero", "flow-alpha-nan", "flow-beta-inf",
-        "flow-left-prob-above-one", "flow-left-prob-nan"])
+        "flow-left-prob-above-one", "flow-left-prob-nan", "flow-joint-step-1e-300",
+        "flow-ensemble-t-max-1e308", "flow-samples-1e17", "bayes-opt-mc-samples-1e16"])
 def test_bad_input_is_one_error_line_and_exit_one(argv, env, message, tmp_path,
                                                    monkeypatch, capsys):
     for key, value in env.items():
@@ -189,6 +204,18 @@ def test_bad_input_is_one_error_line_and_exit_one(argv, env, message, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [["flow", "--flow", "td", "--samples", "3"], ["two-state"]],
+                         ids=["flow-td", "two-state"])
+def test_out_that_is_a_file_is_one_error_line_and_exit_one(argv, tmp_path, capsys):
+    out = tmp_path / "F"
+    out.write_text("kept\n")
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"repdyn: error: cannot write a bundle to out_dir {str(out)!r}: ")
+    assert out.read_text() == "kept\n"
+
+
 def test_flow_at_t_max_zero_takes_one_sample(tmp_path):
     assert cli.main(["flow", "--flow", "td", "--t-max", "0", "--samples", "1",
                      "--out", str(tmp_path / "out")]) == 0
@@ -196,33 +223,35 @@ def test_flow_at_t_max_zero_takes_one_sample(tmp_path):
 
 
 OUT_OF_RANGE_OVERRIDES = [
-    ("four-rooms", "M=0", "M must be at least 1"),
-    ("four-rooms", "check_M=0", "check_M must be at least 1"),
-    ("limit-checks", "M_list=0", "M_list must be at least 1"),
-    ("limit-checks", "M_list=100,0", "M_list must be at least 1"),
-    ("limit-checks", "weight_M=0", "weight_M must be at least 1"),
+    ("four-rooms", "M=0", "M must be an integer of at least 1, got 0"),
+    ("four-rooms", "check_M=0", "check_M must be an integer of at least 1, got 0"),
+    ("limit-checks", "M_list=0", "M_list must be an integer of at least 1, got 0"),
+    ("limit-checks", "M_list=100,0", "M_list must be an integer of at least 1, got 0"),
+    ("limit-checks", "weight_M=0", "weight_M must be an integer of at least 1, got 0"),
     ("limit-checks", "rewmat_M=0", "unknown override key 'rewmat_M'"),
-    ("multi-task", "M=0", "M must be at least 1"),
-    ("limit-checks", "n_seeds=0", "n_seeds must be at least 1"),
-    ("limit-checks", "cov_seeds=0", "cov_seeds must be at least 1"),
-    ("limit-checks", "weight_seeds=0", "weight_seeds must be at least 1"),
-    ("bayes-opt", "n_random_subspaces=0", "n_random_subspaces must be at least 1"),
-    ("four-rooms", "t_max=inf", "t_max must be finite"),
-    ("multi-task", "K=0", "K must be at least 1"),
-    ("limit-checks", "K=0", "K must be at least 1"),
+    ("multi-task", "M=0", "M must be an integer of at least 1, got 0"),
+    ("limit-checks", "n_seeds=0", "n_seeds must be an integer of at least 1, got 0"),
+    ("limit-checks", "cov_seeds=0", "cov_seeds must be an integer of at least 1, got 0"),
+    ("limit-checks", "weight_seeds=0",
+     "weight_seeds must be an integer of at least 1, got 0"),
+    ("bayes-opt", "n_random_subspaces=0",
+     "n_random_subspaces must be an integer of at least 1, got 0"),
+    ("four-rooms", "t_max=inf", "t_max must be a finite real number in (-inf, inf), got inf"),
+    ("multi-task", "K=0", "K must be an integer of at least 1, got 0"),
+    ("limit-checks", "K=0", "K must be an integer of at least 1, got 0"),
     ("multi-task", "t_max=nan", "unknown override key 't_max'"),
-    ("two-state", "seed=-1", "seed must be nonnegative"),
+    ("two-state", "seed=-1", "seed must be an integer of at least 0, got -1"),
     ("multi-task", "K=31", "K must lie in 1..30, got 31"),
     ("two-state", "rewards=1,2,3", "unknown override key 'rewards'"),
     ("limit-checks", "n_gap_samples=1", "unknown override key 'n_gap_samples'"),
-    ("bayes-opt", "mc_samples=1", "mc_samples must be at least 2"),
+    ("bayes-opt", "mc_samples=1", "mc_samples must be an integer of at least 2, got 1"),
     ("multi-task", "mode=discounts", "unknown override key 'mode'"),
     ("multi-task", "L=2", "unknown override key 'L'"),
     ("multi-task", "mixes=0.75,0.25,0.5", "one entry per task, got 2 and 3"),
     ("two-state", "t_max=5", "unknown override key 't_max'"),
     ("four-rooms", "snapshot_times=-5", "snapshot_times must be a finite real number in [0, inf)"),
     ("multi-task", "mixes=2,0.5", "mixes must be a finite real number in [0, 1], got 2.0"),
-    ("four-rooms", "t_max=0", "t_max must be a finite real number in (0, inf), got 0.0"),
+    ("four-rooms", "t_max=0", "t_max must be a finite real number in (0, 9.0072e+15), got 0.0"),
     ("four-rooms", "check_t=-5", "check_t must be a finite real number in [0, inf), got -5.0"),
     ("limit-checks", "t_max=-1", "unknown override key 't_max'"),
     ("multi-task", "t_max=-1", "unknown override key 't_max'"),
@@ -239,6 +268,11 @@ OUT_OF_RANGE_OVERRIDES = [
     ("chain-transfer", "J_max=0", "unknown override key 'J_max'"),
     ("limit-checks", "weight_K=0", "unknown override key 'weight_K'"),
     ("multi-task", "n_gap_samples=0", "unknown override key 'n_gap_samples'"),
+    ("four-rooms", "snapshot_times=1e308", "step 0.01 cannot reach the horizon t = 1e+308"),
+    ("four-rooms", "t_max=1e17",
+     "t_max must be a finite real number in (0, 9.0072e+15), got 1e+17"),
+    ("four-rooms", "t_max=1e308",
+     "t_max must be a finite real number in (0, 9.0072e+15), got 1e+308"),
 ]
 
 

@@ -153,6 +153,21 @@ LIMIT_WORKERS_CONFIG = {"M_list": (100,), "n_seeds": 1, "cov_seeds": 50, "weight
                         "weight_seeds": 4, "rewmat_seeds": 50}
 
 
+@pytest.mark.parametrize("run, config", [
+    (rd.run_two_state, {"gamma": np.float32(0.9), "seed": np.int64(3)}),
+    (rd.run_limit_checks, {**LIMIT_WORKERS_CONFIG, "M_list": (np.int64(100), 200)}),
+], ids=["two-state", "limit-checks"])
+def test_numpy_numbers_in_a_config_are_stored_as_python_numbers(run, config, tmp_path):
+    bundle = run(config)
+    bundle.save(tmp_path)  # a numpy scalar in config.json is not JSON
+    saved = json.loads((tmp_path / "config.json").read_text())
+    for key, value in config.items():
+        stored = bundle.config[key]
+        entries = list(stored) if isinstance(stored, tuple) else [stored]
+        assert {type(x) for x in entries} <= {int, float} and stored == value
+        assert saved[key] == (entries if isinstance(stored, tuple) else stored)
+
+
 def _limit_checks_on(cpus, monkeypatch, out):
     """Bundle files of the reduced limit-checks as a process on ``cpus`` CPUs saves them."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)

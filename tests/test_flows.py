@@ -527,6 +527,16 @@ def test_rk4_skip_is_keyed_by_step_size_and_cleared_when_the_state_moves():
     assert (steps, every) == (4, 5)
 
 
+@pytest.mark.parametrize("times, step", [([1.0], 1e-300), ([0.0, 1e308], 1e-3),
+                                         ([0.5, 2.0 ** 52], 1.0)],
+                         ids=["step-1e-300", "t-1e308", "t-2^52-steps"])
+def test_rk4_refuses_a_horizon_that_float64_time_cannot_reach(times, step):
+    # from t = 2^52 step on, t += step need not advance t, so the loop need not end
+    message = f"step {step:g} cannot reach the horizon t = {times[-1]:g}"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        _rk4_integrate(lambda y: -y, np.ones(1), np.array(times), step)
+
+
 @example(seed=2, n=2, k=1, m=3, gamma=0.9, rewarded=True, symmetric=True)  # diverges at 0.125
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), k=st.integers(1, 4),

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 
 import numpy as np
@@ -157,6 +158,16 @@ def test_saved_check_records_its_derived_verdict(tmp_path):
     assert checks[0] == {"name": "small", "passed": True, "value": 0.5, "threshold": 1.0,
                          "comparison": "<", "table": "numbers"}
     assert not bundle.all_passed()
+
+
+def test_a_write_that_fails_partway_names_out_dir_and_leaves_no_temp_file(tmp_path):
+    out = tmp_path / "bundle"
+    (out / "tables" / "t.csv").mkdir(parents=True)  # a folder where the table file goes
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"cannot write a bundle to out_dir {str(out)!r}: ")):
+        write_bundle(out, {"seed": 1}, {"t": "a\n1.0\n"}, {"f": "<svg/>"}, [])
+    assert (out / "config.json").exists() and (out / "figures" / "f.svg").exists()
+    assert not list(out.rglob(".tmp-*"))
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],

@@ -4,6 +4,8 @@ import scipy.stats
 
 import repdyn as rd
 from repdyn.errors import ConfigurationError
+from repdyn.experiments import frozen_ensemble_span
+from repdyn.svg import emit_svg
 
 
 def test_sample_weights_deterministic_per_seed():
@@ -140,9 +142,10 @@ E1 = rd.Subspace(np.eye(3)[:, :1])
     (lambda: rd.Policy.deterministic(np.array([1.7, 0.2]), 2), r"integer indices in 0\.\.1"),
     (lambda: rd.run_bayes_optimality({"K": 2.0}), "K must be an integer"),
     (lambda: rd.run_four_rooms_features({"K": 2.5}), "K must be an integer"),
-    (lambda: rd.run_two_state({"gamma": "0.9"}), "gamma must be a real number"),
-    (lambda: rd.run_limit_checks({"M_list": 100}), "M_list must be a tuple or list of integers"),
-    (lambda: rd.run_multi_task({"mixes": 0.5}), "mixes must be a tuple or list of real numbers"),
+    (lambda: rd.run_two_state({"gamma": "0.9"}),
+     r"gamma must be a finite real number in \(-inf, inf\), got '0.9'"),
+    (lambda: rd.run_limit_checks({"M_list": 100}), "M_list must be a tuple or list, got int"),
+    (lambda: rd.run_multi_task({"mixes": 0.5}), "mixes must be a tuple or list, got float"),
     (lambda: rd.build_chain_mdp(2.5, 0.01, 2.0, 1.0), "n must be an integer of at least 1"),
     (lambda: rd.policy_iteration(CHAIN_MDP, 0.9, 2.5, rd.Policy.uniform(3, 2)),
      "max_iters must be an integer of at least 1"),
@@ -169,6 +172,19 @@ E1 = rd.Subspace(np.eye(3)[:, :1])
     (lambda: rd.run_two_state({"v0": []}), "unknown config key 'v0'"),
     (lambda: rd.build_two_state_mdp(0.9, 0.1, (1.0, 2.0, 3.0)),
      r"rewards must hold one entry per state \(2\), got 3"),
+    (lambda: rd.ensemble_flow(CHAIN, rd.EnsembleState(np.ones((3, 1)), np.ones((1, 1))),
+                              1.0, 0.0, [0.0, 1.0]), "phi0 does not match the chain"),
+    (lambda: frozen_ensemble_span(np.array([[0.5, 0.5], [0.9, 0.1]]), 0.9, np.ones((1, 1)),
+                                  np.ones((2, 1)), 1.0), "requires symmetric P"),
+    (lambda: rd.Mdp(np.array([[[1.5, -0.5]], [[0.0, 1.0]]]), np.zeros((2, 1))),
+     "kernel has negative entries"),
+    (lambda: rd.gridworld_from_map(""), "empty map"),
+    (lambda: rd.rsbf(np.diag([0.9, 0.5, 0.1]), 0.9, 4), r"K must lie in 1\.\.3, got 4"),
+    (lambda: emit_svg(np.ones(3), "gridworld"), "gridworld rendering needs coords and shape"),
+    (lambda: emit_svg(np.ones(3), "gridworld", coords=[(0, 0), (0, 1)], shape=(2, 2)),
+     "vector length 3 does not match 2 cells"),
+    (lambda: emit_svg(np.ones((3, 1)), "line"),
+     "line rendering needs an abscissa and at least one curve"),
 ], ids=["weights-negative-M", "weights-zero-K", "block-zero-K", "cumulants-negative-M",
         "split-zero-tasks", "nstep-fractional-n", "grassmann-ambient-mismatch",
         "angle-length-mismatch", "ensemble-1d-phi", "orthonormalize-no-columns",
@@ -183,7 +199,9 @@ E1 = rd.Subspace(np.eye(3)[:, :1])
         "uniform-zero-actions", "weights-negative-seed", "cumulants-negative-seed",
         "block-fractional-seed", "config-list", "config-string", "config-array",
         "config-empty-M_list", "config-empty-mixes", "config-empty-v0",
-        "two-state-three-rewards"])
+        "two-state-three-rewards", "ensemble-phi0-off-the-chain", "span-non-symmetric-P",
+        "mdp-negative-kernel", "gridworld-empty-map", "rsbf-K-above-n", "svg-gridworld-no-coords",
+        "svg-gridworld-length-mismatch", "svg-line-one-column"])
 def test_bad_counts_and_shapes_raise_configuration_errors(make, match):
     with pytest.raises(ConfigurationError, match=match):
         make()
