@@ -107,7 +107,7 @@ def _run_flow_command(args) -> int:
     check_count("--seed", args.seed, 0)
     for flag in ("k", "m", "samples"):
         if flag in read:
-            check_count(f"--{flag}", getattr(args, flag))
+            check_count(f"--{flag}", getattr(args, flag), floats=1 if flag == "samples" else 0)
     check_real("--t-max", args.t_max, 0.0)
     times = np.linspace(0.0, args.t_max, args.samples)
     if np.any(np.diff(times) <= 0.0):

@@ -44,10 +44,15 @@ class DivergenceError(RuntimeError):
 ERRORS = (ConfigurationError, DomainError, RankDeficiencyError, NumericalError, DivergenceError)
 
 
-def check_count(name: str, value, low: int = 1) -> int:
-    """``value`` as an int of at least ``low`` (0 for a seed); a bool is not a count."""
+def check_count(name: str, value, low: int = 1, floats: int = 0) -> int:
+    """``value`` as an int of at least ``low`` (0 for a seed); a bool is not a count.
+
+    ``value`` times ``floats`` float64 entries must fit numpy's index range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ConfigurationError(f"{name} must be an integer of at least {low}, got {value!r}")
+    if int(value) * floats * 8 > np.iinfo(np.intp).max:
+        raise ConfigurationError(f"{name} {value} asks for {int(value) * floats} float64 "
+                                 f"entries, past numpy's index range")
     return int(value)
 
 

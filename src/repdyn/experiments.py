@@ -23,7 +23,7 @@ CHAIN_N = 30
 CHAIN_SLIP = 0.01
 CHAIN_LEFT_REWARD = 2.0
 CHAIN_RIGHT_REWARD = 1.0
-MC_BLOCK = 8192  # Monte Carlo draws (rows or columns) held at once
+MC_BLOCK = 8192  # Monte Carlo draws (rows or columns) worked on at once
 WEIGHT_K = 10  # head dimension of limit-checks' second-moment identity
 
 
@@ -546,7 +546,7 @@ def run_bayes_optimality(config: dict | None = None) -> ReportBundle:
     error is cross-checked against the trace identity.
     """
     cfg = _finalize_config(BAYES_OPT_DEFAULTS, config)
-    check_count("mc_samples", cfg["mc_samples"], 2)  # the standard error needs two samples
+    check_count("mc_samples", cfg["mc_samples"], 2, floats=CHAIN_N)  # two for a standard error
     bundle = ReportBundle("bayes-opt", dict(cfg))
     chain = chain_uniform(cfg["gamma"])
     psi = spectral.resolvent(chain.transition, cfg["gamma"])
@@ -575,7 +575,7 @@ def run_bayes_optimality(config: dict | None = None) -> ReportBundle:
     rng = _stream(cfg["seed"], "mc rewards")
     rewards = rng.standard_normal((CHAIN_N, cfg["mc_samples"]))
     errs = np.empty(cfg["mc_samples"])
-    for start in range(0, cfg["mc_samples"], MC_BLOCK):  # bounds the temporaries' memory
+    for start in range(0, cfg["mc_samples"], MC_BLOCK):  # bounds the temporaries, not rewards
         values = psi @ rewards[:, start:start + MC_BLOCK]
         residuals = values - best.basis @ (best.basis.T @ values)
         errs[start:start + MC_BLOCK] = (residuals ** 2).sum(axis=0)

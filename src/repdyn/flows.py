@@ -25,11 +25,11 @@ P = U diag(lambda) U^T, it integrates U^T Phi, where G = gamma P - I is the
 diagonal diag(gamma lambda - 1) and one O(nd) scaling replaces the O(n^2 d)
 product, and it returns Phi_0 + U (U^T Phi(t) - U^T Phi_0), so a sample at
 which U^T Phi has not moved (t = 0 included) returns Phi_0 bit for bit; any
-other P keeps the dense G in state coordinates. RK4 stops computing once its state is a bit-for-bit fixed point
-of the step: the skipped steps would have returned the same state, so the
-output is unchanged. With zero reward the head weights decay through the
-whole float64 range, subnormals included, before that point; those steps are
-computed like any other.
+other P keeps the dense G in state coordinates. RK4 stops computing once its
+state is a bit-for-bit fixed point of the step: the skipped steps would have
+returned the same state, so the output is unchanged. With zero reward in P's
+eigenbasis it settles once a rounding bound proves that no later step can move
+U^T Phi by a bit; the heads then take RK4's own amplification in closed form.
 
 Heads split evenly over tasks follow, as their number grows, the flow of one
 averaged operator, ``build_multi_task_operator``: the mean of the task
@@ -265,7 +265,8 @@ def _linear_flow(terms: list, forcing: np.ndarray, phi0: np.ndarray, times: np.n
     return states
 
 
-def _rk4_integrate(rhs: Callable, y0: np.ndarray, times: np.ndarray, step: float) -> tuple:
+def _rk4_integrate(rhs: Callable, y0: np.ndarray, times: np.ndarray, step: float,
+                   settle: Callable | None = None) -> tuple:
     """Classical RK4 with fixed step on one float array; sample times are hit exactly.
 
     ``rhs`` maps the state to a new array of the same shape. The state norm
@@ -280,7 +281,9 @@ def _rk4_integrate(rhs: Callable, y0: np.ndarray, times: np.ndarray, step: float
     y; the time still advances step by step, so the sample grid and every
     sampled state are exactly those of computing each step. From t = 2^52 step
     on, ``t += h`` need not advance t in float64, so a horizon that far is a
-    ConfigurationError.
+    ConfigurationError. ``settle(y, moved)``, if given, sees each computed
+    step's start and end and may return ``tail(y, counts)``, the state after
+    counts[h] steps of each size h from y, which takes the rest uncounted.
     """
     step = check_real("step", step, 0.0, low_open=True)
     if times[-1] >= 2.0 ** 52 * step:
@@ -289,12 +292,16 @@ def _rk4_integrate(rhs: Callable, y0: np.ndarray, times: np.ndarray, step: float
     y = np.array(y0, dtype=float, order="C")  # BLAS rounds a transposed view differently
     moved, stage, total = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     path = np.empty((len(times),) + y.shape)
-    t, steps = 0.0, 0
+    t, steps, tail = 0.0, 0, None
     still = set()  # step sizes whose last computed step returned y bit for bit
     for i, target in enumerate(times):
+        rest = {}  # this sample interval's step sizes and their counts, for the tail
         while t < target - 1e-12:
             h = min(step, target - t)
             t += h
+            if tail is not None:
+                rest[h] = rest.get(h, 0) + 1
+                continue
             if h in still:
                 continue
             k1 = rhs(y)
@@ -316,8 +323,9 @@ def _rk4_integrate(rhs: Callable, y0: np.ndarray, times: np.ndarray, step: float
                 still.add(h)
             else:
                 still.clear()
+            tail = settle(y, moved) if settle else None
             y, moved = moved, y
-        path[i] = y
+        path[i] = y = tail(y, rest) if rest else y
     return path, steps
 
 
@@ -347,6 +355,52 @@ def _trained_heads_rhs(apply_G: Callable, rewards: np.ndarray, alpha: float, bet
         return out
 
     return rhs
+
+
+def _zero_reward_settle(g: np.ndarray, alpha: float, beta: float, step: float, shape) -> Callable:
+    """``_rk4_integrate``'s settle hook for zero-reward trained heads in P's eigenbasis.
+
+    With Phi^ = U^T Phi of ``shape`` (n, K), heads H and G = diag(g),
+    d/dt Phi^ = alpha G Phi^ H H^T and d/dt H = A H, A = beta Phi^T G Phi^ =
+    V diag(mu) V^T. After a computed step that left Phi^ bit for bit unchanged
+    it settles if mu_max < 0, step |mu_min| <= 2.78, min |Phi^| > 0 and
+    12 step alpha max|g| ||Phi^||_2 ||H||_F^2 <= 2^-55 min |Phi^|. While Phi^ is
+    held, a step h <= step has stage heads p(hA) H, p = 1, 1 + z/2, 1 + z/2 +
+    z^2/4 or 1 + z + z^2/2 + z^3/4, |p| <= 3.31 on RK4's stability interval
+    [-2.785, 0]. So each increment of Phi^, at most h alpha max|g| ||Phi^||_2
+    (3.31 ||H||_F)^2, is below 2^-55 |Phi^_ij|, half the distance to a rounding
+    midpoint (12 / 3.31^2 spares rounding): Phi^ stays put. H advances by R(hA),
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, |R| <= 1 there, so ||H||_F never
+    grows and the bound holds later on; the tail applies R(h mu) in V's basis.
+    """
+    n, k = shape
+    split, held = n * k, [None]  # the last Phi^'s bytes, mu, V and the bound's two factors
+
+    def settle(y, moved):
+        phi = moved[:split]
+        if not np.array_equal(phi, y[:split]):
+            return None
+        if held[0] != phi.tobytes():
+            square, low = phi.reshape(n, k), np.abs(phi).min()
+            mu, V = np.linalg.eigh(beta * (square.T @ (g * square)))
+            scale = 12.0 * step * alpha * np.abs(g).max() * np.linalg.norm(square, 2)
+            steady = mu[-1] < 0.0 and step * -mu[0] <= 2.78 and low > 0.0
+            held[:] = phi.tobytes(), mu, V, scale, 2.0 ** -55 * low if steady else -1.0
+        _, mu, V, scale, limit = held
+        heads = moved[split:].reshape(k, -1)
+        if scale * np.vdot(heads, heads) > limit:
+            return None
+        coef = V.T @ heads
+
+        def tail(y, counts):
+            for h, count in counts.items():
+                z = h * mu[:, None]
+                coef[:] *= (1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))) ** count
+            return np.concatenate([y[:split], (V @ coef).ravel()])
+
+        return tail
+
+    return settle
 
 
 def joint_flow(
@@ -403,8 +457,8 @@ def ensemble_flow(
     W^T(t) stays in the row span of W^T(0) and R, so this equals RK4 on all M
     heads in exact arithmetic, at a cost that does not grow with M. A
     symmetric P runs in its eigenbasis (see the module docstring). ``meta``
-    records the steps RK4 computed (``rk4_steps``), ``rhs_evals``, d
-    (``head_dim``) and ``invariant_drift``, the largest entry of
+    records the steps RK4 computed before any settled tail (``rk4_steps``),
+    their ``rhs_evals``, d (``head_dim``) and ``invariant_drift``, the largest entry of
     |C(t) - C(0)| over the samples for C = beta Phi^T Phi - alpha H H^T,
     H = W^T B: C is constant along the exact flow, so its drift measures the
     integration error. Trajectory states are the (T, n, K) Phi path.
@@ -443,13 +497,14 @@ def _multi_head_flow(chain, state0: EnsembleState, alpha, beta, times, step) -> 
             g = (chain.gamma * lam - 1.0)[:, None]  # diagonal G as an (n, 1) column
             apply_G = lambda X, out: np.multiply(g, X, out=out)
             start, reduced = U.T @ phi0, U.T @ reduced
+            settle = None if nonzero else _zero_reward_settle(g, alpha, beta, step, phi0.shape)
         else:
             G = chain.gamma * P - np.eye(chain.n_states)
             apply_G = lambda X, out: np.matmul(G, X, out=out)
-            start = phi0
+            start, settle = phi0, None
         rhs = _trained_heads_rhs(apply_G, reduced, alpha, beta, (phi0.shape, heads0.shape))
         path, steps = _rk4_integrate(rhs, np.concatenate([start.ravel(), heads0.ravel()]),
-                                     times, step)
+                                     times, step, settle)
         states = path[:, :phi0.size].reshape((len(times),) + phi0.shape)
         heads = path[:, phi0.size:].reshape((len(times),) + heads0.shape)
         # C = beta Phi^T Phi - alpha H H^T is constant along the exact flow and under U

@@ -185,6 +185,13 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
     (["flow", "--flow", "td", "--samples", "100000000000000000"], {}, "Unable to allocate"),
     (["bayes-opt", "--set", "n_random_subspaces=2", "--set", "mc_samples=10000000000000000"], {},
      "Unable to allocate"),
+    # sizes whose bytes pass numpy's index range, where numpy raises a bare ValueError
+    (["flow", "--flow", "td", "--samples", "100000000000000000000"], {},
+     "--samples 100000000000000000000 asks for 100000000000000000000 float64 entries, "
+     "past numpy's index range"),
+    (["bayes-opt", "--set", "n_random_subspaces=2", "--set", "mc_samples=100000000000000000"], {},
+     "mc_samples 100000000000000000 asks for 3000000000000000000 float64 entries, "
+     "past numpy's index range"),
 ], ids=["override-not-a-number", "chain-transfer-rank",
         "flow-zero-heads", "flow-zero-features", "four-rooms-zero-features",
         "four-rooms-too-many-features", "flow-negative-seed", "flow-step-nan",
@@ -192,7 +199,8 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
         "flow-negative-samples",
         "flow-zero-samples", "flow-t-max-zero", "flow-alpha-nan", "flow-beta-inf",
         "flow-left-prob-above-one", "flow-left-prob-nan", "flow-joint-step-1e-300",
-        "flow-ensemble-t-max-1e308", "flow-samples-1e17", "bayes-opt-mc-samples-1e16"])
+        "flow-ensemble-t-max-1e308", "flow-samples-1e17", "bayes-opt-mc-samples-1e16",
+        "flow-samples-1e20", "bayes-opt-mc-samples-1e17"])
 def test_bad_input_is_one_error_line_and_exit_one(argv, env, message, tmp_path,
                                                    monkeypatch, capsys):
     for key, value in env.items():

@@ -64,18 +64,18 @@ def plain_rk4_path(rhs, y0, times, step):
     return out, steps
 
 
-def trained_heads_rhs(chain, rewards):
-    """The trained-head ensemble right-hand side on (Phi, W^T) at alpha = beta = 1."""
+def trained_heads_rhs(chain, rewards, alpha=1.0, beta=1.0):
+    """The trained-head ensemble right-hand side on (Phi, W^T)."""
     G = chain.gamma * chain.transition - np.eye(chain.n_states)
 
     def rhs(state):
         phi, wmat = state
         delta = rewards + G @ (phi @ wmat)
-        return delta @ wmat.T, phi.T @ delta
+        return alpha * (delta @ wmat.T), beta * (phi.T @ delta)
     return rhs
 
 
-def trained_heads_coordinates(chain, rewards, phi0):
+def trained_heads_coordinates(chain, rewards, phi0, alpha=1.0, beta=1.0):
     """(rhs, start, back) of the trained heads in the coordinates ``ensemble_flow`` takes.
 
     A symmetric P = U diag(lam) U^T takes its eigenbasis: the state (U^T Phi, W^T),
@@ -84,20 +84,20 @@ def trained_heads_coordinates(chain, rewards, phi0):
     """
     P = chain.transition
     if not np.array_equal(P, P.T):
-        return trained_heads_rhs(chain, rewards), phi0, lambda phi: phi
+        return trained_heads_rhs(chain, rewards, alpha, beta), phi0, lambda phi: phi
     lam, U = np.linalg.eigh(P)
     g, rotated, start = (chain.gamma * lam - 1.0)[:, None], U.T @ rewards, U.T @ phi0
 
     def rhs(state):
         phi, wmat = state
         delta = rotated + g * (phi @ wmat)
-        return delta @ wmat.T, phi.T @ delta
+        return alpha * (delta @ wmat.T), beta * (phi.T @ delta)
     return rhs, start, lambda phi: phi0 + U @ (phi - start)
 
 
-def trained_heads_path(chain, rewards, phi0, wb, times, step):
+def trained_heads_path(chain, rewards, phi0, wb, times, step, alpha=1.0, beta=1.0):
     """Every-step RK4 samples (Phi, W^T) and step count in ``ensemble_flow``'s coordinates."""
-    rhs, start, back = trained_heads_coordinates(chain, rewards, phi0)
+    rhs, start, back = trained_heads_coordinates(chain, rewards, phi0, alpha, beta)
     path, steps = plain_rk4_path(rhs, (start, wb), times, step)
     return [(back(phi), w) for phi, w in path], steps
 
@@ -579,6 +579,171 @@ def test_trained_heads_match_every_step_rk4_bit_for_bit(seed, n, k, m, gamma, re
         for state, (phi, _) in zip(traj.states, path):
             assert np.array_equal(state, phi)
         assert traj.meta["rk4_steps"] <= steps
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), k=st.integers(1, 6),
+       m=st.integers(1, 4), gamma=st.sampled_from([0.5, 0.9]),
+       alpha=st.sampled_from([0.25, 1.0, 3.0]), beta=st.sampled_from([0.5, 1.0, 2.0]),
+       reach=st.floats(0.25, 2.5))
+def test_zero_reward_heads_settle_into_rk4s_own_amplification(seed, n, k, m, gamma, alpha,
+                                                               beta, reach):
+    # heads of 1e-3 keep Phi^ = U^T Phi, and so A = beta Phi^T G Phi^, near their start: a
+    # step of reach / |mu_min(A)| stays inside RK4's stability interval, and by
+    # 40 / |mu_max(A)| the heads are past the settle bound yet still normal numbers. The
+    # flow settles after step rk4_steps; that step left Phi^ bit for bit unchanged, and
+    # there 12 step alpha max|g| ||Phi^||_2 ||H||_F^2 <= 2^-55 min |Phi^|
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    chain = rd.MarkovChain(symmetric_transition(rng, n), np.zeros(n), gamma)
+    phi0 = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    w = 1e-3 * rng.standard_normal((m, k))
+    lam, U = np.linalg.eigh(chain.transition)
+    g = gamma * lam - 1.0
+    mu = np.linalg.eigvalsh(beta * (U.T @ phi0).T @ (g[:, None] * (U.T @ phi0)))
+    step, horizon = reach / -mu[0], 40.0 / -mu[-1]
+    times = np.append(np.sort(rng.uniform(0.0, horizon, 4)), horizon)
+    traj, heads = flows._multi_head_flow(chain, rd.EnsembleState(phi0, w), alpha, beta, times,
+                                         step)
+    wb, rb = reduced_heads(chain, w)
+    rhs, start, back = trained_heads_coordinates(chain, rb, phi0, alpha, beta)
+    steps, previous, samples = 0, start, []
+    for _, (phi, h), sample in rk4_every_step(rhs, (start, wb), times, step):
+        if sample is not None:
+            samples.append((back(phi), h))
+            continue
+        steps += 1
+        if steps == traj.meta["rk4_steps"]:
+            assert np.array_equal(phi, previous)
+            bound = 12.0 * step * alpha * np.abs(g).max() * np.linalg.norm(phi, 2) * np.vdot(h, h)
+            assert bound <= 2.0 ** -55 * np.abs(phi).min()
+        previous = phi
+    assert traj.meta["rk4_steps"] < steps
+    for state, head, (phi, h) in zip(traj.states, heads, samples):
+        assert np.array_equal(state, phi)
+        assert np.abs(head - h).max() <= 1e-12 * np.abs(h).max()
+
+
+def two_class_chain():
+    """A symmetric 5-state chain of two closed classes, {0, 1} and {2, 3, 4}, at zero reward.
+
+    Each eigenvector of P vanishes exactly off its own class, so a Phi0 on one class
+    has U^T Phi0 rows that are exactly zero.
+    """
+    P = np.zeros((5, 5))
+    P[:2, :2] = 0.5
+    P[2:, 2:] = [[0.2, 0.3, 0.5], [0.3, 0.4, 0.3], [0.5, 0.3, 0.2]]
+    return rd.MarkovChain(P, np.zeros(5), 0.9)
+
+
+@pytest.mark.parametrize("chain, k, m, cumulants, times", [
+    (two_class_chain(), 2, 3, False, [0.0, 50.0, 400.0]),
+    (rd.MarkovChain(symmetric_transition(np.random.default_rng(3), 3), np.zeros(3), 0.9),
+     4, 4, False, [0.0, 20.0, 100.0]),
+    (chain_drift(0.9, 0.75).with_reward(np.zeros(30)), 2, 3, False, [0.0, 10.0, 150.0]),
+    (chain_uniform(), 2, 3, False, [0.0, 5.0, 20.0]),
+    (chain_uniform().with_reward(np.zeros(30)), 2, 3, True, [0.0, 5.0, 20.0]),
+], ids=["zero-entry", "more-features-than-states", "non-symmetric", "shared-reward",
+        "cumulants"])
+def test_trained_heads_that_cannot_settle_compute_every_step(chain, k, m, cumulants, times):
+    # the settle rule needs a symmetric P, zero reward, min |Phi^| > 0 and mu_max(A) < 0:
+    # here Phi^ keeps exact zero rows, K > n makes A singular, P is not symmetric, or a
+    # reward drives the heads. Phi and the heads are every-step RK4's bit for bit, which
+    # the tail's product of amplifications would not give
+    rng = np.random.default_rng(4)
+    phi0 = rng.standard_normal((chain.n_states, k))
+    if chain.n_states == 5:
+        phi0[:2] = 0.0
+        assert np.any(np.linalg.eigh(chain.transition)[1].T @ phi0 == 0.0)
+    cums = rd.sample_cumulants(m, chain.n_states, rng) if cumulants else None
+    w = rd.sample_weights(m, k, 1.0 / m, rng)
+    traj, heads = flows._multi_head_flow(chain, rd.EnsembleState(phi0, w, cums), 1.0, 1.0,
+                                         times, 0.1)
+    wb, rb = reduced_heads(chain, w, cums)
+    path, _ = trained_heads_path(chain, rb, phi0, wb, times, 0.1)
+    for state, head, (phi, h) in zip(traj.states, heads, path):
+        assert np.array_equal(state, phi)
+        assert np.array_equal(head, h)
+
+
+@pytest.mark.parametrize("reach", [3.0, 6.0])
+def test_zero_reward_heads_past_rk4s_stability_interval_do_not_settle(reach):
+    # step |mu| = reach > 2.785 for the one head mode, which RK4 then amplifies by
+    # |R(-reach)| > 1 a step: heads of 1e-30 leave Phi^ bit for bit still for dozens of
+    # steps, but the flow must not settle. At reach 3 the grown heads shrink Phi^ until
+    # the step is stable again; at reach 6 the flow diverges. Both match every-step RK4
+    chain = chain_uniform().with_reward(np.zeros(30))
+    phi0 = np.random.default_rng(5).standard_normal((30, 1))
+    w = np.full((2, 1), 1e-30)
+    lam, U = np.linalg.eigh(chain.transition)
+    step = reach / -np.sum((chain.gamma * lam - 1.0) * (U.T @ phi0)[:, 0] ** 2)
+    times = step * np.array([0.0, 100.0, 1000.0])
+    wb, rb = reduced_heads(chain, w)
+    if reach < 4.0:
+        traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 1.0, times, step)
+        path, _ = trained_heads_path(chain, rb, phi0, wb, times, step)
+        assert all(np.array_equal(state, phi) for state, (phi, _) in zip(traj.states, path))
+        return
+    with pytest.raises(DivergenceError) as info:
+        rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 1.0, times, step)
+    rhs, start, _ = trained_heads_coordinates(chain, rb, phi0)
+    for t, y, sample in rk4_every_step(rhs, (start, wb), times, step):
+        if sample is None and not np.sqrt(sum(np.vdot(part, part) for part in y)) <= 1e12:
+            break
+    else:
+        pytest.fail("every-step RK4 stays within the divergence norm")
+    assert t == info.value.time
+
+
+def decoupled_mode(g, a, b, alpha, beta, t):
+    """(phi(t), h(t)^2) of one decoupled mode, phi' = alpha g phi h^2 and h' = beta g phi^2 h.
+
+    c = beta phi^2 - alpha h^2 is constant, so u = phi^2 solves u' = 2 g u (beta u - c) and
+    1/u is linear: 1/u(t) = e^x / a^2 - 2 g beta t expm1(x) / x with x = 2 g c t, that is
+    beta / c + (1/a^2 - beta / c) e^{2gct}, or 1/a^2 - 2 g beta t at c = 0. Then
+    h^2 = (beta u - c) / alpha; neither phi nor h changes sign.
+    """
+    c = beta * a * a - alpha * b * b
+    x = 2.0 * g * c * t
+    ratio = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+    u = 1.0 / (np.exp(x) / (a * a) - 2.0 * g * beta * t * ratio)
+    return np.sign(a) * np.sqrt(u), (beta * u - c) / alpha
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), k=st.integers(1, 8),
+       gamma=st.sampled_from([0.5, 0.9]), alpha=st.sampled_from([0.5, 1.0, 2.0]),
+       beta=st.sampled_from([0.5, 1.0, 2.0]), balance=st.sampled_from([-1.0, 0.0, 0.5]))
+def test_trained_heads_on_decoupled_eigenmodes_meet_their_closed_form(seed, n, k, gamma, alpha,
+                                                                      beta, balance):
+    # Phi0 = U[:, modes] diag(a) and M = K diagonal heads diag(b) keep the modes apart
+    # (Saxe, McClelland & Ganguli, ICLR 2014), each with its own c = balance beta a^2.
+    # Steps are 0.1 and 0.05 over the fastest mode's rate rho = max |g| (beta a^2 + alpha
+    # b^2). Over 200 such draws the error stayed below 0.054 (rho step)^4, halving the
+    # step divided it by 11.2 to 16.8, and at c != 0 invariant_drift read 0.53 to 5.7
+    # times the error (at c = 0, C = 0 is kept to rounding)
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    chain = rd.MarkovChain(symmetric_transition(rng, n), np.zeros(n), gamma)
+    lam, U = np.linalg.eigh(chain.transition)
+    modes = rng.choice(n, k, replace=False)
+    g = gamma * lam[modes] - 1.0
+    a = rng.uniform(0.5, 2.0, k) * rng.choice([-1.0, 1.0], k)
+    b = np.sqrt((1.0 - balance) * beta / alpha) * np.abs(a) * rng.choice([-1.0, 1.0], k)
+    rho = np.max(-g * (beta * a * a + alpha * b * b))
+    times = np.linspace(0.0, 5.0 / rho, 6)
+    phi, h2 = decoupled_mode(g, a, b, alpha, beta, times[:, None])
+    errors = []
+    for step in (0.1 / rho, 0.05 / rho):
+        traj, heads = flows._multi_head_flow(chain, rd.EnsembleState(U[:, modes] * a, np.diag(b)),
+                                             alpha, beta, times, step)
+        gram = np.matmul(heads, heads.transpose(0, 2, 1))
+        errors.append(max(np.abs(traj.states - U[:, modes] * phi[:, None, :]).max(),
+                          np.abs(gram - h2[:, :, None] * np.eye(k)).max()))
+        assert errors[-1] <= 0.2 * (rho * step) ** 4
+    assert 8.0 < errors[0] / errors[1] < 32.0
+    if balance != 0.0:
+        assert 0.1 * errors[1] <= traj.meta["invariant_drift"] <= 10.0 * errors[1]
 
 
 def _assert_matches_state_coordinate_rk4(chain, state0, times, step):
