@@ -105,16 +105,16 @@ def _run_flow_command(args) -> int:
     if not args.beta > 0:
         read.discard("step")
     check_count("--seed", args.seed, 0)
-    for flag in ("k", "m", "samples"):
-        if flag in read:
-            check_count(f"--{flag}", getattr(args, flag), floats=1 if flag == "samples" else 0)
     check_real("--t-max", args.t_max, 0.0)
+    chain = _build_chain(args.mdp, args.left_prob, args.gamma)
+    n = chain.n_states
+    for flag, floats in (("samples", 1), ("k", n), ("m", max(args.k, n * (args.flow == "rc")))):
+        if flag in read:  # --k sizes Phi_0 (n x k), --m the heads (m x k) and rc's cumulants
+            check_count(f"--{flag}", getattr(args, flag), floats=floats)
     times = np.linspace(0.0, args.t_max, args.samples)
     if np.any(np.diff(times) <= 0.0):
         raise ConfigurationError(f"--samples {args.samples} needs distinct times in "
                                  f"[0, --t-max], got --t-max {args.t_max:g}")
-    chain = _build_chain(args.mdp, args.left_prob, args.gamma)
-    n = chain.n_states
     rng = np.random.default_rng(args.seed)
     v0 = np.zeros(n)
 

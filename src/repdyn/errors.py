@@ -42,6 +42,7 @@ class DivergenceError(RuntimeError):
 
 # every error the package raises on purpose; the RuntimeErrors are numerical failures
 ERRORS = (ConfigurationError, DomainError, RankDeficiencyError, NumericalError, DivergenceError)
+_INDEX_MAX = np.iinfo(np.intp).max  # numpy's index bound, in bytes of one array
 
 
 def check_count(name: str, value, low: int = 1, floats: int = 0) -> int:
@@ -50,7 +51,7 @@ def check_count(name: str, value, low: int = 1, floats: int = 0) -> int:
     ``value`` times ``floats`` float64 entries must fit numpy's index range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ConfigurationError(f"{name} must be an integer of at least {low}, got {value!r}")
-    if int(value) * floats * 8 > np.iinfo(np.intp).max:
+    if int(value) * floats * 8 > _INDEX_MAX:
         raise ConfigurationError(f"{name} {value} asks for {int(value) * floats} float64 "
                                  f"entries, past numpy's index range")
     return int(value)

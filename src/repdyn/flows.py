@@ -45,7 +45,6 @@ Carlo and trained-head flows never take an exponential.
 
 from __future__ import annotations
 
-import io
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -55,6 +54,7 @@ import numpy as np
 from .errors import (ConfigurationError, DivergenceError, NumericalError, check_array,
                      check_count, check_instance, check_real)
 from .mdp import MarkovChain, exact_value
+from .report import Table, float_reprs
 
 DEFAULT_STEP = 1e-3
 _DIVERGENCE_NORM = 1e12
@@ -641,23 +641,17 @@ def multi_task_flow(
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Serialize a trajectory to CSV with '# key=value' meta header lines.
 
-    Value flows (K = 1) take the wide format (t, v_0, ..., v_{n-1}); matrix
-    flows take the long format (t, entry_row, entry_col, value).
+    Value flows (K = 1) take the wide format, the ``Table`` (t, v_0, ..., v_{n-1});
+    matrix flows take the long format (t, entry_row, entry_col, value). A cell is Python's
+    shortest round-trip ``repr`` of its float64, each distinct bit pattern formatted once per file.
     """
     traj = check_instance("traj", traj, Trajectory)
-    buf = io.StringIO()
-    for key in sorted(traj.meta):
-        buf.write(f"# {key}={traj.meta[key]}\n")
-    n, k = traj.states.shape[1:]
-    times = traj.times.tolist()
+    header = "".join(f"# {key}={traj.meta[key]}\n" for key in sorted(traj.meta))
+    count, n, k = traj.states.shape
     if k == 1:
-        buf.write("t," + ",".join(f"v_{i}" for i in range(n)) + "\n")
-        for t, s in zip(times, traj.values()):
-            buf.write(repr(t) + "," + ",".join(map(repr, s.tolist())) + "\n")
-    else:
-        buf.write("t,entry_row,entry_col,value\n")
-        for t, s in zip(times, traj.states):
-            for i, row in enumerate(s.tolist()):
-                for j, x in enumerate(row):
-                    buf.write(f"{t!r},{i},{j},{x!r}\n")
-    return buf.getvalue()
+        return header + Table(["t", *(f"v_{i}" for i in range(n))],
+                              np.column_stack([traj.times, traj.values()])).to_csv()
+    prefixes = np.array([f",{i},{j}," for i in range(n) for j in range(k)], dtype=object)
+    rows = ["\n".join((row[0] + prefixes + row[1:]).tolist()) + "\n" for row in float_reprs(
+        np.column_stack([traj.times, traj.states.reshape(count, n * k)]))]
+    return "".join([header, "t,entry_row,entry_col,value\n", *rows])

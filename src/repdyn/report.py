@@ -12,12 +12,13 @@ A check's ``passed`` is derived from its value, threshold and comparison; no
 caller states a verdict. ``write_bundle`` is the one writer of this layout:
 ``ReportBundle.save`` and ``repdyn flow`` both go through it. Re-running an
 experiment from the recorded config reproduces every table byte for byte.
-Files are written atomically (temp file, then rename).
+Files are written atomically (temp file, then rename). A CSV cell is Python's
+shortest round-trip ``repr`` of its float64, each distinct bit pattern
+formatted once per file (``float_reprs``).
 """
 
 from __future__ import annotations
 
-import io
 import json
 import numbers
 import operator
@@ -69,6 +70,13 @@ class Check:
         }
 
 
+def float_reprs(array: np.ndarray) -> np.ndarray:
+    """The ``repr`` of every float64 in ``array``, as an object array of its shape, made once
+    per distinct bit pattern: -0.0 and 0.0 stay apart, as do NaNs with different payloads."""
+    bits, inverse = np.unique(np.asarray(array, np.float64).view(np.int64), return_inverse=True)
+    return np.frompyfunc(repr, 1, 1)(bits.view(np.float64))[inverse].reshape(np.shape(array))
+
+
 @dataclass
 class Table:
     """2-d numeric payload with ordered column names."""
@@ -83,11 +91,8 @@ class Table:
         self.rows = check_array("rows", self.rows, ("T", width), finite=False)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            buf.write(",".join(map(repr, row.tolist())) + "\n")
-        return buf.getvalue()
+        lines = map(",".join, float_reprs(self.rows).tolist())
+        return "\n".join([",".join(self.columns), *lines]) + "\n"
 
 
 @dataclass

@@ -192,6 +192,18 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
     (["bayes-opt", "--set", "n_random_subspaces=2", "--set", "mc_samples=100000000000000000"], {},
      "mc_samples 100000000000000000 asks for 3000000000000000000 float64 entries, "
      "past numpy's index range"),
+    # --k against the chain's 30 states (Phi_0), --m against --k (heads) and, for rc, the
+    # states (cumulants)
+    (["flow", "--flow", "joint", "--k", "100000000000000000000"], {},
+     "--k 100000000000000000000 asks for 3000000000000000000000 float64 entries"),
+    (["flow", "--flow", "ensemble", "--m", "100000000000000000000"], {},
+     "--m 100000000000000000000 asks for 400000000000000000000 float64 entries"),
+    (["flow", "--flow", "ensemble", "--k", "2000000000000000000"], {},
+     "--k 2000000000000000000 asks for 60000000000000000000 float64 entries"),
+    (["flow", "--flow", "limit", "--k", "2000000000000000000"], {},
+     "--k 2000000000000000000 asks for 60000000000000000000 float64 entries"),
+    (["flow", "--flow", "rc", "--k", "1", "--m", "200000000000000000"], {},
+     "--m 200000000000000000 asks for 6000000000000000000 float64 entries"),
 ], ids=["override-not-a-number", "chain-transfer-rank",
         "flow-zero-heads", "flow-zero-features", "four-rooms-zero-features",
         "four-rooms-too-many-features", "flow-negative-seed", "flow-step-nan",
@@ -200,7 +212,8 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
         "flow-zero-samples", "flow-t-max-zero", "flow-alpha-nan", "flow-beta-inf",
         "flow-left-prob-above-one", "flow-left-prob-nan", "flow-joint-step-1e-300",
         "flow-ensemble-t-max-1e308", "flow-samples-1e17", "bayes-opt-mc-samples-1e16",
-        "flow-samples-1e20", "bayes-opt-mc-samples-1e17"])
+        "flow-samples-1e20", "bayes-opt-mc-samples-1e17", "flow-joint-k-1e20",
+        "flow-ensemble-m-1e20", "flow-ensemble-k-2e18", "flow-limit-k-2e18", "flow-rc-m-2e17"])
 def test_bad_input_is_one_error_line_and_exit_one(argv, env, message, tmp_path,
                                                    monkeypatch, capsys):
     for key, value in env.items():

@@ -5,6 +5,8 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repdyn as rd
 from repdyn.errors import ConfigurationError
@@ -187,28 +189,73 @@ def test_saved_bundle_files_take_their_mode_from_the_umask(umask, mode, tmp_path
     assert {oct(stat.S_IMODE(p.stat().st_mode)) for p in files} == {oct(mode)}
 
 
-# values whose shortest round-trip repr is easy to get wrong
+# values whose shortest round-trip repr is easy to get wrong; the writers format each
+# distinct bit pattern once, so 0.0 and -0.0, and NaNs with different payloads, must not
+# share a cell
+NANS = list(np.array([0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000000],
+                     dtype=np.uint64).view(np.float64))
+SUBNORMALS = [5e-324, -5e-324, 2.225073858507201e-308, 1e-310]
 SPECIAL = [-0.0, 5e-324, 1e300, 0.1, np.nan, np.inf]
+POOL = [0.0, -0.0, 0.1, -1.0, 1e300, np.inf, -np.inf, *NANS, *SUBNORMALS]
 
 
 def _repr_row(values) -> str:
     return ",".join(repr(float(x)) for x in values)
 
 
-def test_csv_writers_match_a_per_element_repr_oracle():
-    rows = np.array([SPECIAL, SPECIAL[::-1], [-x for x in SPECIAL]])
-    table = rd.Table([f"c{j}" for j in range(6)], rows)
-    assert table.to_csv() == "c0,c1,c2,c3,c4,c5\n" + "".join(_repr_row(r) + "\n" for r in rows)
+def _assert_writers_match_the_oracle(times, states):
+    """Table.to_csv of the states' (T, n K) rows, and both trajectory formats,
+    against one repr per element."""
+    count, n, k = states.shape
+    rows = states.reshape(count, n * k)
+    table = rd.Table([f"c{j}" for j in range(n * k)], rows)
+    assert table.to_csv() == ",".join(table.columns) + "\n" + "".join(
+        _repr_row(r) + "\n" for r in rows)
 
-    times = np.array([-0.0, 5e-324, 0.1])
-    wide = Trajectory(times, rows[:, :, None], {"kind": "test"})
-    expected = "# kind=test\nt,v_0,v_1,v_2,v_3,v_4,v_5\n" + "".join(
-        f"{_repr_row([t])},{_repr_row(r)}\n" for t, r in zip(times, rows))
+    wide = Trajectory(times, states[:, :, :1], {"kind": "test"})
+    expected = "# kind=test\nt," + ",".join(f"v_{i}" for i in range(n)) + "\n" + "".join(
+        f"{_repr_row([t])},{_repr_row(v)}\n" for t, v in zip(times, states[:, :, 0]))
     assert trajectory_to_csv(wide) == expected
 
-    states = rows.reshape(3, 2, 3)
-    long = Trajectory(times, states, {})
-    expected = "t,entry_row,entry_col,value\n" + "".join(
-        f"{_repr_row([t])},{i},{j},{_repr_row([s[i, j]])}\n"
-        for t, s in zip(times, states) for i in range(2) for j in range(3))
-    assert trajectory_to_csv(long) == expected
+    if k > 1:
+        expected = "t,entry_row,entry_col,value\n" + "".join(
+            f"{_repr_row([t])},{i},{j},{_repr_row([s[i, j]])}\n"
+            for t, s in zip(times, states) for i in range(n) for j in range(k))
+        assert trajectory_to_csv(Trajectory(times, states, {})) == expected
+
+
+def test_csv_writers_match_a_per_element_repr_oracle():
+    rows = np.array([SPECIAL, SPECIAL[::-1], [-x for x in SPECIAL]])
+    times = np.array([-0.0, 5e-324, 0.1])
+    _assert_writers_match_the_oracle(times, rows.reshape(3, 2, 3))
+    _assert_writers_match_the_oracle(times, rows.reshape(3, 3, 2))
+    # 0.0 and -0.0 in one table
+    signed_zeros = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]])
+    _assert_writers_match_the_oracle(np.array([0.0, 1.0]), signed_zeros.reshape(2, 3, 1))
+    _assert_writers_match_the_oracle(np.array([-0.0, 1.0]), signed_zeros.reshape(2, 1, 3))
+    # NaNs with different payload bits, and subnormals
+    assert len({x.tobytes() for x in NANS}) == 3
+    odd = np.array([NANS + SUBNORMALS[:1], SUBNORMALS, NANS[::-1] + [0.0]])
+    _assert_writers_match_the_oracle(np.array([0.0, 5e-324, 1e-310]), odd.reshape(3, 2, 2))
+    # a four-rooms-shaped projection table: 101 samples whose rows repeat apart from t
+    rng = np.random.default_rng(0)
+    times = np.linspace(0.0, 1000.0, 101)
+    values = np.repeat(rng.standard_normal((1, 105)), 101, axis=0)
+    values[50:] = rng.standard_normal(105)  # one change of row halfway
+    _assert_writers_match_the_oracle(times, values[:, :, None])
+    # a long-format trajectory whose values repeat across samples
+    _assert_writers_match_the_oracle(times, np.repeat(rng.standard_normal((1, 7, 3)), 101, axis=0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), count=st.integers(1, 5), n=st.integers(1, 4), k=st.integers(1, 3))
+def test_csv_writers_match_the_oracle_on_a_pool_of_special_values(data, count, n, k):
+    picks = data.draw(st.lists(st.sampled_from(POOL), min_size=count * n * k,
+                               max_size=count * n * k))
+    # sample times: increasing from 0.0 or -0.0 through subnormals
+    times = np.array(sorted(data.draw(st.lists(
+        st.sampled_from([0.0, 5e-324, 1e-310, 2.225073858507201e-308, 0.1, 1.0, 1e300]),
+        min_size=count, max_size=count, unique=True))))
+    if times[0] == 0.0 and data.draw(st.booleans()):
+        times[0] = -0.0
+    _assert_writers_match_the_oracle(times, np.array(picks).reshape(count, n, k))
