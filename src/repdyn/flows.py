@@ -20,16 +20,13 @@ R, so the M heads are integrated as K x d heads W^T B, B an orthonormal basis
 of that span with d <= min(M, K + rank R): trained heads, too, cost the same
 at any head count.
 RK4 steps the representation and the head weights packed into one float
-array, through buffers allocated once per flow. When P is exactly symmetric,
-P = U diag(lambda) U^T, it integrates U^T Phi, where G = gamma P - I is the
-diagonal diag(gamma lambda - 1) and one O(nd) scaling replaces the O(n^2 d)
-product, and it returns Phi_0 + U (U^T Phi(t) - U^T Phi_0), so a sample at
-which U^T Phi has not moved (t = 0 included) returns Phi_0 bit for bit; any
-other P keeps the dense G in state coordinates. RK4 stops computing once its
-state is a bit-for-bit fixed point of the step: the skipped steps would have
-returned the same state, so the output is unchanged. With zero reward in P's
-eigenbasis it settles once a rounding bound proves that no later step can move
-U^T Phi by a bit; the heads then take RK4's own amplification in closed form.
+array in state coordinates, for every P, through buffers allocated once per
+flow; the right-hand side forms (G Phi) W^T with the dense G = gamma P - I.
+RK4 stops computing once its state is a bit-for-bit fixed point of the step:
+the skipped steps would have returned the same state, so the output is
+unchanged. With zero reward and P exactly symmetric it settles once a rounding
+bound proves that no later step can move Phi by a bit; the heads then take
+RK4's own amplification in closed form.
 
 Heads split evenly over tasks follow, as their number grows, the flow of one
 averaged operator, ``build_multi_task_operator``: the mean of the task
@@ -329,23 +326,25 @@ def _rk4_integrate(rhs: Callable, y0: np.ndarray, times: np.ndarray, step: float
     return path, steps
 
 
-def _trained_heads_rhs(apply_G: Callable, rewards: np.ndarray, alpha: float, beta: float,
+def _trained_heads_rhs(G: np.ndarray, rewards: np.ndarray, alpha: float, beta: float,
                        shapes: tuple) -> Callable:
     """Right-hand side of the trained-head flow on the packed state (Phi, W^T).
 
     ``shapes`` are those of Phi, (n, K), and of W^T, (K, d); rewards are
-    (n, d). ``apply_G(X, out)`` writes G X into ``out`` and returns it. A
-    rate of exactly 1 is not applied, which leaves every bit unchanged.
+    (n, d) and G = gamma P - I. The TD errors are formed as (G Phi) W^T + R:
+    n^2 K + n K d multiplications against n K d + n^2 d for G (Phi W^T), so
+    the n x n product does not grow with d (64 for ``repdyn flow --flow rc``).
+    A rate of exactly 1 is not applied, which leaves every bit unchanged.
     """
     (n, k), (_, d) = shapes
     split = n * k
-    pred, delta = np.empty((n, d)), np.empty((n, d))
+    gphi, delta = np.empty((n, k)), np.empty((n, d))
 
     def rhs(y):
         phi, wmat = y[:split].reshape(n, k), y[split:].reshape(k, d)
         out = np.empty_like(y)
         dphi, dw = out[:split].reshape(n, k), out[split:].reshape(k, d)
-        np.add(apply_G(np.matmul(phi, wmat, out=pred), delta), rewards, out=delta)
+        np.add(np.matmul(np.matmul(G, phi, out=gphi), wmat, out=delta), rewards, out=delta)
         np.matmul(delta, wmat.T, out=dphi)
         np.matmul(phi.T, delta, out=dw)
         if alpha != 1.0:
@@ -357,24 +356,24 @@ def _trained_heads_rhs(apply_G: Callable, rewards: np.ndarray, alpha: float, bet
     return rhs
 
 
-def _zero_reward_settle(g: np.ndarray, alpha: float, beta: float, step: float, shape) -> Callable:
-    """``_rk4_integrate``'s settle hook for zero-reward trained heads in P's eigenbasis.
+def _zero_reward_settle(G: np.ndarray, alpha: float, beta: float, step: float, shape) -> Callable:
+    """``_rk4_integrate``'s settle hook for zero-reward trained heads with a symmetric G.
 
-    With Phi^ = U^T Phi of ``shape`` (n, K), heads H and G = diag(g),
-    d/dt Phi^ = alpha G Phi^ H H^T and d/dt H = A H, A = beta Phi^T G Phi^ =
-    V diag(mu) V^T. After a computed step that left Phi^ bit for bit unchanged
-    it settles if mu_max < 0, step |mu_min| <= 2.78, min |Phi^| > 0 and
-    12 step alpha max|g| ||Phi^||_2 ||H||_F^2 <= 2^-55 min |Phi^|. While Phi^ is
+    With Phi of ``shape`` (n, K), heads H and G = gamma P - I symmetric,
+    d/dt Phi = alpha G Phi H H^T and d/dt H = A H, A = beta Phi^T G Phi =
+    V diag(mu) V^T. After a computed step that left Phi bit for bit unchanged
+    it settles if mu_max < 0, step |mu_min| <= 2.78, min |Phi| > 0 and
+    12 step alpha ||G||_2 ||Phi||_2 ||H||_F^2 <= 2^-55 min |Phi|. While Phi is
     held, a step h <= step has stage heads p(hA) H, p = 1, 1 + z/2, 1 + z/2 +
     z^2/4 or 1 + z + z^2/2 + z^3/4, |p| <= 3.31 on RK4's stability interval
-    [-2.785, 0]. So each increment of Phi^, at most h alpha max|g| ||Phi^||_2
-    (3.31 ||H||_F)^2, is below 2^-55 |Phi^_ij|, half the distance to a rounding
-    midpoint (12 / 3.31^2 spares rounding): Phi^ stays put. H advances by R(hA),
+    [-2.785, 0]. So each increment of Phi, at most h alpha ||G||_2 ||Phi||_2
+    (3.31 ||H||_F)^2, is below 2^-55 |Phi_ij|, half the distance to a rounding
+    midpoint (12 / 3.31^2 spares rounding): Phi stays put. H advances by R(hA),
     R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, |R| <= 1 there, so ||H||_F never
     grows and the bound holds later on; the tail applies R(h mu) in V's basis.
     """
     n, k = shape
-    split, held = n * k, [None]  # the last Phi^'s bytes, mu, V and the bound's two factors
+    split, held = n * k, [None]  # the last Phi's bytes, mu, V and the bound's two factors
 
     def settle(y, moved):
         phi = moved[:split]
@@ -382,8 +381,8 @@ def _zero_reward_settle(g: np.ndarray, alpha: float, beta: float, step: float, s
             return None
         if held[0] != phi.tobytes():
             square, low = phi.reshape(n, k), np.abs(phi).min()
-            mu, V = np.linalg.eigh(beta * (square.T @ (g * square)))
-            scale = 12.0 * step * alpha * np.abs(g).max() * np.linalg.norm(square, 2)
+            mu, V = np.linalg.eigh(beta * (square.T @ (G @ square)))
+            scale = 12.0 * step * alpha * np.linalg.norm(G, 2) * np.linalg.norm(square, 2)
             steady = mu[-1] < 0.0 and step * -mu[0] <= 2.78 and low > 0.0
             held[:] = phi.tobytes(), mu, V, scale, 2.0 ** -55 * low if steady else -1.0
         _, mu, V, scale, limit = held
@@ -455,13 +454,18 @@ def ensemble_flow(
     reduced QR of [weights, r]: r is 1_M for a nonzero shared reward, the
     cumulants' transpose for nonzero cumulants, and absent for zero reward.
     W^T(t) stays in the row span of W^T(0) and R, so this equals RK4 on all M
-    heads in exact arithmetic, at a cost that does not grow with M. A
-    symmetric P runs in its eigenbasis (see the module docstring). ``meta``
+    heads in exact arithmetic, at a cost that does not grow with M. ``meta``
     records the steps RK4 computed before any settled tail (``rk4_steps``),
     their ``rhs_evals``, d (``head_dim``) and ``invariant_drift``, the largest entry of
     |C(t) - C(0)| over the samples for C = beta Phi^T Phi - alpha H H^T,
     H = W^T B: C is constant along the exact flow, so its drift measures the
     integration error. Trajectory states are the (T, n, K) Phi path.
+
+    ``DivergenceError`` is raised only once the state's norm passes 1e12. A
+    step outside RK4's stability interval that does not get there returns a
+    wrong flow without an error: on the uniform chain at zero reward, with
+    step |mu| = 3 for the head mode, Phi moves by 6.2% where the exact flow
+    holds it, and only ``invariant_drift`` (2.44) shows it.
     """
     return _multi_head_flow(chain, state0, alpha, beta, times, step)[0]
 
@@ -491,28 +495,19 @@ def _multi_head_flow(chain, state0: EnsembleState, alpha, beta, times, step) -> 
         basis, _ = np.linalg.qr(np.hstack([weights, reward_rows]) if nonzero else weights)
         reduced = np.outer(chain.reward, basis.sum(axis=0)) if shared else rewards @ basis
         heads0, P = weights.T @ basis, chain.transition
-        rotate = np.array_equal(P, P.T)  # P = U diag(lam) U^T: RK4 on U^T Phi, G diagonal
-        if rotate:
-            lam, U = np.linalg.eigh(P)
-            g = (chain.gamma * lam - 1.0)[:, None]  # diagonal G as an (n, 1) column
-            apply_G = lambda X, out: np.multiply(g, X, out=out)
-            start, reduced = U.T @ phi0, U.T @ reduced
-            settle = None if nonzero else _zero_reward_settle(g, alpha, beta, step, phi0.shape)
-        else:
-            G = chain.gamma * P - np.eye(chain.n_states)
-            apply_G = lambda X, out: np.matmul(G, X, out=out)
-            start, settle = phi0, None
-        rhs = _trained_heads_rhs(apply_G, reduced, alpha, beta, (phi0.shape, heads0.shape))
-        path, steps = _rk4_integrate(rhs, np.concatenate([start.ravel(), heads0.ravel()]),
+        G = chain.gamma * P - np.eye(chain.n_states)
+        symmetric = np.array_equal(P, P.T)  # A = beta Phi^T G Phi is symmetric: the rule's eigh
+        settle = (_zero_reward_settle(G, alpha, beta, step, phi0.shape)
+                  if symmetric and not nonzero else None)
+        rhs = _trained_heads_rhs(G, reduced, alpha, beta, (phi0.shape, heads0.shape))
+        path, steps = _rk4_integrate(rhs, np.concatenate([phi0.ravel(), heads0.ravel()]),
                                      times, step, settle)
         states = path[:, :phi0.size].reshape((len(times),) + phi0.shape)
         heads = path[:, phi0.size:].reshape((len(times),) + heads0.shape)
-        # C = beta Phi^T Phi - alpha H H^T is constant along the exact flow and under U
+        # C = beta Phi^T Phi - alpha H H^T is constant along the exact flow
         invariant = (beta * np.matmul(states.transpose(0, 2, 1), states)
                      - alpha * np.matmul(heads, heads.transpose(0, 2, 1)))
-        invariant0 = beta * start.T @ start - alpha * heads0 @ heads0.T
-        if rotate:
-            states = phi0 + np.matmul(U, states - start)
+        invariant0 = beta * phi0.T @ phi0 - alpha * heads0 @ heads0.T
         meta.update(rk4_steps=steps, rhs_evals=4 * steps, head_dim=basis.shape[1],
                     invariant_drift=float(np.abs(invariant - invariant0).max()))
     return Trajectory(times=times, states=states, meta=meta), heads

@@ -65,41 +65,23 @@ def plain_rk4_path(rhs, y0, times, step):
 
 
 def trained_heads_rhs(chain, rewards, alpha=1.0, beta=1.0):
-    """The trained-head ensemble right-hand side on (Phi, W^T)."""
+    """The trained-head ensemble right-hand side on (Phi, W^T).
+
+    The TD errors are formed as (G Phi) W^T + R, the association ``ensemble_flow``
+    uses, so that its states can be compared bit for bit.
+    """
     G = chain.gamma * chain.transition - np.eye(chain.n_states)
 
     def rhs(state):
         phi, wmat = state
-        delta = rewards + G @ (phi @ wmat)
+        delta = rewards + (G @ phi) @ wmat
         return alpha * (delta @ wmat.T), beta * (phi.T @ delta)
     return rhs
 
 
-def trained_heads_coordinates(chain, rewards, phi0, alpha=1.0, beta=1.0):
-    """(rhs, start, back) of the trained heads in the coordinates ``ensemble_flow`` takes.
-
-    A symmetric P = U diag(lam) U^T takes its eigenbasis: the state (U^T Phi, W^T),
-    G = diag(gamma lam - 1), the rewards U^T R, and back(Phi^) = Phi0 + U (Phi^ - U^T Phi0)
-    rotates a sample back. Any other P takes ``trained_heads_rhs`` in state coordinates.
-    """
-    P = chain.transition
-    if not np.array_equal(P, P.T):
-        return trained_heads_rhs(chain, rewards, alpha, beta), phi0, lambda phi: phi
-    lam, U = np.linalg.eigh(P)
-    g, rotated, start = (chain.gamma * lam - 1.0)[:, None], U.T @ rewards, U.T @ phi0
-
-    def rhs(state):
-        phi, wmat = state
-        delta = rotated + g * (phi @ wmat)
-        return alpha * (delta @ wmat.T), beta * (phi.T @ delta)
-    return rhs, start, lambda phi: phi0 + U @ (phi - start)
-
-
 def trained_heads_path(chain, rewards, phi0, wb, times, step, alpha=1.0, beta=1.0):
-    """Every-step RK4 samples (Phi, W^T) and step count in ``ensemble_flow``'s coordinates."""
-    rhs, start, back = trained_heads_coordinates(chain, rewards, phi0, alpha, beta)
-    path, steps = plain_rk4_path(rhs, (start, wb), times, step)
-    return [(back(phi), w) for phi, w in path], steps
+    """Every-step RK4 samples (Phi, W^T) and step count of the trained heads."""
+    return plain_rk4_path(trained_heads_rhs(chain, rewards, alpha, beta), (phi0, wb), times, step)
 
 
 def symmetric_transition(rng, n):
@@ -479,8 +461,8 @@ def test_ensemble_flow_matches_rk4_oracle_with_trained_heads():
 ], ids=["zero-reward", "rewarded", "drift-zero-reward", "two-state-rewarded"])
 def test_trained_heads_stop_computing_at_a_bitwise_fixed_point(chain):
     # every flow stops moving in float64 before t = 150 (zero reward drives the
-    # head weights to zero); the samples after that include shortened steps. The
-    # symmetric chains run in P's eigenbasis, the others in state coordinates
+    # head weights to zero); the samples after that include shortened steps, on
+    # symmetric and non-symmetric chains alike
     rng = np.random.default_rng(0)
     phi0 = rng.standard_normal((chain.n_states, 2))
     w = rd.sample_weights(3, 2, 1.0 / 3, 1)
@@ -496,7 +478,7 @@ def test_trained_heads_stop_computing_at_a_bitwise_fixed_point(chain):
 
 
 def test_rewarded_trained_heads_compute_every_step():
-    # the symmetric chain runs in P's eigenbasis, the two-state chain in state coordinates
+    # a reward drives the heads on the symmetric chain and on the two-state chain
     for chain in (chain_uniform(), two_state_chain()):
         rng = np.random.default_rng(2)
         phi0 = rng.standard_normal((chain.n_states, 2))
@@ -543,9 +525,8 @@ def test_rk4_refuses_a_horizon_that_float64_time_cannot_reach(times, step):
        m=st.integers(1, 3), gamma=st.sampled_from([0.0, 0.5, 0.9]), rewarded=st.booleans(),
        symmetric=st.booleans())
 def test_trained_heads_match_every_step_rk4_bit_for_bit(seed, n, k, m, gamma, rewarded, symmetric):
-    # a symmetric stochastic P keeps the flow bounded and runs in its eigenbasis; any
-    # other row-stochastic P runs in state coordinates. A step of 0.125 may leave
-    # RK4's stability region; K may exceed n
+    # a symmetric stochastic P keeps the flow bounded; any other row-stochastic P
+    # need not. A step of 0.125 may leave RK4's stability region; K may exceed n
     rng = np.random.default_rng(seed)
     P = random_transitions(rng, n, symmetric)[0]
     reward = rng.standard_normal(n) if rewarded else np.zeros(n)
@@ -554,16 +535,16 @@ def test_trained_heads_match_every_step_rk4_bit_for_bit(seed, n, k, m, gamma, re
     w = rng.standard_normal((m, k)) / np.sqrt(m)
     times = np.sort(rng.uniform(0.0, 60.0, 3))
     wb, rb = reduced_heads(chain, w)
-    rhs, start, back = trained_heads_coordinates(chain, rb, phi0)
     try:
         traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 1.0, times, step=0.125)
     except DivergenceError as exc:
         # every-step RK4 first leaves the divergence norm on the step that ends at
         # exc.time, and the integrator returns every sample before that step
         samples = []
-        for t, y, sample in rk4_every_step(rhs, (start, wb), times, 0.125):
+        for t, y, sample in rk4_every_step(trained_heads_rhs(chain, rb), (phi0, wb), times,
+                                           0.125):
             if sample is not None:
-                samples.append(back(y[0]))
+                samples.append(y[0])
             elif not np.sqrt(sum(np.vdot(part, part) for part in y)) <= 1e12:
                 break
         else:
@@ -588,34 +569,34 @@ def test_trained_heads_match_every_step_rk4_bit_for_bit(seed, n, k, m, gamma, re
        reach=st.floats(0.25, 2.5))
 def test_zero_reward_heads_settle_into_rk4s_own_amplification(seed, n, k, m, gamma, alpha,
                                                                beta, reach):
-    # heads of 1e-3 keep Phi^ = U^T Phi, and so A = beta Phi^T G Phi^, near their start: a
-    # step of reach / |mu_min(A)| stays inside RK4's stability interval, and by
-    # 40 / |mu_max(A)| the heads are past the settle bound yet still normal numbers. The
-    # flow settles after step rk4_steps; that step left Phi^ bit for bit unchanged, and
-    # there 12 step alpha max|g| ||Phi^||_2 ||H||_F^2 <= 2^-55 min |Phi^|
+    # heads of 1e-3 keep Phi, and so A = beta Phi^T G Phi, near their start: a step of
+    # reach / |mu_min(A)| stays inside RK4's stability interval, and by 40 / |mu_max(A)|
+    # the heads are past the settle bound yet still normal numbers. The flow settles
+    # after step rk4_steps; that step left Phi bit for bit unchanged, and there
+    # 12 step alpha ||G||_2 ||Phi||_2 ||H||_F^2 <= 2^-55 min |Phi|
     rng = np.random.default_rng(seed)
     k = min(k, n)
     chain = rd.MarkovChain(symmetric_transition(rng, n), np.zeros(n), gamma)
     phi0 = np.linalg.qr(rng.standard_normal((n, k)))[0]
     w = 1e-3 * rng.standard_normal((m, k))
-    lam, U = np.linalg.eigh(chain.transition)
-    g = gamma * lam - 1.0
-    mu = np.linalg.eigvalsh(beta * (U.T @ phi0).T @ (g[:, None] * (U.T @ phi0)))
+    G = gamma * chain.transition - np.eye(n)
+    mu = np.linalg.eigvalsh(beta * phi0.T @ (G @ phi0))
     step, horizon = reach / -mu[0], 40.0 / -mu[-1]
     times = np.append(np.sort(rng.uniform(0.0, horizon, 4)), horizon)
     traj, heads = flows._multi_head_flow(chain, rd.EnsembleState(phi0, w), alpha, beta, times,
                                          step)
     wb, rb = reduced_heads(chain, w)
-    rhs, start, back = trained_heads_coordinates(chain, rb, phi0, alpha, beta)
-    steps, previous, samples = 0, start, []
-    for _, (phi, h), sample in rk4_every_step(rhs, (start, wb), times, step):
+    rhs = trained_heads_rhs(chain, rb, alpha, beta)
+    steps, previous, samples = 0, phi0, []
+    for _, (phi, h), sample in rk4_every_step(rhs, (phi0, wb), times, step):
         if sample is not None:
-            samples.append((back(phi), h))
+            samples.append((phi, h))
             continue
         steps += 1
         if steps == traj.meta["rk4_steps"]:
             assert np.array_equal(phi, previous)
-            bound = 12.0 * step * alpha * np.abs(g).max() * np.linalg.norm(phi, 2) * np.vdot(h, h)
+            bound = (12.0 * step * alpha * np.linalg.norm(G, 2) * np.linalg.norm(phi, 2)
+                     * np.vdot(h, h))
             assert bound <= 2.0 ** -55 * np.abs(phi).min()
         previous = phi
     assert traj.meta["rk4_steps"] < steps
@@ -627,8 +608,8 @@ def test_zero_reward_heads_settle_into_rk4s_own_amplification(seed, n, k, m, gam
 def two_class_chain():
     """A symmetric 5-state chain of two closed classes, {0, 1} and {2, 3, 4}, at zero reward.
 
-    Each eigenvector of P vanishes exactly off its own class, so a Phi0 on one class
-    has U^T Phi0 rows that are exactly zero.
+    G = gamma P - I couples no state to the other class, so a Phi0 that vanishes on
+    one class keeps rows that are exactly zero.
     """
     P = np.zeros((5, 5))
     P[:2, :2] = 0.5
@@ -646,15 +627,14 @@ def two_class_chain():
 ], ids=["zero-entry", "more-features-than-states", "non-symmetric", "shared-reward",
         "cumulants"])
 def test_trained_heads_that_cannot_settle_compute_every_step(chain, k, m, cumulants, times):
-    # the settle rule needs a symmetric P, zero reward, min |Phi^| > 0 and mu_max(A) < 0:
-    # here Phi^ keeps exact zero rows, K > n makes A singular, P is not symmetric, or a
+    # the settle rule needs a symmetric P, zero reward, min |Phi| > 0 and mu_max(A) < 0:
+    # here Phi keeps exact zero rows, K > n makes A singular, P is not symmetric, or a
     # reward drives the heads. Phi and the heads are every-step RK4's bit for bit, which
     # the tail's product of amplifications would not give
     rng = np.random.default_rng(4)
     phi0 = rng.standard_normal((chain.n_states, k))
     if chain.n_states == 5:
         phi0[:2] = 0.0
-        assert np.any(np.linalg.eigh(chain.transition)[1].T @ phi0 == 0.0)
     cums = rd.sample_cumulants(m, chain.n_states, rng) if cumulants else None
     w = rd.sample_weights(m, k, 1.0 / m, rng)
     traj, heads = flows._multi_head_flow(chain, rd.EnsembleState(phi0, w, cums), 1.0, 1.0,
@@ -669,8 +649,8 @@ def test_trained_heads_that_cannot_settle_compute_every_step(chain, k, m, cumula
 @pytest.mark.parametrize("reach", [3.0, 6.0])
 def test_zero_reward_heads_past_rk4s_stability_interval_do_not_settle(reach):
     # step |mu| = reach > 2.785 for the one head mode, which RK4 then amplifies by
-    # |R(-reach)| > 1 a step: heads of 1e-30 leave Phi^ bit for bit still for dozens of
-    # steps, but the flow must not settle. At reach 3 the grown heads shrink Phi^ until
+    # |R(-reach)| > 1 a step: heads of 1e-30 leave Phi bit for bit still for dozens of
+    # steps, but the flow must not settle. At reach 3 the grown heads shrink Phi until
     # the step is stable again; at reach 6 the flow diverges. Both match every-step RK4
     chain = chain_uniform().with_reward(np.zeros(30))
     phi0 = np.random.default_rng(5).standard_normal((30, 1))
@@ -686,8 +666,7 @@ def test_zero_reward_heads_past_rk4s_stability_interval_do_not_settle(reach):
         return
     with pytest.raises(DivergenceError) as info:
         rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 1.0, times, step)
-    rhs, start, _ = trained_heads_coordinates(chain, rb, phi0)
-    for t, y, sample in rk4_every_step(rhs, (start, wb), times, step):
+    for t, y, sample in rk4_every_step(trained_heads_rhs(chain, rb), (phi0, wb), times, step):
         if sample is None and not np.sqrt(sum(np.vdot(part, part) for part in y)) <= 1e12:
             break
     else:
@@ -747,15 +726,13 @@ def test_trained_heads_on_decoupled_eigenmodes_meet_their_closed_form(seed, n, k
 
 
 def _assert_matches_state_coordinate_rk4(chain, state0, times, step):
-    # every-step RK4 with the dense G = gamma P - I in state coordinates shares no
-    # rotation with the eigenbasis that ensemble_flow takes for a symmetric P;
-    # returns the largest drift of C = Phi^T Phi - H H^T in the flow's meta and
-    # along the oracle
+    # every-step RK4 with the dense G = gamma P - I in state coordinates gives Phi bit
+    # for bit, settled tail or not; returns the largest drift of C = Phi^T Phi - H H^T
+    # in the flow's meta and along the oracle
     traj = rd.ensemble_flow(chain, state0, 1.0, 1.0, times, step)
     wb, rb = reduced_heads(chain, state0.weights, state0.cumulants)
     path, _ = plain_rk4_path(trained_heads_rhs(chain, rb), (state0.phi, wb), times, step)
-    oracle = np.array([phi for phi, _ in path])
-    assert np.abs(traj.states - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    assert np.array_equal(traj.states, np.array([phi for phi, _ in path]))
     invariant = [phi.T @ phi - h @ h.T for phi, h in [(state0.phi, wb)] + path]
     return traj.meta["invariant_drift"], max(np.abs(c - invariant[0]).max() for c in invariant)
 
@@ -776,7 +753,7 @@ def test_trained_heads_on_a_symmetric_chain_match_state_coordinate_rk4(seed, n, 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_four_rooms_trained_heads_match_state_coordinate_rk4(seed):
     # four-rooms' own inputs over its first 5 time units; the drift of the
-    # invariant, taken in the eigenbasis, stays within 2x of the oracle's
+    # invariant in the flow's meta stays within 2x of the oracle's
     cfg = FOUR_ROOMS_DEFAULTS
     rooms, policy = rd.build_four_rooms()
     chain = rd.induce(rooms, policy, cfg["gamma"])
@@ -1346,10 +1323,9 @@ def test_relabelling_states_permutes_every_flow_output(name):
        m=st.integers(1, 6), symmetric=st.booleans())
 def test_relabelling_states_of_a_random_chain_permutes_every_flow_output(seed, n, k, m,
                                                                          symmetric):
-    # the same relation on random row-stochastic chains, rewards and starts; a
-    # relabelled symmetric chain stays symmetric, so its trained heads run in the
-    # eigenbasis on both sides. Multi-task splits the heads over its two chains,
-    # so it needs an even M
+    # the same relation on random row-stochastic chains, rewards and starts,
+    # symmetric or not. Multi-task splits the heads over its two chains, so it
+    # needs an even M
     rng = np.random.default_rng(seed)
     transitions = random_transitions(rng, n, symmetric, count=2)
     reward = rng.standard_normal(n)
@@ -1403,9 +1379,8 @@ def test_scaling_the_rates_by_a_power_of_two_rescales_time_exactly(beta, cumulan
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), k=st.integers(1, 3),
        m=st.integers(1, 6), symmetric=st.booleans())
 def test_relabelling_heads_and_rescaling_time_on_a_random_chain(seed, n, k, m, symmetric):
-    # the two relations above on random chains, rewards, starts and heads, frozen
-    # and trained, with a shared reward and with cumulants; a symmetric chain's
-    # trained heads run in its eigenbasis, any other chain's in state coordinates
+    # the two relations above on random chains, symmetric or not, rewards, starts
+    # and heads, frozen and trained, with a shared reward and with cumulants
     rng = np.random.default_rng(seed)
     chain = rd.MarkovChain(random_transitions(rng, n, symmetric)[0], rng.standard_normal(n), 0.9)
     phi0 = rng.standard_normal((n, k))
