@@ -234,8 +234,7 @@ def run_four_rooms_features(config: dict | None = None) -> ReportBundle:
     t_max = check_real("t_max", cfg["t_max"], 0.0, 2.0 ** 53, low_open=True, high_open=True)
     check_t = check_real("check_t", cfg["check_t"], 0.0)
     bundle = ReportBundle("four-rooms", dict(cfg))
-    rooms, policy = mdp.build_four_rooms()
-    coords = mdp.four_rooms_coords()
+    rooms, policy, coords = mdp.gridworld_from_map(mdp.four_rooms_map())
     chain = mdp.induce(rooms, policy, cfg["gamma"])
     n, K = rooms.n_states, cfg["K"]
 

@@ -11,6 +11,9 @@ covariance induced by isotropic random rewards.
 
 Subspaces are compared through principal angles; the distance used throughout
 is the Euclidean norm of those angles.
+
+:func:`eigen_decompose`, :func:`rsbf` and :func:`orthonormalize` sign-fix every column:
+its first entry above 1e-12 of its largest magnitude is made real and positive.
 """
 
 from __future__ import annotations
@@ -29,19 +32,16 @@ _RANK_TOL = 1e-10
 
 
 def _sign_fix(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant entry is real and positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        mags = np.abs(col)
-        idx = int(np.argmax(mags > 1e-12 * mags.max())) if mags.max() > 0 else 0
-        pivot = col[idx]
-        if np.iscomplexobj(col):
-            if abs(pivot) > 0:
-                out[:, k] = col * (np.conj(pivot) / abs(pivot))
-        elif pivot < 0:
-            out[:, k] = -col
-    return out
+    """The module's sign rule on every column at once; the result is C-ordered."""
+    mags = np.abs(vectors)
+    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)  # 0 for a zero or NaN column
+    pivot = vectors[first, np.arange(vectors.shape[1])]
+    if np.iscomplexobj(vectors):
+        size = np.hypot(pivot.real, pivot.imag)  # abs(pivot)'s bits; np.abs can differ by an ulp
+        turn = np.divide(np.conj(pivot), size, out=np.ones_like(pivot), where=size > 0)
+        # a (1, K) factor: numpy's complex multiply then rounds as the column loop's did
+        return np.ascontiguousarray(np.where(size > 0, vectors * turn[None, :], vectors))
+    return np.ascontiguousarray(np.where(pivot < 0, -vectors, vectors))
 
 
 @dataclass(frozen=True)

@@ -617,26 +617,29 @@ def two_class_chain():
     return rd.MarkovChain(P, np.zeros(5), 0.9)
 
 
-@pytest.mark.parametrize("chain, k, m, cumulants, times", [
-    (two_class_chain(), 2, 3, False, [0.0, 50.0, 400.0]),
+@pytest.mark.parametrize("chain, k, m, cumulants, times, scale", [
+    (two_class_chain(), 2, 3, False, [0.0, 50.0, 400.0], 1.0),
+    (two_class_chain(), 2, 3, False, [0.0, 50.0, 400.0], 1e-170),
     (rd.MarkovChain(symmetric_transition(np.random.default_rng(3), 3), np.zeros(3), 0.9),
-     4, 4, False, [0.0, 20.0, 100.0]),
-    (chain_drift(0.9, 0.75).with_reward(np.zeros(30)), 2, 3, False, [0.0, 10.0, 150.0]),
-    (chain_uniform(), 2, 3, False, [0.0, 5.0, 20.0]),
-    (chain_uniform().with_reward(np.zeros(30)), 2, 3, True, [0.0, 5.0, 20.0]),
-], ids=["zero-entry", "more-features-than-states", "non-symmetric", "shared-reward",
-        "cumulants"])
-def test_trained_heads_that_cannot_settle_compute_every_step(chain, k, m, cumulants, times):
+     4, 4, False, [0.0, 20.0, 100.0], 1.0),
+    (chain_drift(0.9, 0.75).with_reward(np.zeros(30)), 2, 3, False, [0.0, 10.0, 150.0], 1.0),
+    (chain_uniform(), 2, 3, False, [0.0, 5.0, 20.0], 1.0),
+    (chain_uniform().with_reward(np.zeros(30)), 2, 3, True, [0.0, 5.0, 20.0], 1.0),
+], ids=["zero-entry", "zero-entry-underflowing-heads", "more-features-than-states",
+        "non-symmetric", "shared-reward", "cumulants"])
+def test_trained_heads_that_cannot_settle_compute_every_step(chain, k, m, cumulants, times,
+                                                               scale):
     # the settle rule needs a symmetric P, zero reward, min |Phi| > 0 and mu_max(A) < 0:
     # here Phi keeps exact zero rows, K > n makes A singular, P is not symmetric, or a
     # reward drives the heads. Phi and the heads are every-step RK4's bit for bit, which
-    # the tail's product of amplifications would not give
+    # the tail's product of amplifications would not give. Heads of 1e-170 have
+    # ||H||_F^2 = 0 in float64, so with a zero in Phi only min |Phi| > 0 stops the settle
     rng = np.random.default_rng(4)
     phi0 = rng.standard_normal((chain.n_states, k))
     if chain.n_states == 5:
         phi0[:2] = 0.0
     cums = rd.sample_cumulants(m, chain.n_states, rng) if cumulants else None
-    w = rd.sample_weights(m, k, 1.0 / m, rng)
+    w = scale * rd.sample_weights(m, k, 1.0 / m, rng)
     traj, heads = flows._multi_head_flow(chain, rd.EnsembleState(phi0, w, cums), 1.0, 1.0,
                                          times, 0.1)
     wb, rb = reduced_heads(chain, w, cums)

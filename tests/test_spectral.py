@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repdyn as rd
+from repdyn import spectral
 from repdyn.experiments import chain_drift
 from repdyn.errors import ConfigurationError, DomainError, RankDeficiencyError
 
@@ -272,3 +273,66 @@ def test_relabelling_states_permutes_every_span(span_name, chain_name):
             perm = rng.permutation(n)
             moved = span(P[perm][:, perm], chain.gamma, K)
             assert rd.grassmann_distance(moved, rd.Subspace(basis[perm])).distance <= bound
+
+
+def sign_fix_by_columns(vectors):
+    """The sign rule one column at a time: the reference for ``spectral._sign_fix``."""
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        mags = np.abs(col)
+        idx = int(np.argmax(mags > 1e-12 * mags.max())) if mags.max() > 0 else 0
+        pivot = col[idx]
+        if np.iscomplexobj(col):
+            if abs(pivot) > 0:
+                out[:, k] = col * (np.conj(pivot) / abs(pivot))
+        elif pivot < 0:
+            out[:, k] = -col
+    return out
+
+
+def sign_fix_column(kind, n, is_complex, rng):
+    """One column of ``kind``: random, zero (signed zeros), holding a NaN, or led by
+    entries below or exactly at 1e-12 of the column's largest magnitude."""
+    col = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301)
+    if is_complex:
+        col = col + 1j * rng.standard_normal(n) * np.abs(col).max()
+    if kind == "zero":
+        return col * 0.0
+    if kind == "nan":
+        col[rng.integers(n)] = np.nan
+    elif kind != "random" and n > 1:
+        lead = rng.integers(1, n)
+        top = np.abs(col[lead:]).max()
+        if kind == "below-threshold":
+            col[:lead] *= 1e-13 * top / np.abs(col[:lead]).max()
+        else:
+            signs = [1.0, -1.0, 1j, -1j] if is_complex else [1.0, -1.0]
+            col[:lead] = 1e-12 * top * rng.choice(signs, lead)
+    return col
+
+
+SIGN_FIX_LAYOUTS = {
+    "C": lambda m: m,
+    "F": np.asfortranarray,  # rsbf passes V[:, order][:, :K], which is Fortran-ordered
+    "strided": lambda m: np.repeat(np.repeat(m, 2, axis=0), 3, axis=1)[::-2, ::3],
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), is_complex=st.booleans(),
+       kinds=st.lists(st.sampled_from(["random", "zero", "nan", "below-threshold",
+                                       "at-threshold"]), max_size=6),
+       layout=st.sampled_from(sorted(SIGN_FIX_LAYOUTS)))
+def test_sign_fix_equals_the_column_loop_bit_for_bit(seed, n, is_complex, kinds, layout):
+    rng = np.random.default_rng(seed)
+    matrix = np.zeros((n, len(kinds)), complex if is_complex else float)
+    for j, kind in enumerate(kinds):
+        matrix[:, j] = sign_fix_column(kind, n, is_complex, rng)
+    vectors = SIGN_FIX_LAYOUTS[layout](matrix)
+    before = vectors.tobytes()
+    fixed, reference = spectral._sign_fix(vectors), sign_fix_by_columns(vectors)
+    assert fixed.flags.c_contiguous and reference.flags.c_contiguous
+    assert fixed.dtype == reference.dtype and fixed.shape == reference.shape
+    assert fixed.tobytes() == reference.tobytes()
+    assert vectors.tobytes() == before
