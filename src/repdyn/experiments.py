@@ -57,7 +57,12 @@ def _finalize_config(defaults: dict, config: dict | None) -> dict:
 
 
 def _stream(seed: int, label: str, *extra) -> np.random.Generator:
-    """Independent substream keyed by (seed, label, indices); order of use is irrelevant."""
+    """Independent substream keyed by (seed, label, indices).
+
+    A Monte Carlo family pooled into one statistic reads one stream per label
+    in sample order. Index keys serve draws made in threads, which must not
+    depend on the worker count, and draws that are a table row's coordinates.
+    """
     # the label as one uint32 word array hashes the same words as one int per character
     label_words = np.array([ord(c) for c in label], dtype=np.uint32)
     return np.random.default_rng([seed, label_words, *(int(x) for x in extra)])
@@ -240,7 +245,7 @@ def run_four_rooms_features(config: dict | None = None) -> ReportBundle:
 
     lam, U = np.linalg.eigh(chain.transition)
     order = np.argsort(-lam, kind="stable")
-    lam, U = lam[order], U[:, order]
+    lam, U = lam[order], spectral._sign_fix(U)[:, order]
 
     rng = _stream(cfg["seed"], "phi0")
     phi0 = rng.standard_normal((n, K))
@@ -495,9 +500,11 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
     # reward-weight product limit: columns of sum_m r^m (w^m)^T have covariance I
     sigma = np.eye(CHAIN_N)
     cols = []
-    for i in range(cfg["rewmat_seeds"]):
-        r = flows.sample_cumulants(64, CHAIN_N, _stream(cfg["seed"], "reward matrix", i))
-        w = flows.sample_weights(64, K, 1.0 / 64, _stream(cfg["seed"], "reward matrix heads", i))
+    rewards = _stream(cfg["seed"], "reward matrix")
+    heads = _stream(cfg["seed"], "reward matrix heads")
+    for _ in range(cfg["rewmat_seeds"]):
+        r = flows.sample_cumulants(64, CHAIN_N, rewards)
+        w = flows.sample_weights(64, K, 1.0 / 64, heads)
         cols.append(r @ w)
     pooled = np.concatenate([z.T for z in cols])  # rows are column samples
     emp = pooled.T @ pooled / pooled.shape[0]
@@ -511,8 +518,9 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
     psi = spectral.resolvent(chain.transition, cfg["gamma"])
     target = psi @ psi.T
     samples = []
-    for i in range(cfg["cov_seeds"]):
-        z = _stream(cfg["seed"], "limit covariance", i).standard_normal((CHAIN_N, K))
+    rng = _stream(cfg["seed"], "limit covariance")
+    for _ in range(cfg["cov_seeds"]):
+        z = rng.standard_normal((CHAIN_N, K))
         samples.append((psi @ z).T)
     pooled = np.concatenate(samples)
     emp = pooled.T @ pooled / pooled.shape[0]
@@ -558,8 +566,9 @@ def run_bayes_optimality(config: dict | None = None) -> ReportBundle:
     best = spectral.rsbf(chain.transition, cfg["gamma"], K)
     best_trace = projected_trace(best)
     random_traces = []
-    for i in range(cfg["n_random_subspaces"]):
-        g = _stream(cfg["seed"], "subspace", i).standard_normal((CHAIN_N, K))
+    rng = _stream(cfg["seed"], "subspace")
+    for _ in range(cfg["n_random_subspaces"]):
+        g = rng.standard_normal((CHAIN_N, K))
         random_traces.append(projected_trace(spectral.orthonormalize(g)))
     random_traces = np.asarray(random_traces)
     bundle.add_table("projected_traces", ["trace"], random_traces[:, None])
@@ -572,10 +581,11 @@ def run_bayes_optimality(config: dict | None = None) -> ReportBundle:
 
     # Monte Carlo projection error vs the trace identity
     rng = _stream(cfg["seed"], "mc rewards")
-    rewards = rng.standard_normal((CHAIN_N, cfg["mc_samples"]))
     errs = np.empty(cfg["mc_samples"])
-    for start in range(0, cfg["mc_samples"], MC_BLOCK):  # bounds the temporaries, not rewards
-        values = psi @ rewards[:, start:start + MC_BLOCK]
+    for start in range(0, cfg["mc_samples"], MC_BLOCK):
+        # one reward per row, so the draws do not depend on MC_BLOCK
+        rewards = rng.standard_normal((min(MC_BLOCK, cfg["mc_samples"] - start), CHAIN_N))
+        values = psi @ rewards.T
         residuals = values - best.basis @ (best.basis.T @ values)
         errs[start:start + MC_BLOCK] = (residuals ** 2).sum(axis=0)
     expected = total - best_trace

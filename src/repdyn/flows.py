@@ -267,11 +267,12 @@ def _rk4_integrate(rhs: Callable, y0: np.ndarray, times: np.ndarray, step: float
     """Classical RK4 with fixed step on one float array; sample times are hit exactly.
 
     ``rhs`` maps the state to a new array of the same shape. The state norm
-    is monitored; exceeding 1e12 raises DivergenceError with the time of
-    blowup. Returns the (T, ...) sampled states and the number of steps
-    computed. A step writes its stages, the sum k1 + 2 k2 + 2 k3 + k4 and
-    the next state into buffers allocated once, with the operations of
-    y + (h / 6)(k1 + 2 k2 + 2 k3 + k4) in that order.
+    is monitored; exceeding 1e12, or a stage overflowing float64, raises
+    DivergenceError with the time of blowup. Returns the (T, ...) sampled
+    states and the number of steps computed. A step writes its stages, the
+    sum k1 + 2 k2 + 2 k3 + k4 and the next state into buffers allocated
+    once, with the operations of y + (h / 6)(k1 + 2 k2 + 2 k3 + k4) in that
+    order.
 
     A step is a pure function of (y, h). Once a step of size h returns y bit
     for bit, later steps of that size are skipped until a computed step moves
@@ -301,19 +302,22 @@ def _rk4_integrate(rhs: Callable, y0: np.ndarray, times: np.ndarray, step: float
                 continue
             if h in still:
                 continue
-            k1 = rhs(y)
-            np.add(y, np.multiply(0.5 * h, k1, out=stage), out=stage)
-            k2 = rhs(stage)
-            np.add(y, np.multiply(0.5 * h, k2, out=stage), out=stage)
-            k3 = rhs(stage)
-            np.add(y, np.multiply(h, k3, out=stage), out=stage)
-            k4 = rhs(stage)
-            np.add(k1, np.multiply(2.0, k2, out=total), out=total)
-            total += np.multiply(2.0, k3, out=k3)
-            total += k4
-            np.add(y, np.multiply(h / 6.0, total, out=total), out=moved)
+            # a stage past float64's range is a divergence: the norm check below
+            # sees the inf or NaN it leaves in the step's result
+            with np.errstate(over="ignore", invalid="ignore"):
+                k1 = rhs(y)
+                np.add(y, np.multiply(0.5 * h, k1, out=stage), out=stage)
+                k2 = rhs(stage)
+                np.add(y, np.multiply(0.5 * h, k2, out=stage), out=stage)
+                k3 = rhs(stage)
+                np.add(y, np.multiply(h, k3, out=stage), out=stage)
+                k4 = rhs(stage)
+                np.add(k1, np.multiply(2.0, k2, out=total), out=total)
+                total += np.multiply(2.0, k3, out=k3)
+                total += k4
+                np.add(y, np.multiply(h / 6.0, total, out=total), out=moved)
+                norm = np.sqrt(np.vdot(moved, moved))
             steps += 1
-            norm = np.sqrt(np.vdot(moved, moved))
             if not np.isfinite(norm) or norm > _DIVERGENCE_NORM:
                 raise DivergenceError(f"flow diverged at t = {t:.6g}", time=t)
             if moved.tobytes() == y.tobytes():

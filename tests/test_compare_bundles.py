@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 
 import numpy as np
@@ -25,7 +26,8 @@ def test_a_tree_against_itself_reports_nothing_and_one_ulp_is_reported_with_its_
     src = os.path.join(ROOT, "src")
     report, failed = compare_bundles.compare(src, src, str(tmp_path), RUNS)
     count = sum(len(names) for _, _, names in os.walk(tmp_path / "old"))
-    assert report == [f"{count} files byte-identical; runs compared: 1"] and not failed
+    assert report == [f"{count} files byte-identical; runs compared: 1",
+                      "0 verdicts moved"] and not failed
 
     # plant a 1-ulp change in the last cell of the trajectory table
     old_dir, new_dir = (str(tmp_path / side / "flow-ensemble-beta1-two-state")
@@ -62,3 +64,22 @@ def test_header_lines_json_values_and_run_results_are_compared(tmp_path):
     lines, same, failed = compare_bundles.compare_run(
         str(tmp_path / "old"), str(tmp_path / "new"), (0, "ok\n", ""), (2, "ok\n", ""), 1.0)
     assert lines == ["  exit code differs: 0 -> 2"] and same == 1 and failed
+
+
+def test_a_flipped_verdict_is_counted_and_named(tmp_path, monkeypatch):
+    checks = {"old": [{"name": "c1", "passed": True}, {"name": "c2", "passed": True}],
+              "new": [{"name": "c1", "passed": True}, {"name": "c2", "passed": False}]}
+
+    def planted_run_tree(src, out, runs):
+        for name in runs:
+            os.makedirs(os.path.join(out, name))
+            with open(os.path.join(out, name, "checks.json"), "w") as handle:
+                json.dump(checks[src] if name == "run-a" else [], handle)
+        return {name: (0, "", "") for name in runs}
+
+    monkeypatch.setattr(compare_bundles, "run_tree", planted_run_tree)
+    report, failed = compare_bundles.compare("old", "new", str(tmp_path),
+                                             {"run-a": [], "run-b": []})
+    assert report[-1] == "1 verdicts moved; run-a c2" and failed
+    assert compare_bundles.moved_verdicts(str(tmp_path / "old" / "run-a"),
+                                          str(tmp_path / "new" / "run-b")) == ["c1", "c2"]

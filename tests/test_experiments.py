@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import repdyn as rd
 from repdyn.errors import ConfigurationError
 from repdyn.experiments import (EXPERIMENT_DEFAULTS, EXPERIMENTS, WEIGHT_K, _mix_policy,
-                                _stream)
+                                _stream, chain_uniform)
 
 # light overrides so the whole module stays fast; the acceptance suite runs
 # the full-size configurations
@@ -199,6 +199,68 @@ def test_limit_checks_is_byte_identical_on_one_and_two_workers(monkeypatch, tmp_
         expected.append(np.linalg.norm(w.T @ w - np.eye(wk)))
     np.testing.assert_allclose(one.tables["weight_second_moment"].rows[:, 1], expected,
                                rtol=1e-12)
+
+
+def _flat_stream(label, seed=0):
+    """One generator keyed by (seed, label) alone, read in sample order."""
+    return np.random.default_rng([seed] + [ord(c) for c in label])
+
+
+def _relative_covariance_error(samples, target):
+    """|E[x x^T] - target|_F / |target|_F over the columns of (s, n, K) samples."""
+    pooled = samples.transpose(0, 2, 1).reshape(-1, samples.shape[1])
+    emp = pooled.T @ pooled / pooled.shape[0]
+    return np.linalg.norm(emp - target) / np.linalg.norm(target), emp
+
+
+def _chain_resolvent(gamma=0.9):
+    P = chain_uniform(gamma).transition
+    return np.linalg.inv(np.eye(len(P)) - gamma * P)
+
+
+def test_limit_checks_pooled_statistics_read_one_stream_per_label():
+    cfg = LIMIT_WORKERS_CONFIG
+    bundle = rd.run_limit_checks(cfg)
+    s, K, n = cfg["rewmat_seeds"], EXPERIMENT_DEFAULTS["limit-checks"]["K"], 30
+    # sample i is draw i of "reward matrix" (64 rewards) and of "reward matrix heads"
+    r = _flat_stream("reward matrix").standard_normal((s, n, 64))
+    w = _flat_stream("reward matrix heads").normal(0.0, 0.125, size=(s, 64, K))
+    rew_err, _ = _relative_covariance_error(r @ w, np.eye(n))
+    np.testing.assert_allclose(bundle.tables["reward_matrix_covariance_error"].rows[0, 0],
+                               rew_err, rtol=1e-12)
+    psi = _chain_resolvent()
+    z = _flat_stream("limit covariance").standard_normal((cfg["cov_seeds"], n, K))
+    cov_err, emp = _relative_covariance_error(psi @ z, psi @ psi.T)
+    np.testing.assert_allclose(bundle.tables["limit_covariance_error"].rows[0, 0],
+                               cov_err, rtol=1e-10)
+    np.testing.assert_allclose(bundle.tables["limit_covariance_empirical"].rows, emp,
+                               rtol=1e-10, atol=1e-12)
+
+
+def test_bayes_opt_statistics_read_one_stream_per_label():
+    cfg = FAST_CONFIGS["bayes-opt"]
+    bundle = rd.run_bayes_optimality(cfg)
+    K, n = EXPERIMENT_DEFAULTS["bayes-opt"]["K"], 30
+    psi = _chain_resolvent()
+    g = _flat_stream("subspace").standard_normal((cfg["n_random_subspaces"], n, K))
+    q = np.linalg.qr(g)[0]
+    traces = ((q.transpose(0, 2, 1) @ psi) ** 2).sum(axis=(1, 2))
+    np.testing.assert_allclose(bundle.tables["projected_traces"].rows[:, 0], traces,
+                               rtol=1e-12)
+    # reward j is row j of one "mc rewards" draw, whatever the block size
+    rewards = _flat_stream("mc rewards").standard_normal((cfg["mc_samples"], n))
+    best = np.linalg.svd(psi)[0][:, :K]  # top-K principal directions of psi psi^T
+    values = rewards @ psi.T
+    errs = ((values - values @ best @ best.T) ** 2).sum(axis=1)
+    expected = np.linalg.norm(psi) ** 2 - np.linalg.norm(best.T @ psi) ** 2
+    se = errs.std(ddof=1) / np.sqrt(cfg["mc_samples"])
+    z = abs(errs.mean() - expected) / se
+    np.testing.assert_allclose(bundle.tables["mc_projection_error"].rows[0],
+                               [errs.mean(), expected, se, z], rtol=1e-9)
+    # fewer subspaces are the first rows of more
+    fewer = rd.run_bayes_optimality({**cfg, "n_random_subspaces": 20})
+    assert (fewer.tables["projected_traces"].rows
+            == bundle.tables["projected_traces"].rows[:20]).all()
 
 
 def test_multi_task_discount_mode():

@@ -520,6 +520,8 @@ def test_rk4_refuses_a_horizon_that_float64_time_cannot_reach(times, step):
 
 
 @example(seed=2, n=2, k=1, m=3, gamma=0.9, rewarded=True, symmetric=True)  # diverges at 0.125
+# a stage of its diverging step overflows float64
+@example(seed=2_397_959_030, n=4, k=1, m=3, gamma=0.9, rewarded=True, symmetric=False)
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), k=st.integers(1, 4),
        m=st.integers(1, 3), gamma=st.sampled_from([0.0, 0.5, 0.9]), rewarded=st.booleans(),
@@ -538,17 +540,19 @@ def test_trained_heads_match_every_step_rk4_bit_for_bit(seed, n, k, m, gamma, re
     try:
         traj = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 1.0, times, step=0.125)
     except DivergenceError as exc:
-        # every-step RK4 first leaves the divergence norm on the step that ends at
-        # exc.time, and the integrator returns every sample before that step
+        # every-step RK4 first leaves the divergence norm (or float64's range) on
+        # the step that ends at exc.time, and the integrator returns every sample
+        # before that step
         samples = []
-        for t, y, sample in rk4_every_step(trained_heads_rhs(chain, rb), (phi0, wb), times,
-                                           0.125):
-            if sample is not None:
-                samples.append(y[0])
-            elif not np.sqrt(sum(np.vdot(part, part) for part in y)) <= 1e12:
-                break
-        else:
-            pytest.fail("every-step RK4 stays within the divergence norm")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, y, sample in rk4_every_step(trained_heads_rhs(chain, rb), (phi0, wb), times,
+                                               0.125):
+                if sample is not None:
+                    samples.append(y[0])
+                elif not np.sqrt(sum(np.vdot(part, part) for part in y)) <= 1e12:
+                    break
+            else:
+                pytest.fail("every-step RK4 stays within the divergence norm")
         assert t == exc.time
         assert all(np.isfinite(phi).all() for phi in samples)
         if samples:

@@ -13,10 +13,12 @@ folder left there by an earlier comparison is removed first.
 nstep, tdlambda and limit, plus joint, ensemble and rc at beta 0 and 1, on
 chain, four-rooms and two-state: 51 runs.
 
-The report names each file that is not byte-identical and ends with the
-number of files that are (``config.json`` counted apart from ``out``). A CSV
-that differs is read cell by cell: the report gives its largest absolute
-difference and its changed '#' header lines. A JSON file is read as data: ``config.json`` is
+The report names each file that is not byte-identical, then gives the
+number of files that are (``config.json`` counted apart from ``out``). Its
+last line counts the checks whose ``passed`` differs between the two sides
+(a check only one side has counts too) and names each as ``<run> <check>``.
+A CSV that differs is read cell by cell: the report gives its largest
+absolute difference and its changed '#' header lines. A JSON file is read as data: ``config.json`` is
 compared without ``out``, numbers by their absolute difference, and every
 other value must be equal. Each run's stdout, stderr and exit code must be
 equal. The exit status is 1 on any difference other than numbers within
@@ -150,19 +152,35 @@ def compare_run(old_dir: str, new_dir: str, old_result: tuple, new_result: tuple
     return lines, same, failed
 
 
+def _verdicts(run_dir: str) -> dict:
+    """{check name: passed} of a run's checks.json; empty when the run wrote none."""
+    path = os.path.join(run_dir, "checks.json")
+    if not os.path.exists(path):
+        return {}
+    return {check["name"]: check["passed"] for check in json.loads(_read(path))}
+
+
+def moved_verdicts(old_dir: str, new_dir: str) -> list:
+    """Names of the checks whose ``passed`` differs, or that only one side has."""
+    old, new = _verdicts(old_dir), _verdicts(new_dir)
+    return [name for name in sorted(old.keys() | new.keys()) if old.get(name) != new.get(name)]
+
+
 def compare(old_src: str, new_src: str, out: str, runs: dict = RUNS, atol: float = 0.0) -> tuple:
     """Run ``runs`` under both trees; (report lines, whether anything differs past ``atol``)."""
     sides = {side: run_tree(src, os.path.join(out, side), runs)
              for side, src in (("old", old_src), ("new", new_src))}
-    report, identical, failed = [], 0, False
+    report, identical, failed, moved = [], 0, False, []
     for name in runs:
-        lines, same, bad = compare_run(os.path.join(out, "old", name),
-                                       os.path.join(out, "new", name),
-                                       sides["old"][name], sides["new"][name], atol)
+        old_dir, new_dir = os.path.join(out, "old", name), os.path.join(out, "new", name)
+        lines, same, bad = compare_run(old_dir, new_dir, sides["old"][name],
+                                       sides["new"][name], atol)
         if lines:
             report += [f"{name}:"] + lines
         identical, failed = identical + same, failed or bad
-    return report + [f"{identical} files byte-identical; runs compared: {len(runs)}"], failed
+        moved += [f"{name} {check}" for check in moved_verdicts(old_dir, new_dir)]
+    return report + [f"{identical} files byte-identical; runs compared: {len(runs)}",
+                     f"{len(moved)} verdicts moved" + "".join(f"; {m}" for m in moved)], failed
 
 
 def main(argv=None) -> int:
