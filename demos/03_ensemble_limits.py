@@ -48,8 +48,8 @@ print(f"  gap between that fixed point and the M->inf form Psi Z: "
 
 # The full battery (trajectory gaps, weight limits, covariance) in one bundle:
 bundle = rd.run_limit_checks({"M_list": (100, 2000), "n_seeds": 5, "gap_tol": 0.05,
-                              "cov_seeds": 500, "weight_M": 20000, "weight_seeds": 5,
-                              "weight_tol": 0.1, "rewmat_seeds": 400, "rewmat_tol": 0.2})
+                              "weight_M": 20000, "weight_seeds": 5, "weight_tol": 0.1,
+                              "rewmat_seeds": 500, "rewmat_tol": 0.2})
 bundle.save("out/demos/limit_checks")
 print("\nbundle saved to out/demos/limit_checks;",
       "all checks pass" if bundle.all_passed() else "SOME CHECKS FAILED")

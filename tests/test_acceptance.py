@@ -229,7 +229,7 @@ def test_criterion_12_cli_determinism_and_exit_codes(tmp_path):
     fail = run([
         "limit-checks", "--out", str(tmp_path / "f"),
         "--set", "M_list=100", "--set", "n_seeds=1", "--set", "gap_tol=1e-12",
-        "--set", "cov_seeds=20", "--set", "weight_M=1000", "--set", "weight_seeds=1",
+        "--set", "weight_M=1000", "--set", "weight_seeds=1",
         "--set", "weight_tol=1.0", "--set", "rewmat_seeds=20",
         "--set", "rewmat_tol=1.0",
     ]).returncode

@@ -70,7 +70,7 @@ def test_failed_check_exits_two(tmp_path):
     result = run_cli([
         "limit-checks", "--out", str(tmp_path / "f"),
         "--set", "M_list=100", "--set", "n_seeds=1", "--set", "gap_tol=1e-12",
-        "--set", "cov_seeds=20", "--set", "weight_M=1000", "--set", "weight_seeds=1",
+        "--set", "weight_M=1000", "--set", "weight_seeds=1",
         "--set", "weight_tol=1.0", "--set", "rewmat_seeds=20", "--set", "rewmat_tol=1.0",
     ])
     assert result.returncode == 2, result.stdout + result.stderr
@@ -189,8 +189,8 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
     (["flow", "--flow", "td", "--samples", "100000000000000000000"], {},
      "--samples 100000000000000000000 asks for 100000000000000000000 float64 entries, "
      "past numpy's index range"),
-    (["bayes-opt", "--set", "n_random_subspaces=2", "--set", "mc_samples=100000000000000000"], {},
-     "mc_samples 100000000000000000 asks for 3000000000000000000 float64 entries, "
+    (["bayes-opt", "--set", "n_random_subspaces=2", "--set", "mc_samples=2000000000000000000"],
+     {}, "mc_samples 2000000000000000000 asks for 2000000000000000000 float64 entries, "
      "past numpy's index range"),
     # --k against the chain's 30 states (Phi_0), --m against --k (heads) and, for rc, the
     # states (cumulants)
@@ -212,7 +212,7 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
         "flow-zero-samples", "flow-t-max-zero", "flow-alpha-nan", "flow-beta-inf",
         "flow-left-prob-above-one", "flow-left-prob-nan", "flow-joint-step-1e-300",
         "flow-ensemble-t-max-1e308", "flow-samples-1e17", "bayes-opt-mc-samples-1e16",
-        "flow-samples-1e20", "bayes-opt-mc-samples-1e17", "flow-joint-k-1e20",
+        "flow-samples-1e20", "bayes-opt-mc-samples-2e18", "flow-joint-k-1e20",
         "flow-ensemble-m-1e20", "flow-ensemble-k-2e18", "flow-limit-k-2e18", "flow-rc-m-2e17"])
 def test_bad_input_is_one_error_line_and_exit_one(argv, env, message, tmp_path,
                                                    monkeypatch, capsys):
@@ -252,7 +252,7 @@ OUT_OF_RANGE_OVERRIDES = [
     ("limit-checks", "rewmat_M=0", "unknown override key 'rewmat_M'"),
     ("multi-task", "M=0", "M must be an integer of at least 1, got 0"),
     ("limit-checks", "n_seeds=0", "n_seeds must be an integer of at least 1, got 0"),
-    ("limit-checks", "cov_seeds=0", "cov_seeds must be an integer of at least 1, got 0"),
+    ("limit-checks", "cov_seeds=0", "unknown override key 'cov_seeds'"),
     ("limit-checks", "weight_seeds=0",
      "weight_seeds must be an integer of at least 1, got 0"),
     ("bayes-opt", "n_random_subspaces=0",

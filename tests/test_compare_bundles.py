@@ -65,6 +65,18 @@ def test_header_lines_json_values_and_run_results_are_compared(tmp_path):
         str(tmp_path / "old"), str(tmp_path / "new"), (0, "ok\n", ""), (2, "ok\n", ""), 1.0)
     assert lines == ["  exit code differs: 0 -> 2"] and same == 1 and failed
 
+    # a key on one side only is named, and the shared keys are still compared
+    (tmp_path / "new" / "config.json").write_text('{"out": "b", "seed": 0, "extra": 1}\n')
+    lines, same, failed = compare_bundles.compare_run(
+        str(tmp_path / "old"), str(tmp_path / "new"), (0, "", ""), (0, "", ""), 1.0)
+    assert lines == ["  config.json: key 'extra' only in new"] and same == 0 and failed
+    (tmp_path / "old" / "config.json").write_text('{"seed": 2, "cov_seeds": 3}\n')
+    lines = compare_bundles.compare_run(
+        str(tmp_path / "old"), str(tmp_path / "new"), (0, "", ""), (0, "", ""), 1.0)[0]
+    assert lines == ["  config.json: key 'cov_seeds' only in old",
+                     "  config.json: key 'extra' only in new",
+                     "  config.json: largest absolute difference 2"]
+
 
 def test_a_flipped_verdict_is_counted_and_named(tmp_path, monkeypatch):
     checks = {"old": [{"name": "c1", "passed": True}, {"name": "c2", "passed": True}],

@@ -20,8 +20,8 @@ FAST_CONFIGS = {
                    "check_M": 64, "check_t": 300.0},
     "chain-transfer": {},
     "limit-checks": {"M_list": (100, 2000), "n_seeds": 3, "gap_tol": 0.05,
-                     "cov_seeds": 400, "weight_M": 20000, "weight_seeds": 3,
-                     "weight_tol": 0.12, "rewmat_seeds": 300, "rewmat_tol": 0.2},
+                     "weight_M": 20000, "weight_seeds": 3, "weight_tol": 0.12,
+                     "rewmat_seeds": 400, "rewmat_tol": 0.2},
     "bayes-opt": {"n_random_subspaces": 50, "mc_samples": 20000},
     "multi-task": {"M": 2000, "t_finite_span": 60.0},
 }
@@ -130,8 +130,7 @@ def test_four_rooms_fixed_weight_mode():
 
 def test_limit_checks_single_head_reduction():
     bundle = rd.run_limit_checks({"M_list": (1,), "n_seeds": 1, "gap_tol": 10.0,
-                                  "cov_seeds": 50, "weight_M": 1000,
-                                  "weight_seeds": 1, "weight_tol": 1.0,
+                                  "weight_M": 1000, "weight_seeds": 1, "weight_tol": 1.0,
                                   "rewmat_seeds": 50, "rewmat_tol": 1.0})
     names = {c.name: c for c in bundle.checks}
     assert names["single_head_reduces_to_joint_flow"].passed
@@ -149,8 +148,8 @@ def test_substreams_hash_the_words_of_the_flat_key_list(seed, label, extra):
 
 
 # a reduced limit-checks whose second-moment block has several seeds to spread
-LIMIT_WORKERS_CONFIG = {"M_list": (100,), "n_seeds": 1, "cov_seeds": 50, "weight_M": 20000,
-                        "weight_seeds": 4, "rewmat_seeds": 50}
+LIMIT_WORKERS_CONFIG = {"M_list": (100,), "n_seeds": 1, "weight_M": 20000, "weight_seeds": 4,
+                        "rewmat_seeds": 50}
 
 
 @pytest.mark.parametrize("run, config", [
@@ -228,9 +227,9 @@ def test_limit_checks_pooled_statistics_read_one_stream_per_label():
     rew_err, _ = _relative_covariance_error(r @ w, np.eye(n))
     np.testing.assert_allclose(bundle.tables["reward_matrix_covariance_error"].rows[0, 0],
                                rew_err, rtol=1e-12)
+    # the limiting features are those same columns through psi
     psi = _chain_resolvent()
-    z = _flat_stream("limit covariance").standard_normal((cfg["cov_seeds"], n, K))
-    cov_err, emp = _relative_covariance_error(psi @ z, psi @ psi.T)
+    cov_err, emp = _relative_covariance_error(psi @ (r @ w), psi @ psi.T)
     np.testing.assert_allclose(bundle.tables["limit_covariance_error"].rows[0, 0],
                                cov_err, rtol=1e-10)
     np.testing.assert_allclose(bundle.tables["limit_covariance_empirical"].rows, emp,
@@ -282,8 +281,7 @@ def test_multi_task_rejects_a_split_that_does_not_divide_the_heads():
 
 def test_failed_check_is_recorded_not_raised():
     bundle = rd.run_limit_checks({"M_list": (100,), "n_seeds": 2, "gap_tol": 1e-9,
-                                  "cov_seeds": 50, "weight_M": 1000,
-                                  "weight_seeds": 1, "weight_tol": 1.0,
+                                  "weight_M": 1000, "weight_seeds": 1, "weight_tol": 1.0,
                                   "rewmat_seeds": 50, "rewmat_tol": 1.0})
     assert not bundle.all_passed()
     failed = [c for c in bundle.checks if not c.passed]

@@ -522,7 +522,7 @@ def test_rk4_refuses_a_horizon_that_float64_time_cannot_reach(times, step):
 @example(seed=2, n=2, k=1, m=3, gamma=0.9, rewarded=True, symmetric=True)  # diverges at 0.125
 # a stage of its diverging step overflows float64
 @example(seed=2_397_959_030, n=4, k=1, m=3, gamma=0.9, rewarded=True, symmetric=False)
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), k=st.integers(1, 4),
        m=st.integers(1, 3), gamma=st.sampled_from([0.0, 0.5, 0.9]), rewarded=st.booleans(),
        symmetric=st.booleans())

@@ -20,7 +20,8 @@ last line counts the checks whose ``passed`` differs between the two sides
 A CSV that differs is read cell by cell: the report gives its largest
 absolute difference and its changed '#' header lines. A JSON file is read as data: ``config.json`` is
 compared without ``out``, numbers by their absolute difference, and every
-other value must be equal. Each run's stdout, stderr and exit code must be
+other value must be equal; a key that only one side's top-level object has
+is named. Each run's stdout, stderr and exit code must be
 equal. The exit status is 1 on any difference other than numbers within
 ``--atol`` (default 0), and 0 otherwise.
 """
@@ -143,8 +144,15 @@ def compare_run(old_dir: str, new_dir: str, old_result: tuple, new_result: tuple
             lines.append(f"  {name}: largest absolute difference {gap:.3g}")
             lines += [f"    {x} -> {y}" for x, y in changed]
         elif name.endswith(".json"):
+            both_objects = isinstance(a, dict) and isinstance(b, dict)
+            only = sorted(a.keys() ^ b.keys()) if both_objects else []
+            for key in only:
+                lines.append(f"  {name}: key {key!r} only in {'old' if key in a else 'new'}")
+                (a if key in a else b).pop(key)
             gap = _json_gap(a, b)
-            lines.append(f"  {name}: largest absolute difference {gap:.3g}")
+            if gap or not only:
+                lines.append(f"  {name}: largest absolute difference {gap:.3g}")
+            failed = failed or bool(only)
         else:
             gap = math.inf
             lines.append(f"  {name}: differs")
