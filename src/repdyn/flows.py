@@ -22,11 +22,10 @@ at any head count.
 RK4 steps the representation and the head weights packed into one float
 array in state coordinates, for every P, through buffers allocated once per
 flow; the right-hand side forms (G Phi) W^T with the dense G = gamma P - I.
-RK4 stops computing once its state is a bit-for-bit fixed point of the step:
-the skipped steps would have returned the same state, so the output is
-unchanged. With zero reward and P exactly symmetric it settles once a rounding
-bound proves that no later step can move Phi by a bit; the heads then take
-RK4's own amplification in closed form.
+Only zero-reward flows on an exactly symmetric P stop early: they settle once a
+rounding bound proves that no later step can move Phi by a bit, and the heads
+then take RK4's own amplification in closed form. Every other trained flow
+computes every step of its grid.
 
 Heads split evenly over tasks follow, as their number grows, the flow of one
 averaged operator, ``build_multi_task_operator``: the mean of the task
@@ -274,14 +273,12 @@ def _rk4_integrate(rhs: Callable, y0: np.ndarray, times: np.ndarray, step: float
     once, with the operations of y + (h / 6)(k1 + 2 k2 + 2 k3 + k4) in that
     order.
 
-    A step is a pure function of (y, h). Once a step of size h returns y bit
-    for bit, later steps of that size are skipped until a computed step moves
-    y; the time still advances step by step, so the sample grid and every
-    sampled state are exactly those of computing each step. From t = 2^52 step
-    on, ``t += h`` need not advance t in float64, so a horizon that far is a
-    ConfigurationError. ``settle(y, moved)``, if given, sees each computed
-    step's start and end and may return ``tail(y, counts)``, the state after
-    counts[h] steps of each size h from y, which takes the rest uncounted.
+    From t = 2^52 step on, ``t += h`` need not advance t in float64, so a
+    horizon that far is a ConfigurationError. ``settle(y, moved)``, if given,
+    sees each computed step's start and end and may return ``tail(y, counts)``,
+    the state after counts[h] steps of each size h from y, which takes the rest
+    uncounted. It is the only early exit, and only zero-reward flows on an exactly
+    symmetric P get one: every other trained flow computes every step of its grid.
     """
     step = check_real("step", step, 0.0, low_open=True)
     if times[-1] >= 2.0 ** 52 * step:
@@ -291,7 +288,6 @@ def _rk4_integrate(rhs: Callable, y0: np.ndarray, times: np.ndarray, step: float
     moved, stage, total = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     path = np.empty((len(times),) + y.shape)
     t, steps, tail = 0.0, 0, None
-    still = set()  # step sizes whose last computed step returned y bit for bit
     for i, target in enumerate(times):
         rest = {}  # this sample interval's step sizes and their counts, for the tail
         while t < target - 1e-12:
@@ -299,8 +295,6 @@ def _rk4_integrate(rhs: Callable, y0: np.ndarray, times: np.ndarray, step: float
             t += h
             if tail is not None:
                 rest[h] = rest.get(h, 0) + 1
-                continue
-            if h in still:
                 continue
             # a stage past float64's range is a divergence: the norm check below
             # sees the inf or NaN it leaves in the step's result
@@ -320,10 +314,6 @@ def _rk4_integrate(rhs: Callable, y0: np.ndarray, times: np.ndarray, step: float
             steps += 1
             if not np.isfinite(norm) or norm > _DIVERGENCE_NORM:
                 raise DivergenceError(f"flow diverged at t = {t:.6g}", time=t)
-            if moved.tobytes() == y.tobytes():
-                still.add(h)
-            else:
-                still.clear()
             tail = settle(y, moved) if settle else None
             y, moved = moved, y
         path[i] = y = tail(y, rest) if rest else y
@@ -618,7 +608,7 @@ def multi_task_flow(
     single-task frozen flow at L = 1. With head weights of variance 1/M,
     each W_i tends to I / L as M grows, and the flow to that of
     ``build_multi_task_operator(chains)``. ``step`` is unused; it stays in
-    the signature for callers that pass it by name.
+    the signature because ``perfbench/tracer.py`` binds it by name.
     """
     times = check_array("times", times, ("T",), increasing=True)
     if not check_instance("chains", chains, list):

@@ -140,8 +140,10 @@ def write_bundle(out_dir, config: dict, tables: dict, figures: dict, checks: lis
     ``tables`` maps names to CSV text, ``figures`` maps names to SVG text, and
     ``checks`` is the list of check records that ``checks.json`` holds. Every
     file's text is checked before the first write, so a wrong kind of content
-    is a ConfigurationError that leaves no file behind. An ``OSError`` from
-    creating or writing the bundle is a ConfigurationError naming ``out_dir``.
+    is a ConfigurationError that leaves no file behind, as is a ``.csv`` in
+    ``tables/`` or an ``.svg`` in ``figures/`` that this bundle does not write.
+    An ``OSError`` from creating or writing the bundle is a ConfigurationError
+    naming ``out_dir``.
     """
     out_dir = os.fspath(check_instance("out_dir", out_dir, (str, os.PathLike)))
     files = {"config.json": _json_text("config", config, sort_keys=True)}
@@ -152,6 +154,12 @@ def write_bundle(out_dir, config: dict, tables: dict, figures: dict, checks: lis
             files[path] = check_instance(f"{kind} text", text, str)
     files["checks.json"] = _json_text("checks", check_instance("checks", checks, list))
     try:
+        for folder, suffix in (("tables", ".csv"), ("figures", ".svg")):
+            held = os.path.join(out_dir, folder)
+            for name in sorted(os.listdir(held)) if os.path.isdir(held) else []:
+                if name.endswith(suffix) and os.path.join(folder, name) not in files:
+                    raise ConfigurationError(f"out_dir {out_dir!r} holds {folder}/{name}, "
+                                             f"which this bundle does not write")
         os.makedirs(os.path.join(out_dir, "tables"), exist_ok=True)
         os.makedirs(os.path.join(out_dir, "figures"), exist_ok=True)
         for path, text in sorted(files.items()):

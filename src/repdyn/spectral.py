@@ -87,7 +87,7 @@ def eigen_decompose(P: np.ndarray, gap_tol: float = _DEFAULT_GAP_TOL) -> Spectra
 
     Eigenvectors are unit-norm and sign-fixed, and every eigenpair's residual
     is checked against 1e-8. ``gap_tol`` is unused; it stays in the signature
-    for callers that pass it by name.
+    because ``perfbench/tracer.py`` binds it by name.
     """
     P = check_array("P", P, ("n", "n"))
     try:

@@ -237,6 +237,19 @@ def test_out_that_is_a_file_is_one_error_line_and_exit_one(argv, tmp_path, capsy
     assert out.read_text() == "kept\n"
 
 
+def test_rerun_into_an_out_that_holds_another_runs_tables_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "b"
+    for _ in range(2):  # a rerun that writes the same files keeps working
+        assert cli.main(["four-rooms", "--set", "K=4", "--out", str(out)]) == 0
+    config = (out / "config.json").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["four-rooms", "--set", "K=2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"repdyn: error: out_dir {str(out)!r} holds tables/projections_feature2.csv, "
+                   f"which this bundle does not write\n")
+    assert (out / "config.json").read_bytes() == config
+
+
 def test_flow_at_t_max_zero_takes_one_sample(tmp_path):
     assert cli.main(["flow", "--flow", "td", "--t-max", "0", "--samples", "1",
                      "--out", str(tmp_path / "out")]) == 0

@@ -55,6 +55,15 @@ def test_header_lines_json_values_and_run_results_are_compared(tmp_path):
         0.0, [("# rk4_steps=297", "# rk4_steps=300")])
     assert compare_bundles.compare_csv(old, old + "1.0,2.0\n")[0] == np.inf
     assert compare_bundles.compare_csv(old, old.replace("1.0", "x"))[0] == np.inf
+    # a changed header line is a difference at any --atol, though every cell is equal
+    for side, text in (("old", old), ("new", old.replace("297", "300"))):
+        os.makedirs(tmp_path / "csv" / side)
+        (tmp_path / "csv" / side / "trajectory.csv").write_text(text)
+    lines, same, failed = compare_bundles.compare_run(
+        str(tmp_path / "csv" / "old"), str(tmp_path / "csv" / "new"), (0, "", ""), (0, "", ""),
+        1e300)
+    assert lines == ["  trajectory.csv: largest absolute difference 0",
+                     "    # rk4_steps=297 -> # rk4_steps=300"] and same == 0 and failed
     gap = compare_bundles._json_gap
     assert gap([{"passed": True, "value": 0.5}], [{"passed": True, "value": 0.75}]) == 0.25
     assert gap([{"passed": True, "value": 0.5}], [{"passed": False, "value": 0.5}]) == np.inf

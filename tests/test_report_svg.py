@@ -172,6 +172,21 @@ def test_a_write_that_fails_partway_names_out_dir_and_leaves_no_temp_file(tmp_pa
     assert not list(out.rglob(".tmp-*"))
 
 
+def test_a_bundle_refuses_an_out_dir_that_holds_a_table_or_figure_it_does_not_write(tmp_path):
+    out = tmp_path / "bundle"
+    write_bundle(out, {"seed": 1}, {"a": "x\n1.0\n", "b": "x\n2.0\n"}, {"f": "<svg/>"}, [])
+    (out / "tables" / "notes.txt").write_text("kept\n")  # only .csv and .svg files count
+    write_bundle(out, {"seed": 1}, {"a": "x\n1.0\n", "b": "x\n2.0\n"}, {"f": "<svg/>"}, [])
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    for tables, figures, stale in (({"a": "x\n3.0\n"}, {"f": "<svg/>"}, "tables/b.csv"),
+                                   ({"a": "x\n3.0\n", "b": "y\n"}, {}, "figures/f.svg")):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"out_dir {str(out)!r} holds {stale}, which this bundle does not write")):
+            write_bundle(out, {"seed": 2}, tables, figures, [])
+        # refused before the first write: nothing is deleted, written or left behind
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                          ids=["umask-022", "umask-077"])
 def test_saved_bundle_files_take_their_mode_from_the_umask(umask, mode, tmp_path):

@@ -23,7 +23,7 @@ compared without ``out``, numbers by their absolute difference, and every
 other value must be equal; a key that only one side's top-level object has
 is named. Each run's stdout, stderr and exit code must be
 equal. The exit status is 1 on any difference other than numbers within
-``--atol`` (default 0), and 0 otherwise.
+``--atol`` (default 0), a changed '#' header line included, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -143,6 +143,7 @@ def compare_run(old_dir: str, new_dir: str, old_result: tuple, new_result: tuple
             gap, changed = compare_csv(a, b)
             lines.append(f"  {name}: largest absolute difference {gap:.3g}")
             lines += [f"    {x} -> {y}" for x, y in changed]
+            failed = failed or bool(changed)
         elif name.endswith(".json"):
             both_objects = isinstance(a, dict) and isinstance(b, dict)
             only = sorted(a.keys() ^ b.keys()) if both_objects else []
