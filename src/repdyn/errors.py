@@ -79,18 +79,22 @@ def check_array(name: str, value, shape: tuple, finite: bool = True,
 
     ``shape`` holds an int for an axis of fixed length and a label for a free
     one; axes that share a label have equal lengths, so ("n", "n") is a square.
-    ``increasing`` asks for sample times: strictly increasing from a
-    nonnegative first entry.
+    A leading ``...`` admits any number of axes in front of the rest, so
+    (..., "n", "n") is a stack of squares. ``increasing`` asks for sample
+    times: strictly increasing from a nonnegative first entry.
     """
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         array = None
-    lengths = {}
-    if array is None or array.ndim != len(shape) or array.size == 0 or any(
+    stacked = shape[:1] == (...,)
+    core, lengths = shape[stacked:], {}
+    if array is None or array.size == 0 or not (
+            array.ndim >= len(core) if stacked else array.ndim == len(core)) or any(
             lengths.setdefault(want, got) != got if isinstance(want, str) else want != got
-            for want, got in zip(shape, array.shape)):
-        text = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+            for want, got in zip(core, array.shape[array.ndim - len(core):])):
+        text = ", ".join("..." if s is ... else str(s) for s in shape) + (
+            "," if len(shape) == 1 else "")
         got = repr(value) if array is None else f"shape {array.shape}"
         raise ConfigurationError(f"{name} must be a non-empty array of shape ({text}), got {got}")
     if finite and not np.isfinite(array).all():

@@ -3,15 +3,19 @@
 Value flows (one-step, n-step, lambda-return bootstrapping and Monte Carlo)
 have exact matrix-exponential solutions and are evaluated in closed form.
 The n-step and lambda-return flows step shared propagators, one matrix
-exponential per distinct sample interval; one-step TD takes one exponential
+exponential per nominal sample interval; one-step TD takes one exponential
 from t = 0 per sample, and Monte Carlo a scalar exponential. Every flow that
 is linear in Phi -- the joint and multi-head flows with frozen heads
 (beta = 0), the multi-task head split and the infinite-head limits -- has the
-form d/dt Phi = sum_i A_i Phi W_i + F and is evaluated exactly by one
-augmented matrix exponential per distinct sample interval, one for all the K
-columns of an infinite-head limit. With frozen heads the head weights enter
-only through the K x K second moment W, so head counts in the tens of
-thousands cost the same as a single head. Only trained heads
+form d/dt Phi = sum_i A_i Phi W_i + F and is evaluated exactly by
+``_affine_path``, which steps a stack of augmented problems at once: the K
+eigen-decoupled columns of a frozen-head flow are one stack, and the K
+columns of an infinite-head limit share one generator. An interval within
+4 * np.spacing(t_i) of the current propagator's interval, t_i its end,
+reuses that propagator, so an evenly spaced grid takes one exponential call
+per flow. With frozen heads the head weights enter only through the K x K
+second moment W, so head counts in the tens of thousands cost the same as a
+single head. Only trained heads
 (beta > 0) make the flow bilinear; those are integrated with a fixed-step
 classical Runge-Kutta scheme, preferring determinism over adaptivity. The
 single-head ``joint_flow`` runs the ensemble flow's code with one head.
@@ -118,10 +122,14 @@ class LinearFlowSpec:
 
 
 def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(t A) by scaling-and-squaring; raises on non-finite input or overflow."""
+    """exp(t A) by scaling-and-squaring, for an (n, n) matrix or a (..., n, n) stack.
+
+    scipy takes a stack one matrix at a time, so each slice is bit for bit its
+    own exponential. Raises on non-finite input or when any slice overflows.
+    """
     import scipy.linalg
 
-    A = check_array("A", A, ("n", "n"), finite=False)
+    A = check_array("A", A, (..., "n", "n"), finite=False)
     t = check_real("t", t)
     if not np.all(np.isfinite(A)):
         raise NumericalError("matrix exponential of non-finite input")
@@ -130,7 +138,7 @@ def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:
         out = scipy.linalg.expm(scaled) if np.all(np.isfinite(scaled)) else scaled
         if not np.all(np.isfinite(out)):
             raise NumericalError(f"matrix exponential overflowed at t = {t:.3e} "
-                                 f"for ||A|| = {np.linalg.norm(A):.3e}")
+                                 f"for ||A|| = {np.linalg.norm(A, axis=(-2, -1)).max():.3e}")
     return out
 
 
@@ -157,7 +165,7 @@ def _stepped_value_flow(chain: MarkovChain, v0, times, op: np.ndarray, meta: dic
     """V_t = V^pi + exp(t op)(V_0 - V^pi) as the affine flow V' = op V - op V^pi.
 
     One (n, 1) column block for ``_affine_path``: one matrix exponential per
-    distinct sample interval, and V_0 itself at t = 0.
+    nominal sample interval, and V_0 itself at t = 0.
     """
     times = check_array("times", times, ("T",), increasing=True)
     v0 = check_array("v0", v0, (chain.n_states,))
@@ -209,30 +217,35 @@ def td_lambda_value_flow(chain: MarkovChain, lam: float, v0, times) -> Trajector
 
 
 def _affine_path(G: np.ndarray, F: np.ndarray, X0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """(T, m, c) array of X(t) of X' = G X + F at ``times``, starting from X(0) = X0.
+    """(T, ..., m, c) array of X(t) of X' = G X + F at ``times``, starting from X(0) = X0.
 
-    (X; I_c) follows the linear flow of the augmented generator [[G, F], [0, 0]]
-    (Van Loan 1978), so each step between samples is one matrix exponential
-    for all c columns; equal sample intervals share it.
+    G, F and X0 stack independent problems as (..., m, m), (..., m, c) and
+    (..., m, c); the prefix may be empty. (X; I_c) follows the linear flow of
+    the augmented generator [[G, F], [0, 0]] (Van Loan 1978), so a step
+    between samples is one exponential call for the whole stack. An interval
+    ending at t_i reuses the current propagator when it is within
+    4 * np.spacing(t_i) of that propagator's interval: the most by which two
+    intervals of one evenly spaced grid differ through the rounding of its
+    sample times, so np.linspace(0, 5, 26), whose 25 intervals are 6
+    distinct floats, takes one call.
     """
-    m, c = X0.shape
-    aug = np.zeros((m + c, m + c))
-    aug[:m, :m] = G
-    aug[:m, m:] = F
-    x = np.vstack([X0, np.eye(c)])
-    propagators = {}
-    out = np.empty((len(times), m, c))
-    t = 0.0
+    *stack, m, c = X0.shape
+    aug = np.zeros((*stack, m + c, m + c))
+    aug[..., :m, :m] = G
+    aug[..., :m, m:] = F
+    x = np.concatenate([X0, np.broadcast_to(np.eye(c), (*stack, c, c))], axis=-2)
+    out = np.empty((len(times), *stack, m, c))
+    t, span, propagator = 0.0, np.inf, None
     for i, target in enumerate(times):
         dt = target - t
         if dt > 0.0:
-            if dt not in propagators:
-                propagators[dt] = matrix_exponential(aug, dt)
+            if abs(dt - span) > 4.0 * np.spacing(target):
+                span, propagator = dt, matrix_exponential(aug, dt)
             with np.errstate(over="ignore", invalid="ignore"):  # reported below, as an error
-                x = propagators[dt] @ x
+                x = propagator @ x
             if not np.all(np.isfinite(x)):
                 raise NumericalError(f"flow overflowed at t = {target:.6g}")
-        out[i] = x[:m]
+        out[i] = x[..., :m, :]
         t = target
     return out
 
@@ -241,17 +254,17 @@ def _linear_flow(terms: list, forcing: np.ndarray, phi0: np.ndarray, times: np.n
     """Exact (T, n, K) states of d/dt Phi = sum_i A_i Phi W_i + F at ``times``; W_i symmetric.
 
     ``terms`` lists the (A_i, W_i) pairs. One term decouples in the eigenbasis
-    of W into K column problems of size n + 1. Several terms act on vec(Phi)
-    through the Kronecker generator sum_i W_i (x) A_i. A state at t = 0 is
-    ``phi0`` itself.
+    of W into K column problems (omega_j A, f_j, c_j) of size n + 1, stepped as
+    one stack. Several terms act on vec(Phi) through the Kronecker generator
+    sum_i W_i (x) A_i. A state at t = 0 is ``phi0`` itself.
     """
     n, k = phi0.shape
     if len(terms) == 1:
         (A, W), = terms
         omega, V = np.linalg.eigh(W)
-        paths = [_affine_path(w * A, f[:, None], c[:, None], times)
-                 for w, c, f in zip(omega, (phi0 @ V).T, (forcing @ V).T)]
-        states = np.concatenate(paths, axis=-1) @ V.T
+        path = _affine_path(omega[:, None, None] * A, (forcing @ V).T[:, :, None],
+                            (phi0 @ V).T[:, :, None], times)  # (T, K, n, 1)
+        states = path[..., 0].transpose(0, 2, 1) @ V.T
     else:
         G = sum(np.kron(W, A) for A, W in terms)
         path = _affine_path(G, forcing.T.reshape(-1, 1), phi0.T.reshape(-1, 1), times)
@@ -557,10 +570,10 @@ def sample_cumulants(M: int, n: int, seed) -> np.ndarray:
 def linear_limit_flow(spec: LinearFlowSpec, times) -> Trajectory:
     """Closed form of d/dt Phi = A Phi + B, exact for any A, singular or unstable.
 
-    All K columns share the generator A, so each distinct sample interval
-    takes one matrix exponential for all of them. A state that overflows
-    raises ``NumericalError``. Instantiates every infinite-head limit:
-    A = -(I - gamma P) with B = 0 or a Gaussian forcing matrix, and the
+    All K columns share the generator A, so each nominal sample interval
+    (``_affine_path``) takes one matrix exponential for all of them. A state
+    that overflows raises ``NumericalError``. Instantiates every infinite-head
+    limit: A = -(I - gamma P) with B = 0 or a Gaussian forcing matrix, and the
     averaged operator of a multi-task head split (``build_multi_task_operator``).
     """
     times = check_array("times", times, ("T",), increasing=True)

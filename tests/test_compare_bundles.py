@@ -104,3 +104,31 @@ def test_a_flipped_verdict_is_counted_and_named(tmp_path, monkeypatch):
     assert report[-1] == "1 verdicts moved; run-a c2" and failed
     assert compare_bundles.moved_verdicts(str(tmp_path / "old" / "run-a"),
                                           str(tmp_path / "new" / "run-b")) == ["c1", "c2"]
+
+
+def test_numbers_printed_in_figures_and_stdout_are_compared_within_atol(tmp_path):
+    # a printed angle and a printed check value move by 1e-16 and nothing else changes
+    svg = ('<svg width="480">\n<text x="40" y="16">angle {} rad</text>\n'
+           '<polyline points="40,280 78.065,257.161"/>\n</svg>\n')
+    stdout = "[PASS] td_final_angle_to_top_mode: value={} threshold=0.01\n"
+    for side, angle in (("old", "2.16772e-16"), ("new", "1.16772e-16")):
+        os.makedirs(tmp_path / side / "figures")
+        (tmp_path / side / "figures" / "angle.svg").write_text(svg.format(angle))
+    old, new = (0, stdout.format("1.2e-15"), ""), (0, stdout.format("1.3e-15"), "")
+    dirs = str(tmp_path / "old"), str(tmp_path / "new")
+    lines, same, failed = compare_bundles.compare_run(*dirs, old, new, 1e-12)
+    assert not failed and same == 0
+    assert lines[0].startswith("  stdout: largest absolute difference 1e-16")
+    assert lines[1].startswith("  figures/angle.svg: largest absolute difference 1e-16")
+    assert compare_bundles.compare_run(*dirs, old, new, 0.0)[2]
+    # text around the numbers is compared exactly, at any atol
+    line = stdout.format(1)
+    assert compare_bundles.compare_text(line, line.replace("PASS", "FAIL")) == np.inf
+    assert compare_bundles.compare_text(svg.format(1), svg.format("1 2")) == np.inf
+    (tmp_path / "new" / "figures" / "angle.svg").write_text(
+        svg.format("1.16772e-16").replace("polyline", "polygon"))
+    lines, _, failed = compare_bundles.compare_run(*dirs, old, new, 1e300)
+    assert lines[1] == "  figures/angle.svg: differs" and failed
+    failing = (0, stdout.format("1.3e-15").replace("PASS", "FAIL"), "")
+    assert compare_bundles.compare_run(*dirs, old, failing, 1e300)[0][0].startswith(
+        "  stdout differs: ")

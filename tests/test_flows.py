@@ -1030,6 +1030,86 @@ def test_linear_limit_flow_takes_one_exponential_per_distinct_interval(monkeypat
     assert sizes == [34, 34]
 
 
+def symmetric_affine_closed_form(chain, omega, psi0, forcing, times):
+    """(T, n, K) Psi(t) of d/dt Psi_ij = g_i omega_j Psi_ij + f_ij, from t = 0 at every sample.
+
+    G = gamma P - I = U diag(g) U^T for the symmetric P of ``chain``; ``psi0``
+    and ``forcing`` are in U's basis already. Each entry is its own scalar
+    flow: Psi_ij(t) = e^{t r} Psi_ij(0) + expm1(t r) / r f_ij, r = g_i omega_j < 0.
+    """
+    rate = (chain.gamma * np.linalg.eigvalsh(chain.transition) - 1.0)[:, None] * omega
+    x = np.asarray(times)[:, None, None] * rate
+    return np.exp(x) * psi0 + np.expm1(x) / rate * forcing
+
+
+ORACLE_GRIDS = {"linspace-5-26": np.linspace(0.0, 5.0, 26),
+                "linspace-10-101": np.linspace(0.0, 10.0, 101),
+                "linspace-1000-10001": np.linspace(0.0, 1000.0, 10001),
+                "after-zero": np.linspace(0.5, 3.0, 11),
+                "uneven": np.array([0.0, 0.3, 0.35, 1.0])}
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS)
+def test_linear_flows_match_a_per_sample_eigh_closed_form(grid):
+    # the closed form takes each sample from t = 0, so a propagator shared by
+    # nominally equal intervals must not carry the states off the grid's times
+    times = ORACLE_GRIDS[grid]
+    chain = chain_uniform()
+    rng = np.random.default_rng(27)
+    phi0 = rng.standard_normal((30, 4))
+    B = rng.standard_normal((30, 4))
+    _, U = np.linalg.eigh(chain.transition)
+    limit = rd.linear_limit_flow(rd.LinearFlowSpec(
+        chain.gamma * chain.transition - np.eye(30), B, phi0), times).states
+    psi = symmetric_affine_closed_form(chain, np.ones(1), U.T @ phi0, U.T @ B, times)
+    w = rd.sample_weights(16, 4, 1.0 / 16, 28)
+    frozen = rd.ensemble_flow(chain, rd.EnsembleState(phi0, w), 1.0, 0.0, times).states
+    omega, V = np.linalg.eigh(w.T @ w)
+    forcing = U.T @ np.outer(chain.reward, w.sum(axis=0)) @ V
+    psi_frozen = symmetric_affine_closed_form(chain, omega, U.T @ phi0 @ V, forcing, times)
+    for states, oracle in ((limit, U @ psi), (frozen, U @ psi_frozen @ V.T)):
+        gaps = np.linalg.norm(states - oracle, axis=(1, 2))
+        assert np.all(gaps <= 1e-12 * np.linalg.norm(oracle, axis=(1, 2)))
+
+
+def test_a_stacked_affine_path_is_its_problems_one_at_a_time_bit_for_bit():
+    rng = np.random.default_rng(29)
+    times = np.array([0.0, 0.3, 0.35, 1.0, 1.7])
+    for c in (1, 2):
+        G = rng.standard_normal((5, 7, 7)) / np.sqrt(7)
+        F, X0 = rng.standard_normal((2, 5, 7, c))
+        stacked = flows._affine_path(G, F, X0, times)
+        alone = [flows._affine_path(G[j], F[j], X0[j], times) for j in range(5)]
+        assert stacked.shape == (5, 5, 7, c)
+        assert stacked.tobytes() == np.stack(alone, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["ensemble-frozen", "joint-frozen", "multi-task", "limit",
+                                  "nstep", "tdlambda"])
+def test_an_evenly_spaced_grid_takes_one_exponential_call_per_flow(kind, monkeypatch):
+    # np.linspace(0, 5, 26) has 25 intervals of 6 distinct floats, all within
+    # 4 * np.spacing(t_i) of the first; a stack of columns is still one call
+    times = np.linspace(0.0, 5.0, 26)
+    assert len(set(np.diff(times))) == 6
+    calls = []
+    expm = flows.matrix_exponential
+    monkeypatch.setattr(flows, "matrix_exponential", lambda A, t: calls.append(t) or expm(A, t))
+    FLOW_KINDS[kind][0](times)  # FLOW_KINDS is defined below, with the other flow rows
+    assert calls == [times[1]]
+
+
+@pytest.mark.parametrize("ulps, calls", [(4, 1), (5, 2)])
+def test_an_interval_past_four_ulps_of_its_end_time_takes_its_own_exponential(
+        ulps, calls, monkeypatch):
+    # the intervals 1 and 1 + ulps * spacing(2) end at t = 1 and t = 2 + ulps * spacing(2)
+    times = np.array([0.0, 1.0, 2.0 + ulps * np.spacing(2.0)])
+    spans = []
+    expm = flows.matrix_exponential
+    monkeypatch.setattr(flows, "matrix_exponential", lambda A, t: spans.append(t) or expm(A, t))
+    rd.linear_limit_flow(rd.LinearFlowSpec(-np.eye(2), np.ones((2, 1)), np.ones((2, 1))), times)
+    assert len(spans) == calls
+
+
 def test_multi_task_operator_reduction_and_average():
     chain = chain_uniform()
     single = rd.build_multi_task_operator([chain])

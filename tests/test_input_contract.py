@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import repdyn as rd
-from repdyn.errors import ERRORS
+from repdyn.errors import ERRORS, ConfigurationError, NumericalError
 from repdyn.experiments import frozen_ensemble_span
 
 BAD_VALUES = {"string": "x", "none": None, "bool": True, "nan": float("nan"), "minus-one": -1,
@@ -199,3 +199,30 @@ def test_every_bad_argument_returns_or_raises_a_typed_error():
                 if problem:
                     failures.append(f"{row}({arg}={label}): {problem}")
     assert not failures, "\n".join(failures)
+
+
+def stack_with(slice_1: np.ndarray) -> np.ndarray:
+    """A (3, 3, 3) stack of exponents: 0, ``slice_1`` and -I."""
+    return np.stack([np.zeros((3, 3)), slice_1, -np.eye(3)])
+
+
+@pytest.mark.parametrize("A, error, message", [
+    (np.ones((2, 3, 4)), ConfigurationError,
+     r"A must be a non-empty array of shape \(\.\.\., n, n\), got shape \(2, 3, 4\)"),
+    (np.ones((0, 3, 3)), ConfigurationError, r"got shape \(0, 3, 3\)"),
+    (stack_with(np.diag([0.0, np.nan, 0.0])), NumericalError,
+     "matrix exponential of non-finite input"),
+    (stack_with(800.0 * np.eye(3)), NumericalError,
+     r"matrix exponential overflowed at t = 1\.000e\+00 for \|\|A\|\| = 1\.386e\+03"),
+], ids=["not-square", "empty-stack", "nan-in-one-slice", "one-slice-overflows"])
+def test_a_stack_of_exponents_keeps_the_typed_errors(A, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow is the error, not a warning before it
+        with pytest.raises(error, match=message):
+            rd.matrix_exponential(A, 1.0)
+
+
+def test_a_stack_of_exponents_is_each_slice_bit_for_bit():
+    A = stack_with(np.random.default_rng(2).standard_normal((3, 3)))
+    stacked = rd.matrix_exponential(A, 0.5)
+    assert stacked.tobytes() == np.stack([rd.matrix_exponential(a, 0.5) for a in A]).tobytes()

@@ -47,9 +47,10 @@ def test_traced_flows_bind_their_arguments_by_name():
     assert names["flows.ensemble_flow.frozen"] == names["flows.ensemble_flow.trained"] == 1
     assert names["flows.multi_task_flow"] == 1
     m = tracer.pass_metrics()
-    # each frozen flow takes one exponential per column (K = 2) for its one sample interval,
-    # the two-task flow one on its Kronecker generator, and one is called directly
-    assert m["flows.matrix_exponential.calls"] == m["linalg.expm.calls"] == 2 + 2 + 1 + 1
+    # the intervals 0.5, 0.5 share one propagator: each frozen flow takes one exponential
+    # call for the stack of its K = 2 columns, the two-task flow one on its Kronecker
+    # generator, and one is called directly
+    assert m["flows.matrix_exponential.calls"] == m["linalg.expm.calls"] == 1 + 1 + 1 + 1
     assert m["spectral.eigen_decompose.calls"] == 1
     replayed = [rk4_step_count(times, step) for step in (DEFAULT_STEP, 0.25) * 2 + (DEFAULT_STEP,)]
     assert m["flows.rk4_steps"] == sum(replayed)

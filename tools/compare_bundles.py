@@ -21,9 +21,11 @@ A CSV that differs is read cell by cell: the report gives its largest
 absolute difference and its changed '#' header lines. A JSON file is read as data: ``config.json`` is
 compared without ``out``, numbers by their absolute difference, and every
 other value must be equal; a key that only one side's top-level object has
-is named. Each run's stdout, stderr and exit code must be
-equal. The exit status is 1 on any difference other than numbers within
-``--atol`` (default 0), a changed '#' header line included, and 0 otherwise.
+is named. An SVG figure and each run's stdout are read as text with numbers
+in it: the numbers are compared by their absolute difference, and the text
+between them must be equal. Each run's stderr and exit code must be equal.
+The exit status is 1 on any difference other than numbers within ``--atol``
+(default 0), a changed '#' header line included, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import argparse
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -73,6 +76,17 @@ def _cell_gap(a: str, b: str) -> float | None:
     if math.isnan(x) and math.isnan(y):
         return 0.0
     return abs(x - y) if math.isfinite(x) and math.isfinite(y) else math.inf
+
+
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def compare_text(old: str, new: str) -> float:
+    """Largest |a - b| over the printed numbers of two texts; inf if the text between differs."""
+    old_parts, new_parts = _NUMBER.split(old), _NUMBER.split(new)
+    if len(old_parts) != len(new_parts) or old_parts[::2] != new_parts[::2]:
+        return math.inf
+    return max((_cell_gap(a, b) for a, b in zip(old_parts[1::2], new_parts[1::2])), default=0.0)
 
 
 def compare_csv(old: str, new: str) -> tuple:
@@ -119,9 +133,12 @@ def compare_run(old_dir: str, new_dir: str, old_result: tuple, new_result: tuple
     """(report lines, byte-identical files, whether anything differs past ``atol``) of one run."""
     lines, same, failed = [], 0, False
     for what, a, b in zip(("exit code", "stdout", "stderr"), old_result, new_result):
-        if a != b:
-            lines.append(f"  {what} differs: {a!r} -> {b!r}")
-            failed = True
+        if a == b:
+            continue
+        gap = compare_text(a, b) if what == "stdout" else math.inf
+        lines.append(f"  {what}: largest absolute difference {gap:.3g}" if gap < math.inf
+                     else f"  {what} differs: {a!r} -> {b!r}")
+        failed = failed or not gap <= atol
     old_files, new_files = _files(old_dir), _files(new_dir)
     for name in sorted(old_files ^ new_files):
         lines.append(f"  {name}: only in {'old' if name in old_files else 'new'}")
@@ -155,8 +172,9 @@ def compare_run(old_dir: str, new_dir: str, old_result: tuple, new_result: tuple
                 lines.append(f"  {name}: largest absolute difference {gap:.3g}")
             failed = failed or bool(only)
         else:
-            gap = math.inf
-            lines.append(f"  {name}: differs")
+            gap = compare_text(a, b) if name.endswith(".svg") else math.inf
+            lines.append(f"  {name}: largest absolute difference {gap:.3g}" if gap < math.inf
+                         else f"  {name}: differs")
         failed = failed or not gap <= atol
     return lines, same, failed
 
