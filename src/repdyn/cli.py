@@ -132,10 +132,10 @@ def _run_flow_command(args) -> int:
         traj = flows.joint_flow(chain, phi0, w0, args.alpha, args.beta, times, args.step)
     elif args.flow in ("ensemble", "rc"):
         phi0 = rng.standard_normal((n, args.k))
-        weights = flows.sample_weights(args.m, args.k, 1.0 / args.m, args.seed)
+        weights = flows.sample_weights(args.m, args.k, 1.0 / args.m, rng)
         cumulants = None
         if args.flow == "rc":
-            cumulants = flows.sample_cumulants(args.m, n, args.seed + 1)
+            cumulants = flows.sample_cumulants(args.m, n, rng)
         state0 = flows.EnsembleState(phi0, weights, cumulants)
         traj = flows.ensemble_flow(chain, state0, args.alpha, args.beta, times, args.step)
     else:  # limit

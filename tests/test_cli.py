@@ -3,9 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repdyn import cli
+from repdyn import cli, flows
 
 CLI = [sys.executable, "-m", "repdyn.cli"]
 
@@ -100,6 +101,28 @@ def test_flow_command_variants(flow, tmp_path):
                       "--m", "8", "--k", "2", "--step", "0.01", "--out", str(out)])
     assert result.returncode == 0, result.stderr
     assert (out / "tables" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("flow", ["ensemble", "rc"])
+def test_flow_heads_and_cumulants_follow_phi0_in_one_stream(flow, tmp_path, monkeypatch):
+    # Phi_0, then the head weights, then rc's cumulants are successive draws of the seed's
+    # one generator, so the weights are not Phi_0's own normals scaled, and the cumulants
+    # are not the stream that --seed 1 draws its Phi_0 from
+    seen, run = [], flows.ensemble_flow
+
+    def recording_flow(chain, state0, *rest):
+        seen.append(state0)
+        return run(chain, state0, *rest)
+
+    monkeypatch.setattr(flows, "ensemble_flow", recording_flow)
+    assert cli.main(["flow", "--flow", flow, "--mdp", "chain", "--k", "4", "--m", "64",
+                     "--t-max", "0", "--samples", "1", "--out", str(tmp_path)]) == 0
+    n = seen[0].phi.shape[0]
+    rng = np.random.default_rng(0)
+    np.testing.assert_array_equal(seen[0].phi, rng.standard_normal((n, 4)))
+    np.testing.assert_array_equal(seen[0].weights, rng.normal(0.0, 1 / 8, (64, 4)))
+    if flow == "rc":
+        np.testing.assert_array_equal(seen[0].cumulants, rng.standard_normal((n, 64)))
 
 
 FLOW_RECORD = ["flow", "gamma", "mdp", "out", "samples", "seed", "t_max"]

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shutil
 
 import numpy as np
 
@@ -49,24 +50,39 @@ def test_a_tree_against_itself_reports_nothing_and_one_ulp_is_reported_with_its_
     assert not compare_bundles.compare_run(old_dir, new_dir, result, result, 1e-12)[2]
 
 
+def _judge(tmp_path, name, old, new, atol):
+    """compare_run over two one-file bundles that hold ``old`` and ``new`` as ``name``."""
+    shutil.rmtree(tmp_path / "one", ignore_errors=True)
+    for side, text in (("old", old), ("new", new)):
+        os.makedirs(tmp_path / "one" / side)
+        (tmp_path / "one" / side / name).write_text(text)
+    return compare_bundles.compare_run(str(tmp_path / "one" / "old"),
+                                       str(tmp_path / "one" / "new"), (0, "", ""), (0, "", ""),
+                                       atol)
+
+
 def test_header_lines_json_values_and_run_results_are_compared(tmp_path):
     old = "# rk4_steps=297\n# step=0.001\nt,v\n0.0,1.0\n"
-    assert compare_bundles.compare_csv(old, old.replace("297", "300")) == (
-        0.0, [("# rk4_steps=297", "# rk4_steps=300")])
-    assert compare_bundles.compare_csv(old, old + "1.0,2.0\n")[0] == np.inf
-    assert compare_bundles.compare_csv(old, old.replace("1.0", "x"))[0] == np.inf
-    # a changed header line is a difference at any --atol, though every cell is equal
-    for side, text in (("old", old), ("new", old.replace("297", "300"))):
-        os.makedirs(tmp_path / "csv" / side)
-        (tmp_path / "csv" / side / "trajectory.csv").write_text(text)
-    lines, same, failed = compare_bundles.compare_run(
-        str(tmp_path / "csv" / "old"), str(tmp_path / "csv" / "new"), (0, "", ""), (0, "", ""),
-        1e300)
-    assert lines == ["  trajectory.csv: largest absolute difference 0",
-                     "    # rk4_steps=297 -> # rk4_steps=300"] and same == 0 and failed
-    gap = compare_bundles._json_gap
-    assert gap([{"passed": True, "value": 0.5}], [{"passed": True, "value": 0.75}]) == 0.25
-    assert gap([{"passed": True, "value": 0.5}], [{"passed": False, "value": 0.5}]) == np.inf
+    assert compare_bundles.compare_text(old, old + "1.0,2.0\n") == np.inf
+    assert compare_bundles.compare_text(old, old.replace("1.0", "x")) == np.inf
+    # a changed count is listed and moves by at least 1, so it fails below --atol 1,
+    # though every cell is equal
+    for atol in (0.5, 2e-12):
+        lines, same, failed = _judge(tmp_path, "trajectory.csv", old,
+                                     old.replace("297", "300"), atol)
+        assert lines == ["  trajectory.csv: largest absolute difference 3",
+                         "    # rk4_steps=297 -> # rk4_steps=300"] and same == 0 and failed
+    # checks.json: a value within --atol passes; a flipped verdict or a changed string fails
+    # at any --atol
+    check = '[{{"passed": {}, "value": {}}}]\n'
+    lines, _, failed = _judge(tmp_path, "checks.json", check.format("true", 0.5),
+                              check.format("true", 0.75), 0.25)
+    assert lines == ["  checks.json: largest absolute difference 0.25"] and not failed
+    named = '[{{"name": "span {} ebf", "passed": true}}]\n'
+    for old_json, new_json in ((check.format("true", 0.5), check.format("false", 0.5)),
+                               (named.format("near"), named.format("far from"))):
+        lines, _, failed = _judge(tmp_path, "checks.json", old_json, new_json, 1e300)
+        assert lines == ["  checks.json: differs"] and failed
     for side, out in (("old", "a"), ("new", "b")):
         os.makedirs(tmp_path / side)
         (tmp_path / side / "config.json").write_text(f'{{"out": "{out}", "seed": 0}}\n')
@@ -85,6 +101,17 @@ def test_header_lines_json_values_and_run_results_are_compared(tmp_path):
     assert lines == ["  config.json: key 'cov_seeds' only in old",
                      "  config.json: key 'extra' only in new",
                      "  config.json: largest absolute difference 2"]
+
+
+def test_a_header_float_moved_by_rounding_passes_within_atol_and_is_listed(tmp_path):
+    # every cell is equal; only the '#' line's drift moved by 1e-14
+    drift = "# invariant_drift=1.489273948607206e-07\nt,v\n0.0,1.0\n"
+    moved = drift.replace("1.489273948607206e-07", "1.4892740486072059e-07")
+    lines, same, failed = _judge(tmp_path, "trajectory.csv", drift, moved, 1e-12)
+    assert lines == ["  trajectory.csv: largest absolute difference 1e-14",
+                     "    # invariant_drift=1.489273948607206e-07 -> "
+                     "# invariant_drift=1.4892740486072059e-07"] and not failed
+    assert _judge(tmp_path, "trajectory.csv", drift, moved, 0.0)[2]
 
 
 def test_a_flipped_verdict_is_counted_and_named(tmp_path, monkeypatch):

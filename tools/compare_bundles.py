@@ -17,15 +17,19 @@ The report names each file that is not byte-identical, then gives the
 number of files that are (``config.json`` counted apart from ``out``). Its
 last line counts the checks whose ``passed`` differs between the two sides
 (a check only one side has counts too) and names each as ``<run> <check>``.
-A CSV that differs is read cell by cell: the report gives its largest
-absolute difference and its changed '#' header lines. A JSON file is read as data: ``config.json`` is
-compared without ``out``, numbers by their absolute difference, and every
-other value must be equal; a key that only one side's top-level object has
-is named. An SVG figure and each run's stdout are read as text with numbers
-in it: the numbers are compared by their absolute difference, and the text
-between them must be equal. Each run's stderr and exit code must be equal.
-The exit status is 1 on any difference other than numbers within ``--atol``
-(default 0), a changed '#' header line included, and 0 otherwise.
+
+One rule judges every CSV, SVG and JSON file and each run's stdout: the
+numbers printed in it must agree within ``--atol`` (default 0), and all
+other text must be equal. The report gives the largest absolute difference
+of those numbers, or says the text differs. A CSV's '#' header lines are
+judged by the same rule, and each changed one is listed. A count there,
+such as ``rk4_steps``, moves by at least 1, so a changed count fails at any
+``--atol`` below 1 and passes at 1 or more. A JSON file is loaded and
+dumped with sorted keys first: ``config.json`` without ``out``, and a key
+that only one side's top-level object has is named and then dropped. Each
+run's stderr and exit code, and a file of any other type, must be equal.
+The exit status is 1 on any difference other than numbers within
+``--atol``, a key or file only one side has included, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -65,19 +69,6 @@ def run_tree(src: str, out: str, runs: dict) -> dict:
     return results
 
 
-def _cell_gap(a: str, b: str) -> float | None:
-    """|a - b| of two number cells, 0 for equal text, None when either is not a number."""
-    if a == b:
-        return 0.0
-    try:
-        x, y = float(a), float(b)
-    except ValueError:
-        return None
-    if math.isnan(x) and math.isnan(y):
-        return 0.0
-    return abs(x - y) if math.isfinite(x) and math.isfinite(y) else math.inf
-
-
 _NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
@@ -86,36 +77,23 @@ def compare_text(old: str, new: str) -> float:
     old_parts, new_parts = _NUMBER.split(old), _NUMBER.split(new)
     if len(old_parts) != len(new_parts) or old_parts[::2] != new_parts[::2]:
         return math.inf
-    return max((_cell_gap(a, b) for a, b in zip(old_parts[1::2], new_parts[1::2])), default=0.0)
+    return max((abs(float(a) - float(b)) for a, b in zip(old_parts[1::2], new_parts[1::2])),
+               default=0.0)
 
 
-def compare_csv(old: str, new: str) -> tuple:
-    """(largest absolute difference, [(old, new) changed '#' lines]); inf if the shapes differ."""
-    old_lines, new_lines = old.splitlines(), new.splitlines()
-    old_head = [line for line in old_lines if line.startswith("#")]
-    new_head = [line for line in new_lines if line.startswith("#")]
-    changed = [(a, b) for a, b in zip(old_head, new_head) if a != b]
-    old_rows = [line.split(",") for line in old_lines if not line.startswith("#")]
-    new_rows = [line.split(",") for line in new_lines if not line.startswith("#")]
-    if len(old_head) != len(new_head) or [len(r) for r in old_rows] != [len(r) for r in new_rows]:
-        return math.inf, changed + [("(header or table shape)", "(differs)")]
-    gaps = [_cell_gap(a, b) for ra, rb in zip(old_rows, new_rows) for a, b in zip(ra, rb)]
-    return (math.inf if None in gaps else max(gaps, default=0.0)), changed
-
-
-def _json_gap(a, b) -> float:
-    """Largest |a - b| over the numbers of two JSON values; inf where anything else differs."""
-    if type(a) is type(b) and type(a) in (int, float):
-        return _cell_gap(repr(a), repr(b))
+def _json_texts(name: str, old: str, new: str) -> tuple:
+    """(old, new, [(key, side)]): two JSON texts dumped with sorted keys, without ``out`` in
+    ``config.json`` and without the top-level keys that only one side has, which are listed."""
+    a, b = json.loads(old), json.loads(new)
+    only = []
     if isinstance(a, dict) and isinstance(b, dict):
-        if a.keys() != b.keys():
-            return math.inf
-        return max((_json_gap(a[key], b[key]) for key in a), default=0.0)
-    if isinstance(a, list) and isinstance(b, list):
-        if len(a) != len(b):
-            return math.inf
-        return max((_json_gap(x, y) for x, y in zip(a, b)), default=0.0)
-    return 0.0 if a == b else math.inf
+        if name == "config.json":
+            for config in (a, b):
+                config.pop("out", None)  # experiments record no out
+        only = [(key, "old" if key in a else "new") for key in sorted(a.keys() ^ b.keys())]
+        for key, side in only:
+            (a if side == "old" else b).pop(key)
+    return json.dumps(a, indent=2, sort_keys=True), json.dumps(b, indent=2, sort_keys=True), only
 
 
 def _files(root: str) -> set:
@@ -148,34 +126,22 @@ def compare_run(old_dir: str, new_dir: str, old_result: tuple, new_result: tuple
         if a == b:
             same += 1
             continue
+        only = []
         if name.endswith(".json"):
-            a, b = json.loads(a), json.loads(b)
-            if name == "config.json":
-                for config in (a, b):
-                    config.pop("out", None)  # experiments record no out
-                if _json_gap(a, b) == 0.0:
-                    same += 1
-                    continue
-        if name.endswith(".csv"):
-            gap, changed = compare_csv(a, b)
-            lines.append(f"  {name}: largest absolute difference {gap:.3g}")
-            lines += [f"    {x} -> {y}" for x, y in changed]
-            failed = failed or bool(changed)
-        elif name.endswith(".json"):
-            both_objects = isinstance(a, dict) and isinstance(b, dict)
-            only = sorted(a.keys() ^ b.keys()) if both_objects else []
-            for key in only:
-                lines.append(f"  {name}: key {key!r} only in {'old' if key in a else 'new'}")
-                (a if key in a else b).pop(key)
-            gap = _json_gap(a, b)
-            if gap or not only:
-                lines.append(f"  {name}: largest absolute difference {gap:.3g}")
-            failed = failed or bool(only)
-        else:
-            gap = compare_text(a, b) if name.endswith(".svg") else math.inf
+            a, b, only = _json_texts(name, a, b)
+            if name == "config.json" and a == b and not only:
+                same += 1
+                continue
+        gap = compare_text(a, b) if name.endswith((".csv", ".svg", ".json")) else math.inf
+        lines += [f"  {name}: key {key!r} only in {side}" for key, side in only]
+        if gap or not only:
             lines.append(f"  {name}: largest absolute difference {gap:.3g}" if gap < math.inf
                          else f"  {name}: differs")
-        failed = failed or not gap <= atol
+        if name.endswith(".csv"):
+            heads = [[line for line in text.splitlines() if line.startswith("#")]
+                     for text in (a, b)]
+            lines += [f"    {x} -> {y}" for x, y in zip(*heads) if x != y]
+        failed = failed or bool(only) or not gap <= atol
     return lines, same, failed
 
 
