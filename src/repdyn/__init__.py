@@ -46,6 +46,7 @@ from .flows import (
     Trajectory,
     build_multi_task_operator,
     ensemble_flow,
+    frozen_ensemble_flows,
     joint_flow,
     linear_limit_flow,
     matrix_exponential,

@@ -23,7 +23,8 @@ CHAIN_N = 30
 CHAIN_SLIP = 0.01
 CHAIN_LEFT_REWARD = 2.0
 CHAIN_RIGHT_REWARD = 1.0
-MC_BLOCK = 8192  # Monte Carlo draws (rows or columns) worked on at once
+MC_BLOCK = 8192  # Monte Carlo draws (rows or columns) worked on at once; limit-checks'
+# reward-weight products take MC_BLOCK // 256 = 32 samples: 128 raised peak memory by 3 MB
 WEIGHT_K = 10  # head dimension of limit-checks' second-moment identity
 
 
@@ -421,44 +422,66 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
     M. Also verifies the second-moment identity sum_m w^m (w^m)^T -> I and,
     from one family of reward-weight products Z = sum_m r^m (w^m)^T, that the
     columns of Z have covariance I and those of the limiting features Psi Z
-    have covariance Psi Psi^T.
+    have covariance Psi Psi^T. The second-moment seeds draw on a thread pool
+    while this thread runs the flows, a seed's limit (heads I_K) and finite-M
+    flows as one stack, and draws the reward-weight products in blocks.
     """
     cfg = _finalize_config(LIMIT_CHECKS_DEFAULTS, config)
-    bundle = ReportBundle("limit-checks", dict(cfg))
-    K = cfg["K"]
-    chain = chain_uniform(cfg["gamma"]).with_reward(np.zeros(CHAIN_N))
-    times = np.linspace(0.0, 5.0, 26)
-    op = cfg["gamma"] * chain.transition - np.eye(CHAIN_N)
-
-    m_list = cfg["M_list"]
+    m_list, n_seeds, K, wk, wm = cfg["M_list"], cfg["n_seeds"], cfg["K"], WEIGHT_K, cfg["weight_M"]
     if len(set(m_list)) != len(m_list):  # a repeat would compare an M's gaps with themselves
         raise ConfigurationError(f"M_list entries must be distinct, got {m_list!r}")
-    rows = []
-    gaps = {}
-    for i in range(cfg["n_seeds"]):
-        phi0 = _normalized_phi0(_stream(cfg["seed"], "phi0", i), CHAIN_N, K)
-        limits = flows.linear_limit_flow(
-            flows.LinearFlowSpec(op, np.zeros_like(phi0), phi0), times).states
-        for m in m_list:
-            w = flows.sample_weights(m, K, 1.0 / m, _stream(cfg["seed"], "heads", i, m))
-            traj = flows.ensemble_flow(chain, flows.EnsembleState(phi0, w), 1.0, 0.0, times)
-            gap = max(
-                float(np.linalg.norm(s - ref)) for s, ref in zip(traj.states, limits))
-            rows.append([float(m), float(i), gap])
-            gaps[(m, i)] = gap
-    bundle.add_table("trajectory_gaps", ["M", "seed", "gap"], np.array(rows))
+    bundle = ReportBundle("limit-checks", dict(cfg))
+    chain = chain_uniform(cfg["gamma"]).with_reward(np.zeros(CHAIN_N))
+    times = np.linspace(0.0, 5.0, 26)
 
-    m_big = max(m_list)
-    worst_big = max(gaps[(m_big, i)] for i in range(cfg["n_seeds"]))
-    bundle.add_check("largest_M_gap_below_tolerance", worst_big, cfg["gap_tol"],
+    # second-moment identity of frozen heads; the weights are drawn in row
+    # blocks from one generator, the same draws as one (weight_M, K) sample.
+    # Each seed runs whole in one thread, so the errors match at any worker count.
+    from concurrent.futures import ThreadPoolExecutor
+
+    def second_moment_error(i: int) -> float:
+        rng = _stream(cfg["seed"], "weight identity", i)
+        second = np.zeros((wk, wk))
+        for start in range(0, wm, MC_BLOCK):
+            w = flows.sample_weights(min(MC_BLOCK, wm - start), wk, 1.0 / wm, rng)
+            second += w.T @ w
+        return float(np.linalg.norm(second - np.eye(wk)))
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool = ThreadPoolExecutor(min(cpus or 1, cfg["weight_seeds"]))
+    try:  # an error here cancels the seeds not yet started and joins the pool
+        errs = pool.map(second_moment_error, range(cfg["weight_seeds"]))
+        gaps = np.empty((len(m_list), n_seeds))  # sup-Frobenius gap per M and seed
+        for i in range(n_seeds):
+            phi0 = _normalized_phi0(_stream(cfg["seed"], "phi0", i), CHAIN_N, K)
+            heads = [np.eye(K)] + [flows.sample_weights(m, K, 1.0 / m, _stream(
+                cfg["seed"], "heads", i, m)) for m in m_list]
+            limit, *finite = flows.frozen_ensemble_flows(
+                chain, [flows.EnsembleState(phi0, w) for w in heads], 1.0, times).swapaxes(0, 1)
+            gaps[:, i] = [max(float(np.linalg.norm(s - ref)) for s, ref in zip(states, limit))
+                          for states in finite]
+        # reward-weight products Z: b samples are one (b n, 64) reward draw and one
+        # (b 64, K) head draw, the same draws of each stream as b samples one by one
+        pooled = np.empty((cfg["rewmat_seeds"], K, CHAIN_N))  # rows are columns of Z
+        rewards = _stream(cfg["seed"], "reward matrix")
+        weights = _stream(cfg["seed"], "reward matrix heads")
+        for start in range(0, len(pooled), MC_BLOCK // 256):
+            b = min(MC_BLOCK // 256, len(pooled) - start)
+            r = flows.sample_cumulants(64, b * CHAIN_N, rewards).reshape(b, CHAIN_N, 64)
+            w = flows.sample_weights(b * 64, K, 1.0 / 64, weights).reshape(b, 64, K)
+            pooled[start:start + b] = (r @ w).transpose(0, 2, 1)
+        errs = list(errs)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+    bundle.add_table("trajectory_gaps", ["M", "seed", "gap"], np.column_stack([
+        np.tile(m_list, n_seeds), np.repeat(np.arange(n_seeds), len(m_list)), gaps.T.ravel()]))
+    order = np.argsort(m_list)
+    bundle.add_check("largest_M_gap_below_tolerance", gaps[order[-1]].max(), cfg["gap_tol"],
                      table="trajectory_gaps")
     if len(m_list) > 1:
-        ordered = sorted(m_list)
-        worst_ratio = max(
-            gaps[(ordered[a + 1], i)] / gaps[(ordered[a], i)]
-            for a in range(len(ordered) - 1) for i in range(cfg["n_seeds"]))
-        bundle.add_check("gap_shrinks_with_M_per_seed", worst_ratio, 1.0,
-                         table="trajectory_gaps")
+        bundle.add_check("gap_shrinks_with_M_per_seed", (gaps[order[1:]] / gaps[order[:-1]]).max(),
+                         1.0, table="trajectory_gaps")
     if 1 in m_list:
         # one head w is the joint flow, whose rank-one closed form at zero reward is
         # Phi0 + (e^{t |w|^2 G} - I) Phi0 w^ w^T, G = U diag(gamma lam - 1) U^T
@@ -474,24 +497,6 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
         bundle.add_check("single_head_reduces_to_joint_flow", diff, 1e-12,
                          table="trajectory_gaps")
 
-    # second-moment identity of frozen heads; the weights are drawn in row
-    # blocks from one generator, the same draws as one (weight_M, K) sample.
-    # Each seed runs whole in one thread, so the errors match at any worker count.
-    from concurrent.futures import ThreadPoolExecutor
-
-    wk, wm = WEIGHT_K, cfg["weight_M"]
-
-    def second_moment_error(i: int) -> float:
-        rng = _stream(cfg["seed"], "weight identity", i)
-        second = np.zeros((wk, wk))
-        for start in range(0, wm, MC_BLOCK):
-            w = flows.sample_weights(min(MC_BLOCK, wm - start), wk, 1.0 / wm, rng)
-            second += w.T @ w
-        return float(np.linalg.norm(second - np.eye(wk)))
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(min(cpus or 1, cfg["weight_seeds"])) as pool:
-        errs = list(pool.map(second_moment_error, range(cfg["weight_seeds"])))
     bundle.add_table("weight_second_moment", ["seed", "error"],
                      np.column_stack([np.arange(cfg["weight_seeds"]), errs]))
     bundle.add_check("weight_second_moment_identity", max(errs), cfg["weight_tol"],
@@ -499,14 +504,7 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
 
     # reward-weight product limit: columns of sum_m r^m (w^m)^T have covariance I
     sigma = np.eye(CHAIN_N)
-    cols = []
-    rewards = _stream(cfg["seed"], "reward matrix")
-    heads = _stream(cfg["seed"], "reward matrix heads")
-    for _ in range(cfg["rewmat_seeds"]):
-        r = flows.sample_cumulants(64, CHAIN_N, rewards)
-        w = flows.sample_weights(64, K, 1.0 / 64, heads)
-        cols.append(r @ w)
-    pooled = np.concatenate([z.T for z in cols])  # rows are column samples
+    pooled = pooled.reshape(-1, CHAIN_N)
     emp = pooled.T @ pooled / pooled.shape[0]
     rew_err = float(np.linalg.norm(emp - sigma) / np.linalg.norm(sigma))
     bundle.add_table("reward_matrix_covariance_error", ["relative_error"],

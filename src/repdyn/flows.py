@@ -1,35 +1,35 @@
 """Continuous-time learning flows: closed forms for frozen heads, RK4 for trained heads.
 
 Value flows (one-step, n-step, lambda-return bootstrapping and Monte Carlo)
-have exact matrix-exponential solutions and are evaluated in closed form.
-The n-step and lambda-return flows step shared propagators, one matrix
-exponential per nominal sample interval; one-step TD takes one exponential
-from t = 0 per sample, and Monte Carlo a scalar exponential. Every flow that
-is linear in Phi -- the joint and multi-head flows with frozen heads
-(beta = 0), the multi-task head split and the infinite-head limits -- has the
-form d/dt Phi = sum_i A_i Phi W_i + F and is evaluated exactly by
-``_affine_path``, which steps a stack of augmented problems at once: the K
-eigen-decoupled columns of a frozen-head flow are one stack, and the K
-columns of an infinite-head limit share one generator. An interval within
-4 * np.spacing(t_i) of the current propagator's interval, t_i its end,
-reuses that propagator, so an evenly spaced grid takes one exponential call
-per flow. With frozen heads the head weights enter only through the K x K
-second moment W, so head counts in the tens of thousands cost the same as a
-single head. Only trained heads
-(beta > 0) make the flow bilinear; those are integrated with a fixed-step
-classical Runge-Kutta scheme, preferring determinism over adaptivity. The
-single-head ``joint_flow`` runs the ensemble flow's code with one head.
-W^T(t) never leaves the span of the rows of W^T(0) and of the reward matrix
-R, so the M heads are integrated as K x d heads W^T B, B an orthonormal basis
-of that span with d <= min(M, K + rank R): trained heads, too, cost the same
-at any head count.
-RK4 steps the representation and the head weights packed into one float
-array in state coordinates, for every P, through buffers allocated once per
-flow; the right-hand side forms (G Phi) W^T with the dense G = gamma P - I.
-Only zero-reward flows on an exactly symmetric P stop early: they settle once a
-rounding bound proves that no later step can move Phi by a bit, and the heads
-then take RK4's own amplification in closed form. Every other trained flow
-computes every step of its grid.
+have exact matrix-exponential solutions and are evaluated in closed form. The
+n-step and lambda-return flows step shared propagators, one matrix exponential
+per nominal sample interval; one-step TD takes one exponential from t = 0 per
+sample, and Monte Carlo a scalar exponential. Every flow that is linear in Phi
+-- the joint and multi-head flows with frozen heads (beta = 0), the multi-task
+head split and the infinite-head limits -- has the form
+d/dt Phi = sum_i A_i Phi W_i + F and is evaluated exactly by ``_affine_path``,
+which steps a stack of augmented problems at once: the K eigen-decoupled
+columns of a frozen-head flow are one stack, and the K columns of an
+infinite-head limit share one generator; ``frozen_ensemble_flows`` stacks the
+columns of several frozen-head ensembles on one chain. An interval within
+4 * np.spacing(t_i) of the current propagator's interval, t_i its end, reuses
+that propagator, so an evenly spaced grid takes one exponential call per flow.
+With frozen heads the head weights enter only through the K x K second moment
+W, so head counts in the tens of thousands cost the same as a single head.
+Only trained heads (beta > 0) make the flow bilinear; those are integrated
+with a fixed-step classical Runge-Kutta scheme, preferring determinism over
+adaptivity. The single-head ``joint_flow`` runs the ensemble flow's code with
+one head. W^T(t) never leaves the span of the rows of W^T(0) and of the
+reward matrix R, so the M heads are integrated as K x d heads W^T B, B an
+orthonormal basis of that span with d <= min(M, K + rank R): trained heads,
+too, cost the same at any head count. RK4 steps the representation and the
+head weights packed into one float array in state coordinates, for every P,
+through buffers allocated once per flow; the right-hand side forms
+(G Phi) W^T with the dense G = gamma P - I. Only zero-reward flows on an
+exactly symmetric P stop early: they settle once a rounding bound proves that
+no later step can move Phi by a bit, and the heads then take RK4's own
+amplification in closed form. Every other trained flow computes every step of
+its grid.
 
 Heads split evenly over tasks follow, as their number grows, the flow of one
 averaged operator, ``build_multi_task_operator``: the mean of the task
@@ -251,20 +251,21 @@ def _affine_path(G: np.ndarray, F: np.ndarray, X0: np.ndarray, times: np.ndarray
 
 
 def _linear_flow(terms: list, forcing: np.ndarray, phi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Exact (T, n, K) states of d/dt Phi = sum_i A_i Phi W_i + F at ``times``; W_i symmetric.
+    """Exact (T, ..., n, K) states of d/dt Phi = sum_i A_i Phi W_i + F at ``times``; W_i symmetric.
 
     ``terms`` lists the (A_i, W_i) pairs. One term decouples in the eigenbasis
     of W into K column problems (omega_j A, f_j, c_j) of size n + 1, stepped as
-    one stack. Several terms act on vec(Phi) through the Kronecker generator
+    one stack, S x K problems for W, F and Phi0 of leading stack axis S.
+    Several terms act on vec(Phi) through the Kronecker generator
     sum_i W_i (x) A_i. A state at t = 0 is ``phi0`` itself.
     """
-    n, k = phi0.shape
+    n, k = phi0.shape[-2:]
     if len(terms) == 1:
         (A, W), = terms
         omega, V = np.linalg.eigh(W)
-        path = _affine_path(omega[:, None, None] * A, (forcing @ V).T[:, :, None],
-                            (phi0 @ V).T[:, :, None], times)  # (T, K, n, 1)
-        states = path[..., 0].transpose(0, 2, 1) @ V.T
+        path = _affine_path(omega[..., None, None] * A, (forcing @ V).swapaxes(-1, -2)[..., None],
+                            (phi0 @ V).swapaxes(-1, -2)[..., None], times)  # (T, ..., K, n, 1)
+        states = path[..., 0].swapaxes(-1, -2) @ V.swapaxes(-1, -2)
     else:
         G = sum(np.kron(W, A) for A, W in terms)
         path = _affine_path(G, forcing.T.reshape(-1, 1), phi0.T.reshape(-1, 1), times)
@@ -453,20 +454,19 @@ def ensemble_flow(
 
     Every head predicts from the same Phi; r^m is the chain's expected reward
     unless per-head cumulants are attached to ``state0``. With beta = 0 the
-    weights are frozen and the Phi equation reduces to the linear flow
-    alpha ((gamma P - I) Phi W + F) with W = sum_m w^m (w^m)^T and
-    F = sum_m r^m (w^m)^T, evaluated in closed form at a head-count-free cost
-    (``step`` is unused). Trained heads (beta > 0) are integrated with RK4
-    on (Phi, W^T B), rewards R B, where B (M x d) is the Q factor of the
-    reduced QR of [weights, r]: r is 1_M for a nonzero shared reward, the
-    cumulants' transpose for nonzero cumulants, and absent for zero reward.
-    W^T(t) stays in the row span of W^T(0) and R, so this equals RK4 on all M
-    heads in exact arithmetic, at a cost that does not grow with M. ``meta``
-    records the steps RK4 computed before any settled tail (``rk4_steps``),
-    their ``rhs_evals``, d (``head_dim``) and ``invariant_drift``, the largest entry of
-    |C(t) - C(0)| over the samples for C = beta Phi^T Phi - alpha H H^T,
-    H = W^T B: C is constant along the exact flow, so its drift measures the
-    integration error. Trajectory states are the (T, n, K) Phi path.
+    weights are frozen and the flow is linear in Phi, evaluated in closed form
+    (``frozen_ensemble_flows``; ``step`` is unused). Trained heads (beta > 0)
+    are integrated with RK4 on (Phi, W^T B), rewards R B, where B (M x d) is
+    the Q factor of the reduced QR of [weights, r]: r is 1_M for a nonzero
+    shared reward, the cumulants' transpose for nonzero cumulants, and absent
+    for zero reward. W^T(t) stays in the row span of W^T(0) and R, so this
+    equals RK4 on all M heads in exact arithmetic, at a cost that does not
+    grow with M. ``meta`` records the steps RK4 computed before any settled
+    tail (``rk4_steps``), their ``rhs_evals``, d (``head_dim``) and
+    ``invariant_drift``, the largest entry of |C(t) - C(0)| over the samples
+    for C = beta Phi^T Phi - alpha H H^T, H = W^T B: C is constant along the
+    exact flow, so its drift measures the integration error. Trajectory states
+    are the (T, n, K) Phi path.
 
     ``DivergenceError`` is raised only once the state's norm passes 1e12. A
     step outside RK4's stability interval that does not get there returns a
@@ -492,9 +492,7 @@ def _multi_head_flow(chain, state0: EnsembleState, alpha, beta, times, step) -> 
     meta = {"flow": "ensemble", "alpha": alpha, "beta": beta, "gamma": chain.gamma,
             "M": state0.n_heads, "step": step if beta > 0 else None, "cumulants": not shared}
     if beta == 0.0:
-        forcing = np.outer(chain.reward, weights.sum(axis=0)) if shared else rewards @ weights
-        op = alpha * (chain.gamma * chain.transition - np.eye(chain.n_states))
-        states = _linear_flow([(op, weights.T @ weights)], alpha * forcing, phi0, times)
+        states = frozen_ensemble_flows(chain, [state0], alpha, times)[:, 0]
         heads = np.broadcast_to(weights.T, (len(times),) + weights.T.shape)
     else:
         reward_rows = np.ones((state0.n_heads, 1)) if shared else rewards.T
@@ -520,6 +518,27 @@ def _multi_head_flow(chain, state0: EnsembleState, alpha, beta, times, step) -> 
     return Trajectory(times=times, states=states, meta=meta), heads
 
 
+def frozen_ensemble_flows(chain: MarkovChain, states: list, alpha: float, times) -> np.ndarray:
+    """(T, S, n, K) paths of ``ensemble_flow(chain, states[s], alpha, 0.0, times)``, bit for bit.
+
+    With frozen heads the Phi equation is the linear flow alpha ((gamma P - I) Phi W + F),
+    W = sum_m w^m (w^m)^T and F = sum_m r^m (w^m)^T, at a head-count-free cost. The
+    S x K eigen-decoupled column problems step as one stack, one exponential
+    call per interval. Heads I_K give W = I: at zero reward, the infinite-head limit.
+    """
+    times = check_array("times", times, ("T",), increasing=True)
+    alpha = check_real("alpha", alpha, 0.0)
+    n = check_instance("chain", chain, MarkovChain).n_states
+    phi0 = check_array("the states' phi", [check_instance("state", s, EnsembleState).phi
+                                           for s in check_instance("states", states, list)],
+                       ("S", n, "K"))
+    W = np.stack([s.weights.T @ s.weights for s in states])
+    forcing = np.stack([np.outer(chain.reward, s.weights.sum(axis=0)) if s.cumulants is None
+                        else s.cumulants @ s.weights for s in states])
+    op = alpha * (chain.gamma * chain.transition - np.eye(n))
+    return _linear_flow([(op, W)], alpha * forcing, phi0, times)
+
+
 def _rng(seed) -> np.random.Generator:
     """``np.random.default_rng(seed)``; a seed it rejects is a ConfigurationError."""
     try:
@@ -534,7 +553,8 @@ def sample_weights(M: int, K: int, variance: float, seed) -> np.ndarray:
     check_count("M", M)
     check_count("K", K)
     scale = np.sqrt(check_real("variance", variance, 0.0, low_open=True))
-    return _rng(seed).normal(0.0, scale, size=(M, K))
+    w = _rng(seed).standard_normal((M, K))
+    return np.multiply(w, scale, out=w)  # the bits of normal(0.0, scale): 0.0 + scale z
 
 
 def sample_block_orthogonal_weights(M: int, K: int, n_blocks: int, variance: float, seed) -> np.ndarray:
@@ -549,15 +569,11 @@ def sample_block_orthogonal_weights(M: int, K: int, n_blocks: int, variance: flo
         raise ConfigurationError("n_blocks must divide both K and M")
     check_count("n_blocks", n_blocks)  # 1.5 divides 3, and True divides every count
     scale = np.sqrt(check_real("variance", variance, 0.0, low_open=True))
-    rng = _rng(seed)
-    block = K // n_blocks
-    w = np.zeros((M, K))
-    per = M // n_blocks
-    for i in range(n_blocks):
-        rows = slice(i * per, (i + 1) * per)
-        cols = slice(i * block, (i + 1) * block)
-        w[rows, cols] = rng.normal(0.0, scale, size=(per, block))
-    return w
+    per, block, blocks = M // n_blocks, K // n_blocks, np.arange(n_blocks)
+    z = _rng(seed).standard_normal((n_blocks, per, block))  # task i's heads, in task order
+    w = np.zeros((n_blocks, per, n_blocks, block))
+    w[blocks, :, blocks] = np.multiply(z, scale, out=z)  # the bits of normal(0.0, scale)
+    return w.reshape(M, K)
 
 
 def sample_cumulants(M: int, n: int, seed) -> np.ndarray:
@@ -572,8 +588,8 @@ def linear_limit_flow(spec: LinearFlowSpec, times) -> Trajectory:
 
     All K columns share the generator A, so each nominal sample interval
     (``_affine_path``) takes one matrix exponential for all of them. A state
-    that overflows raises ``NumericalError``. Instantiates every infinite-head
-    limit: A = -(I - gamma P) with B = 0 or a Gaussian forcing matrix, and the
+    that overflows raises ``NumericalError``. Instantiates the infinite-head
+    limits: A = -(I - gamma P) with B = 0 or a Gaussian forcing matrix, and the
     averaged operator of a multi-task head split (``build_multi_task_operator``).
     """
     times = check_array("times", times, ("T",), increasing=True)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repdyn as rd
-from repdyn.errors import ConfigurationError
+from repdyn import experiments, flows
+from repdyn.errors import ConfigurationError, NumericalError
 from repdyn.experiments import (EXPERIMENT_DEFAULTS, EXPERIMENTS, WEIGHT_K, _mix_policy,
                                 _stream, chain_uniform)
 
@@ -200,6 +202,47 @@ def test_limit_checks_is_byte_identical_on_one_and_two_workers(monkeypatch, tmp_
                                rtol=1e-12)
 
 
+def test_limit_checks_rejects_a_bad_config_before_its_pool_starts(monkeypatch):
+    pools = []
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda *args: pools.append(args))
+    with pytest.raises(ConfigurationError, match="M_list entries must be distinct"):
+        rd.run_limit_checks({**LIMIT_WORKERS_CONFIG, "M_list": (100, 100)})
+    assert pools == []
+
+
+def test_an_error_in_the_flows_cancels_the_waiting_seeds_and_joins_the_pool(monkeypatch):
+    # the seeds wait until the pool's shutdown has cancelled those not yet started,
+    # so at most one seed per worker runs; a pool left to finish would run all 12
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    released, started = threading.Event(), []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            released.set()
+            super().shutdown(wait=wait)
+
+    def stream(seed, label, *extra):
+        if label == "weight identity":
+            started.append(extra)
+            released.wait(10.0)  # a pool never shut down would hold them forever
+        return _stream(seed, label, *extra)
+
+    def broken_flows(*args):
+        raise NumericalError("the flows broke")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(experiments, "_stream", stream)
+    monkeypatch.setattr(flows, "frozen_ensemble_flows", broken_flows)
+    before = threading.active_count()
+    with pytest.raises(NumericalError, match="the flows broke"):
+        rd.run_limit_checks({**LIMIT_WORKERS_CONFIG, "weight_seeds": 12})
+    assert threading.active_count() == before
+    assert len(started) <= 2
+
+
 def _flat_stream(label, seed=0):
     """One generator keyed by (seed, label) alone, read in sample order."""
     return np.random.default_rng([seed] + [ord(c) for c in label])
@@ -218,21 +261,26 @@ def _chain_resolvent(gamma=0.9):
 
 
 def test_limit_checks_pooled_statistics_read_one_stream_per_label():
+    # 50 samples: the products are drawn 32 at a time, so the last block is partial
     cfg = LIMIT_WORKERS_CONFIG
+    assert cfg["rewmat_seeds"] % 32
     bundle = rd.run_limit_checks(cfg)
     s, K, n = cfg["rewmat_seeds"], EXPERIMENT_DEFAULTS["limit-checks"]["K"], 30
-    # sample i is draw i of "reward matrix" (64 rewards) and of "reward matrix heads"
+    # sample i is draw i of "reward matrix" (64 rewards) and of "reward matrix heads",
+    # bit for bit whatever the block size
     r = _flat_stream("reward matrix").standard_normal((s, n, 64))
     w = _flat_stream("reward matrix heads").normal(0.0, 0.125, size=(s, 64, K))
-    rew_err, _ = _relative_covariance_error(r @ w, np.eye(n))
-    np.testing.assert_allclose(bundle.tables["reward_matrix_covariance_error"].rows[0, 0],
-                               rew_err, rtol=1e-12)
-    # the limiting features are those same columns through psi
+    rew_err, emp = _relative_covariance_error(r @ w, np.eye(n))
+    assert bundle.tables["reward_matrix_covariance_error"].rows[0, 0] == rew_err
+    # the limiting features are those same columns through psi: Psi emp Psi^T
+    psi = rd.resolvent(chain_uniform().transition, 0.9)
+    assert (bundle.tables["limit_covariance_empirical"].rows == psi @ emp @ psi.T).all()
+    # and their pooled covariance, taken from the features themselves
     psi = _chain_resolvent()
-    cov_err, emp = _relative_covariance_error(psi @ (r @ w), psi @ psi.T)
+    cov_err, features = _relative_covariance_error(psi @ (r @ w), psi @ psi.T)
     np.testing.assert_allclose(bundle.tables["limit_covariance_error"].rows[0, 0],
                                cov_err, rtol=1e-10)
-    np.testing.assert_allclose(bundle.tables["limit_covariance_empirical"].rows, emp,
+    np.testing.assert_allclose(bundle.tables["limit_covariance_empirical"].rows, features,
                                rtol=1e-10, atol=1e-12)
 
 

@@ -1098,6 +1098,69 @@ def test_an_evenly_spaced_grid_takes_one_exponential_call_per_flow(kind, monkeyp
     assert calls == [times[1]]
 
 
+def _stacked_members(chain, K=4):
+    """[I_K, W_a, W_b] ensembles from one phi0, b with cumulants: the stack and each alone."""
+    rng = np.random.default_rng(31)
+    phi0 = rng.standard_normal((30, K))
+    w_a, w_b = rd.sample_weights(16, K, 1.0 / 16, 32), rd.sample_weights(400, K, 1.0 / 400, 33)
+    states = [rd.EnsembleState(phi0, np.eye(K)), rd.EnsembleState(phi0, w_a),
+              rd.EnsembleState(phi0, w_b, rng.standard_normal((30, 400)))]
+    times = np.linspace(0.0, 5.0, 26)
+    stacked = rd.frozen_ensemble_flows(chain, states, 1.0, times)
+    alone = [rd.ensemble_flow(chain, state, 1.0, 0.0, times).states for state in states]
+    return states, times, stacked, alone
+
+
+def _forcing(chain, state):
+    if state.cumulants is None:
+        return np.outer(chain.reward, state.weights.sum(axis=0))
+    return state.cumulants @ state.weights
+
+
+def test_a_stack_of_second_moments_matches_the_eigh_closed_form_on_the_symmetric_chain():
+    chain = chain_uniform()
+    states, times, stacked, alone = _stacked_members(chain)
+    assert stacked.shape == (26, 3, 30, 4)
+    _, U = np.linalg.eigh(chain.transition)
+    for s, state in enumerate(states):
+        assert stacked[:, s].tobytes() == alone[s].tobytes()  # each member is its own flow
+        omega, V = np.linalg.eigh(state.weights.T @ state.weights)
+        psi = symmetric_affine_closed_form(chain, omega, U.T @ state.phi @ V,
+                                           U.T @ _forcing(chain, state) @ V, times)
+        oracle = U @ psi @ V.T
+        gaps = np.linalg.norm(stacked[:, s] - oracle, axis=(1, 2))
+        assert np.all(gaps <= 1e-13 * np.linalg.norm(oracle, axis=(1, 2)))
+
+
+def test_a_stack_of_second_moments_matches_a_taylor_series_on_a_drifting_chain():
+    # P is not symmetric: member s follows vec(Phi)' = (W_s (x) A) vec(Phi) + vec(F_s)
+    chain = chain_drift(0.9, 0.75)
+    assert not np.array_equal(chain.transition, chain.transition.T)
+    states, times, stacked, alone = _stacked_members(chain)
+    A = chain.gamma * chain.transition - np.eye(30)
+    for s, state in enumerate(states):
+        assert stacked[:, s].tobytes() == alone[s].tobytes()
+        G = np.zeros((121, 121))
+        G[:-1, :-1] = np.kron(state.weights.T @ state.weights, A)
+        G[:-1, -1] = _forcing(chain, state).ravel(order="F")
+        x0 = np.append(state.phi.ravel(order="F"), 1.0)
+        for t, got in zip(times[5::5], stacked[5::5, s]):  # t = 0 is phi0 itself
+            oracle = (squared_taylor_expm_oracle(t * G) @ x0)[:-1].reshape((30, 4), order="F")
+            assert np.linalg.norm(got - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
+
+def test_limit_checks_takes_one_exponential_call_per_seed(monkeypatch):
+    # each seed's limit and finite-M flows are one stack on one evenly spaced grid
+    calls = []
+    expm = flows.matrix_exponential
+    monkeypatch.setattr(flows, "matrix_exponential",
+                        lambda A, t: calls.append(A.shape) or expm(A, t))
+    rd.run_limit_checks({"M_list": (100, 2000, 50), "n_seeds": 3, "weight_M": 1000,
+                         "weight_seeds": 2, "rewmat_seeds": 40})
+    # (limit and three M) x K = 4 column problems of size n + 1 = 31, once per seed
+    assert calls == [(4, 4, 31, 31)] * 3
+
+
 @pytest.mark.parametrize("ulps, calls", [(4, 1), (5, 2)])
 def test_an_interval_past_four_ulps_of_its_end_time_takes_its_own_exponential(
         ulps, calls, monkeypatch):

@@ -85,6 +85,8 @@ ROWS = {
                                                 "beta": 0.0, "step": 0.1}),
     "ensemble_flow-trained": (rd.ensemble_flow, {**FLOW, "state0": STATE, "alpha": 1.0,
                                                  "beta": 1.0, "step": 0.1}),
+    "frozen_ensemble_flows": (rd.frozen_ensemble_flows, {**FLOW, "states": [STATE, STATE],
+                                                         "alpha": 1.0}),
     "sample_weights": (rd.sample_weights, {"M": 4, "K": 2, "variance": 1.0, "seed": 0}),
     "sample_block_orthogonal_weights": (rd.sample_block_orthogonal_weights,
                                         {"M": 4, "K": 2, "n_blocks": 2, "variance": 1.0,

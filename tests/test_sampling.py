@@ -69,6 +69,22 @@ def test_block_orthogonal_weights_have_disjoint_support():
         rd.sample_block_orthogonal_weights(8, 5, 2, 0.5, 0)
 
 
+@pytest.mark.parametrize("M, K, n_blocks", [(1, 1, 1), (64, 4, 2), (1000, 10, 5)])
+@pytest.mark.parametrize("variance", [1e-10, 1.0 / 64, 1.0, 7.5])
+def test_head_draws_are_generator_normal_draws_bit_for_bit(M, K, n_blocks, variance):
+    # the reference is Generator.normal(0.0, scale, size), which computes 0.0 + scale z
+    scale = np.sqrt(variance)
+    reference = np.random.default_rng(9).normal(0.0, scale, size=(M, K))
+    assert rd.sample_weights(M, K, variance, 9).tobytes() == reference.tobytes()
+    rng, rows, cols = np.random.default_rng(9), M // n_blocks, K // n_blocks
+    blocks = np.zeros((M, K))
+    for i in range(n_blocks):
+        blocks[i * rows:(i + 1) * rows, i * cols:(i + 1) * cols] = rng.normal(
+            0.0, scale, size=(rows, cols))
+    drawn = rd.sample_block_orthogonal_weights(M, K, n_blocks, variance, 9)
+    assert drawn.tobytes() == blocks.tobytes()
+
+
 NAN = float("nan")
 CHAIN = rd.MarkovChain(np.eye(2), np.zeros(2), 0.9)
 CHAIN_MDP = rd.build_chain_mdp(3, 0.1, 1.0, 2.0)
