@@ -35,10 +35,12 @@ from .spectral import (
     ebf,
     eigen_decompose,
     grassmann_distance,
+    orthonormal_bases,
     orthonormalize,
     resolvent,
     rsbf,
     vector_subspace_angle,
+    vector_subspace_angles,
 )
 from .flows import (
     EnsembleState,

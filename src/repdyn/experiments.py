@@ -188,11 +188,9 @@ def run_two_state(config: dict | None = None) -> ReportBundle:
     # above the rounding floor of v*; beyond that the recovered direction is
     # pure float noise
     floor = 1e-3 * (1.0 + np.linalg.norm(v_star))
-    mc_angles = [
-        spectral.vector_subspace_angle(s[:, 0] - v_star, start_line)
-        for s in mc.states[1:]
-        if np.linalg.norm(s[:, 0] - v_star) > floor
-    ]
+    gaps = mc.values()[1:] - v_star
+    mc_angles = spectral.vector_subspace_angles(
+        gaps[np.linalg.norm(gaps, axis=1) > floor], start_line)
     td_final_angle = spectral.vector_subspace_angle(td.final()[:, 0] - v_star, top_mode)
 
     bundle.add_check("td_endpoint_near_fixed_point", np.abs(td.final()[:, 0] - v_star).max(),
@@ -332,42 +330,35 @@ def run_chain_transfer(config: dict | None = None) -> ReportBundle:
     init = _mix_policy(n, check_real("init_left_prob", cfg["init_left_prob"], 0.0, 1.0))
     trace = mdp.policy_iteration(chain_mdp, cfg["gamma"], 25, init)
     J = len(trace)
-    values = trace.values
-    bundle.add_matrix("values", np.stack(values), prefix="v")
+    values = np.stack(trace.values)
+    bundle.add_matrix("values", values, prefix="v")
     bundle.add_table("policy_iteration", ["J", "converged"],
                      np.array([[float(J), float(trace.converged)]]))
 
-    feature_sets = {"ebf": [], "rsbf": [], "rf": []}
-    for j, policy in enumerate(trace.policies):
-        chain = mdp.induce(chain_mdp, policy, cfg["gamma"])
-        feature_sets["ebf"].append(spectral.ebf(chain.transition, K))
-        feature_sets["rsbf"].append(spectral.rsbf(chain.transition, cfg["gamma"], K))
-        g = _stream(cfg["seed"], "random features", j).standard_normal((n, K))
-        feature_sets["rf"].append(spectral.orthonormalize(g))
+    transitions = [mdp.induce(chain_mdp, pi, cfg["gamma"]).transition for pi in trace.policies]
+    feature_sets = {  # the (J, n, K) stack of each set's bases
+        "ebf": np.stack([spectral.ebf(P, K).basis for P in transitions]),
+        "rsbf": np.stack([spectral.rsbf(P, cfg["gamma"], K).basis for P in transitions]),
+        "rf": spectral.orthonormal_bases(np.stack([
+            _stream(cfg["seed"], "random features", j).standard_normal((n, K)) for j in range(J)])),
+    }
 
-    def angle_table(features, with_value: bool) -> np.ndarray:
-        a = np.zeros((J, J))
-        for j in range(J):
-            basis = features[j].basis
-            if with_value:
-                basis = spectral.orthonormalize(
-                    np.column_stack([basis, values[j]])).basis
-            sub = spectral.Subspace(basis)
-            for jp in range(J):
-                a[j, jp] = spectral.vector_subspace_angle(values[jp], sub)
-        return a
+    def angle_table(bases: np.ndarray) -> np.ndarray:  # row j: every V_j' against bases[j]
+        return np.stack([spectral.vector_subspace_angles(values, spectral.Subspace(basis))
+                         for basis in bases])
 
     off_diag = ~np.eye(J, dtype=bool)
     means = {}
-    for name, feats in feature_sets.items():
-        table = angle_table(feats, with_value=False)
+    for name, bases in feature_sets.items():
+        table = angle_table(bases)
         bundle.add_matrix(f"angles_{name}", table, prefix="j")
         bundle.figures[f"angles_{name}"] = emit_svg(table, "heatmap",
                                                     title=f"{name} transfer angles")
         means[name] = table[off_diag].mean()
         if name == "rsbf":
             rsbf_angles = table
-        table_v = angle_table(feats, with_value=True)
+        table_v = angle_table(spectral.orthonormal_bases(
+            np.concatenate([bases, values[:, :, None]], axis=2)))
         bundle.add_matrix(f"angles_{name}_with_value", table_v, prefix="j")
         bundle.figures[f"angles_{name}_with_value"] = emit_svg(
             table_v, "heatmap", title=f"{name}+value transfer angles")
@@ -548,23 +539,25 @@ def run_bayes_optimality(config: dict | None = None) -> ReportBundle:
     """
     cfg = _finalize_config(BAYES_OPT_DEFAULTS, config)
     check_count("mc_samples", cfg["mc_samples"], 2, floats=1)  # two for a standard error
+    check_count("n_random_subspaces", cfg["n_random_subspaces"], floats=1)
     bundle = ReportBundle("bayes-opt", dict(cfg))
     chain = chain_uniform(cfg["gamma"])
     psi = spectral.resolvent(chain.transition, cfg["gamma"])
     K = cfg["K"]
 
-    def projected_trace(subspace: spectral.Subspace) -> float:
-        return float(np.linalg.norm(subspace.basis.T @ psi) ** 2)
+    def projected_traces(bases: np.ndarray) -> np.ndarray:
+        """||B^T Psi||_F^2 of each basis B of an (..., n, K) stack."""
+        return ((np.swapaxes(bases, -1, -2) @ psi) ** 2).sum(axis=(-2, -1))
 
     total = float(np.linalg.norm(psi) ** 2)
     best = spectral.rsbf(chain.transition, cfg["gamma"], K)
-    best_trace = projected_trace(best)
-    random_traces = []
+    best_trace = float(projected_traces(best.basis))
+    random_traces = np.empty(cfg["n_random_subspaces"])
     rng = _stream(cfg["seed"], "subspace")
-    for _ in range(cfg["n_random_subspaces"]):
-        g = rng.standard_normal((CHAIN_N, K))
-        random_traces.append(projected_trace(spectral.orthonormalize(g)))
-    random_traces = np.asarray(random_traces)
+    for start in range(0, len(random_traces), MC_BLOCK):
+        # a (b, n, K) draw holds the numbers of b successive (n, K) draws
+        g = rng.standard_normal((min(MC_BLOCK, len(random_traces) - start), CHAIN_N, K))
+        random_traces[start:start + MC_BLOCK] = projected_traces(spectral.orthonormal_bases(g))
     bundle.add_table("projected_traces", ["trace"], random_traces[:, None])
     bundle.add_table("summary", ["rsbf_trace", "best_random_trace", "total_trace"],
                      np.array([[best_trace, random_traces.max(), total]]))
@@ -573,15 +566,15 @@ def run_bayes_optimality(config: dict | None = None) -> ReportBundle:
     bundle.add_check("rsbf_trace_dominates_random_subspaces", violations, 1.0,
                      table="projected_traces")
 
-    # Monte Carlo projection error vs the trace identity
+    # Monte Carlo projection error vs the trace identity; Q r is the residual of Psi r
+    q = psi - best.basis @ (best.basis.T @ psi)
     rng = _stream(cfg["seed"], "mc rewards")
     errs = np.empty(cfg["mc_samples"])
     for start in range(0, cfg["mc_samples"], MC_BLOCK):
         # one reward per row, so the draws do not depend on MC_BLOCK
         rewards = rng.standard_normal((min(MC_BLOCK, cfg["mc_samples"] - start), CHAIN_N))
-        values = psi @ rewards.T
-        residuals = values - best.basis @ (best.basis.T @ values)
-        errs[start:start + MC_BLOCK] = (residuals ** 2).sum(axis=0)
+        residuals = rewards @ q.T
+        errs[start:start + MC_BLOCK] = np.einsum("ij,ij->i", residuals, residuals)
     expected = total - best_trace
     se = float(errs.std(ddof=1) / np.sqrt(cfg["mc_samples"]))
     z_score = abs(float(errs.mean()) - expected) / se
@@ -592,8 +585,7 @@ def run_bayes_optimality(config: dict | None = None) -> ReportBundle:
                      table="mc_projection_error")
 
     # full-dimensional subspace leaves no projection error
-    full = spectral.Subspace(np.eye(CHAIN_N))
-    residual_full = total - projected_trace(full)
+    residual_full = total - float(projected_traces(np.eye(CHAIN_N)))
     bundle.add_check("full_space_projection_error_zero", abs(residual_full), 1e-8,
                      table="summary")
     return bundle

@@ -14,6 +14,9 @@ is the Euclidean norm of those angles.
 
 :func:`eigen_decompose`, :func:`rsbf` and :func:`orthonormalize` sign-fix every column:
 its first entry above 1e-12 of its largest magnitude is made real and positive.
+:func:`orthonormal_bases` takes an (..., n, K) stack of matrices and
+:func:`vector_subspace_angles` an (..., n) stack of vectors against one subspace;
+:func:`orthonormalize` and :func:`vector_subspace_angle` are their stacks of one.
 """
 
 from __future__ import annotations
@@ -32,16 +35,24 @@ _RANK_TOL = 1e-10
 
 
 def _sign_fix(vectors: np.ndarray) -> np.ndarray:
-    """The module's sign rule on every column at once; the result is C-ordered."""
+    """The module's sign rule on every column of an (..., n, K) stack at once; C-ordered."""
     mags = np.abs(vectors)
-    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)  # 0 for a zero or NaN column
-    pivot = vectors[first, np.arange(vectors.shape[1])]
+    first = np.argmax(mags > 1e-12 * mags.max(-2, keepdims=True), -2)  # 0 for a zero or NaN column
+    pivot = np.take_along_axis(vectors, first[..., None, :], axis=-2)
     if np.iscomplexobj(vectors):
         size = np.hypot(pivot.real, pivot.imag)  # abs(pivot)'s bits; np.abs can differ by an ulp
         turn = np.divide(np.conj(pivot), size, out=np.ones_like(pivot), where=size > 0)
-        # a (1, K) factor: numpy's complex multiply then rounds as the column loop's did
-        return np.ascontiguousarray(np.where(size > 0, vectors * turn[None, :], vectors))
+        # a (..., 1, K) factor: numpy's complex multiply then rounds as the column loop's did
+        return np.ascontiguousarray(np.where(size > 0, vectors * turn, vectors))
     return np.ascontiguousarray(np.where(pivot < 0, -vectors, vectors))
+
+
+def _check_orthonormal(bases: np.ndarray) -> np.ndarray:
+    """``bases`` itself, when every (n, K) slice has orthonormal columns within 1e-10."""
+    gram_err = np.abs(np.swapaxes(bases, -1, -2) @ bases - np.eye(bases.shape[-1])).max()
+    if not gram_err <= 1e-10:  # NaN entries fail too
+        raise ConfigurationError(f"basis is not orthonormal (max deviation {gram_err:.3e})")
+    return bases
 
 
 @dataclass(frozen=True)
@@ -60,10 +71,7 @@ class Subspace:
 
     def __post_init__(self):
         basis = check_array("basis", self.basis, ("n", "K"), finite=False)
-        gram_err = np.abs(basis.T @ basis - np.eye(basis.shape[1])).max()
-        if not gram_err <= 1e-10:  # NaN entries fail too
-            raise ConfigurationError(f"basis is not orthonormal (max deviation {gram_err:.3e})")
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", _check_orthonormal(basis))
 
     @property
     def dim(self) -> int:
@@ -229,38 +237,46 @@ def grassmann_distance(S1: Subspace, S2: Subspace) -> PrincipalAngles:
 
 
 def vector_subspace_angle(v: np.ndarray, S: Subspace) -> float:
-    """Acute angle between a vector and a subspace, in [0, pi/2].
+    """Acute angle between a vector and a subspace: :func:`vector_subspace_angles` of one."""
+    v = check_array("v", v, (check_instance("S", S, Subspace).ambient_dim,))
+    return float(vector_subspace_angles(v, S))
+
+
+def vector_subspace_angles(V: np.ndarray, S: Subspace) -> np.ndarray:
+    """Acute angles in [0, pi/2] between each vector of an (..., n) stack and one subspace.
 
     Computed as atan2(||v - Pv||, ||Pv||), which stays accurate near both
     endpoints (arccos of the cosine loses half the digits near 0).
     """
-    v = check_array("v", v, (check_instance("S", S, Subspace).ambient_dim,))
-    if not v.any():
+    V = check_array("V", V, (..., check_instance("S", S, Subspace).ambient_dim))
+    if not V.any(axis=-1).all():
         raise DomainError("cannot measure the angle of the zero vector")
-    coeff = S.basis.T @ v
-    proj = S.basis @ coeff
-    return float(np.arctan2(np.linalg.norm(v - proj), np.linalg.norm(proj)))
+    # one (1, n) product per vector, so no angle depends on the rest of its stack
+    proj = ((V[..., None, :] @ S.basis) @ S.basis.T)[..., 0, :]
+    return np.arctan2(np.linalg.norm(V - proj, axis=-1), np.linalg.norm(proj, axis=-1))
 
 
 def orthonormalize(M: np.ndarray) -> Subspace:
-    """Orthonormal basis of the column space of ``M`` (SVD-based, sign-fixed).
+    """Orthonormal basis of the column space of ``M``: :func:`orthonormal_bases` of one matrix."""
+    return Subspace(orthonormal_bases(check_array("M", M, ("n", "K"))[None])[0])
+
+
+def orthonormal_bases(M: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the column spaces of an (..., n, K) stack (SVD-based, sign-fixed).
 
     Raises :class:`RankDeficiencyError` when ``M`` has more columns than rows
-    or its smallest singular value falls below 1e-10 of the largest, reporting
-    the numerical rank.
+    or a slice's smallest singular value falls below 1e-10 of its largest,
+    reporting the first such slice's numerical rank.
     """
-    # no finiteness scan: NaN entries make LAPACK fail, and bayes-opt calls this 1,000 times
-    M = check_array("M", M, ("n", "K"), finite=False)
+    M = check_array("M", M, (..., "n", "K"))
     try:
         U, svals, _ = np.linalg.svd(M, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        if not np.all(np.isfinite(M)):
-            raise ConfigurationError("M entries must be finite") from None
-        raise NumericalError(f"SVD failed: {exc}") from exc  # pragma: no cover
-    if M.shape[1] > M.shape[0] or svals[0] == 0.0 or svals[-1] <= _RANK_TOL * svals[0]:
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+        raise NumericalError(f"SVD failed: {exc}") from exc
+    bad = (M.shape[-1] > M.shape[-2]) | (svals[..., -1] <= _RANK_TOL * svals[..., 0])
+    if bad.any():
+        svals = svals.reshape(-1, svals.shape[-1])[np.argmax(bad.reshape(-1))]
         rank = int(np.sum(svals > _RANK_TOL * max(svals[0], 1.0)))
-        raise RankDeficiencyError(
-            f"columns are numerically dependent (rank {rank} of {M.shape[1]})",
-            numerical_rank=rank,
-        )
-    return Subspace(_sign_fix(U[:, : M.shape[1]]))
+        raise RankDeficiencyError(f"columns are numerically dependent (rank {rank} of "
+                                  f"{M.shape[-1]})", numerical_rank=rank)
+    return _check_orthonormal(_sign_fix(U))

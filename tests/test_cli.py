@@ -208,12 +208,16 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
     (["flow", "--flow", "td", "--samples", "100000000000000000"], {}, "Unable to allocate"),
     (["bayes-opt", "--set", "n_random_subspaces=2", "--set", "mc_samples=10000000000000000"], {},
      "Unable to allocate"),
+    (["bayes-opt", "--set", "n_random_subspaces=10000000000000000"], {}, "Unable to allocate"),
     # sizes whose bytes pass numpy's index range, where numpy raises a bare ValueError
     (["flow", "--flow", "td", "--samples", "100000000000000000000"], {},
      "--samples 100000000000000000000 asks for 100000000000000000000 float64 entries, "
      "past numpy's index range"),
     (["bayes-opt", "--set", "n_random_subspaces=2", "--set", "mc_samples=2000000000000000000"],
      {}, "mc_samples 2000000000000000000 asks for 2000000000000000000 float64 entries, "
+     "past numpy's index range"),
+    (["bayes-opt", "--set", "n_random_subspaces=2000000000000000000"], {},
+     "n_random_subspaces 2000000000000000000 asks for 2000000000000000000 float64 entries, "
      "past numpy's index range"),
     # --k against the chain's 30 states (Phi_0), --m against --k (heads) and, for rc, the
     # states (cumulants)
@@ -235,7 +239,8 @@ def test_step_override_on_limit_checks_is_rejected(tmp_path):
         "flow-zero-samples", "flow-t-max-zero", "flow-alpha-nan", "flow-beta-inf",
         "flow-left-prob-above-one", "flow-left-prob-nan", "flow-joint-step-1e-300",
         "flow-ensemble-t-max-1e308", "flow-samples-1e17", "bayes-opt-mc-samples-1e16",
-        "flow-samples-1e20", "bayes-opt-mc-samples-2e18", "flow-joint-k-1e20",
+        "bayes-opt-random-subspaces-1e16", "flow-samples-1e20", "bayes-opt-mc-samples-2e18",
+        "bayes-opt-random-subspaces-2e18", "flow-joint-k-1e20",
         "flow-ensemble-m-1e20", "flow-ensemble-k-2e18", "flow-limit-k-2e18", "flow-rc-m-2e17"])
 def test_bad_input_is_one_error_line_and_exit_one(argv, env, message, tmp_path,
                                                    monkeypatch, capsys):

@@ -310,6 +310,20 @@ def test_bayes_opt_statistics_read_one_stream_per_label():
             == bundle.tables["projected_traces"].rows[:20]).all()
 
 
+def test_bayes_opt_random_subspaces_do_not_depend_on_the_block_size(monkeypatch):
+    """Blocks of 7 and 8 subspaces (the last one partial) give the traces of one block of 50,
+    bit for bit: each slice of a stacked call is its own SVD and product."""
+    cfg = FAST_CONFIGS["bayes-opt"]
+    whole = rd.run_bayes_optimality(cfg)
+    for block in (7, 8):
+        monkeypatch.setattr(experiments, "MC_BLOCK", block)
+        blocked = rd.run_bayes_optimality(cfg)
+        assert (blocked.tables["projected_traces"].rows
+                == whole.tables["projected_traces"].rows).all()
+        np.testing.assert_allclose(blocked.tables["mc_projection_error"].rows,
+                                   whole.tables["mc_projection_error"].rows, rtol=1e-12)
+
+
 def test_multi_task_discount_mode():
     bundle = rd.run_multi_task({"discounts": (0.8, 0.99), "mixes": (0.5, 0.5), "M": 2000,
                                 "t_finite_span": 60.0})

@@ -69,7 +69,9 @@ ROWS = {
     "rsbf": (rd.rsbf, {"P": P, "gamma": 0.9, "K": 2}),
     "grassmann_distance": (rd.grassmann_distance, {"S1": SUBSPACE, "S2": rd.ebf(P, 2)}),
     "vector_subspace_angle": (rd.vector_subspace_angle, {"v": np.ones(3), "S": SUBSPACE}),
+    "vector_subspace_angles": (rd.vector_subspace_angles, {"V": np.ones((2, 3)), "S": SUBSPACE}),
     "orthonormalize": (rd.orthonormalize, {"M": PHI}),
+    "orthonormal_bases": (rd.orthonormal_bases, {"M": np.stack([PHI, 2.0 * PHI])}),
     "Trajectory": (rd.Trajectory, {"times": TIMES, "states": np.zeros((3, 3, 1)), "meta": {}}),
     "EnsembleState": (rd.EnsembleState, {"phi": PHI, "weights": HEADS,
                                          "cumulants": np.ones((3, 4))}),

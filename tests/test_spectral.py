@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repdyn as rd
@@ -315,7 +315,7 @@ def sign_fix_column(kind, n, is_complex, rng):
 SIGN_FIX_LAYOUTS = {
     "C": lambda m: m,
     "F": np.asfortranarray,  # rsbf passes V[:, order][:, :K], which is Fortran-ordered
-    "strided": lambda m: np.repeat(np.repeat(m, 2, axis=0), 3, axis=1)[::-2, ::3],
+    "strided": lambda m: np.repeat(np.repeat(m, 2, axis=-2), 3, axis=-1)[..., ::-2, ::3],
 }
 
 
@@ -323,16 +323,84 @@ SIGN_FIX_LAYOUTS = {
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), is_complex=st.booleans(),
        kinds=st.lists(st.sampled_from(["random", "zero", "nan", "below-threshold",
                                        "at-threshold"]), max_size=6),
-       layout=st.sampled_from(sorted(SIGN_FIX_LAYOUTS)))
-def test_sign_fix_equals_the_column_loop_bit_for_bit(seed, n, is_complex, kinds, layout):
+       layout=st.sampled_from(sorted(SIGN_FIX_LAYOUTS)), stack=st.integers(0, 3))
+def test_sign_fix_equals_the_column_loop_bit_for_bit(seed, n, is_complex, kinds, layout, stack):
+    """One (n, K) matrix when ``stack`` is 0, else every slice of an (S, n, K) stack."""
     rng = np.random.default_rng(seed)
-    matrix = np.zeros((n, len(kinds)), complex if is_complex else float)
-    for j, kind in enumerate(kinds):
-        matrix[:, j] = sign_fix_column(kind, n, is_complex, rng)
-    vectors = SIGN_FIX_LAYOUTS[layout](matrix)
+    matrices = np.zeros((max(stack, 1), n, len(kinds)), complex if is_complex else float)
+    for matrix in matrices:
+        for j, kind in enumerate(kinds):
+            matrix[:, j] = sign_fix_column(kind, n, is_complex, rng)
+    vectors = SIGN_FIX_LAYOUTS[layout](matrices if stack else matrices[0])
     before = vectors.tobytes()
-    fixed, reference = spectral._sign_fix(vectors), sign_fix_by_columns(vectors)
+    fixed = spectral._sign_fix(vectors)
+    reference = (np.stack([sign_fix_by_columns(m) for m in vectors]) if stack
+                 else sign_fix_by_columns(vectors))
     assert fixed.flags.c_contiguous and reference.flags.c_contiguous
     assert fixed.dtype == reference.dtype and fixed.shape == reference.shape
     assert fixed.tobytes() == reference.tobytes()
     assert vectors.tobytes() == before
+
+
+def orthonormalize_or_error(matrix):
+    """``orthonormalize(matrix).basis``, or the typed error it raises."""
+    try:
+        return rd.orthonormalize(matrix).basis
+    except (ConfigurationError, RankDeficiencyError) as exc:
+        return exc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), stack=st.integers(1, 4), n=st.integers(1, 8),
+       K=st.integers(1, 9), flaw=st.sampled_from(["none", "dependent", "nan"]),
+       at=st.integers(0, 3))
+@example(seed=0, stack=3, n=4, K=5, flaw="none", at=0)
+@example(seed=1, stack=3, n=6, K=3, flaw="dependent", at=1)
+@example(seed=2, stack=3, n=6, K=1, flaw="dependent", at=2)
+@example(seed=3, stack=3, n=6, K=3, flaw="nan", at=2)
+def test_a_stack_of_bases_is_each_slice_orthonormalized_bit_for_bit(seed, stack, n, K, flaw, at):
+    """Slice i of ``orthonormal_bases(M)`` is ``orthonormalize(M[i]).basis``; a stack that
+    holds a NaN raises the NaN error, and else one with a refused slice raises the error
+    of its first such slice, numerical rank included (K > n refuses every slice)."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((stack, n, K)) * 10.0 ** rng.integers(-100, 101, (stack, 1, 1))
+    at %= stack
+    if flaw == "dependent":
+        M[at, :, -1] = 2.0 * M[at, :, 0] if K > 1 else 0.0
+    elif flaw == "nan":
+        M[at, rng.integers(n), rng.integers(K)] = np.nan
+    results = [orthonormalize_or_error(matrix) for matrix in M]
+    errors = [r for r in results if isinstance(r, Exception)]
+    if not errors:
+        bases = rd.orthonormal_bases(M)
+        assert bases.flags.c_contiguous and bases.shape == M.shape
+        assert all(basis.tobytes() == ref.tobytes() for basis, ref in zip(bases, results))
+        return
+    expected = next((e for e in errors if isinstance(e, ConfigurationError)), errors[0])
+    with pytest.raises(type(expected)) as info:
+        rd.orthonormal_bases(M)
+    assert str(info.value) == str(expected)
+    assert getattr(info.value, "numerical_rank", None) == getattr(expected, "numerical_rank",
+                                                                  None)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), k=st.integers(1, 12),
+       shape=st.lists(st.integers(1, 4), max_size=2), zero=st.booleans())
+def test_a_stack_of_angles_agrees_with_one_vector_calls(seed, n, k, shape, zero):
+    """Within 4 ulps of ``vector_subspace_angle`` per vector; a zero vector anywhere in
+    the stack raises."""
+    rng = np.random.default_rng(seed)
+    S = random_subspace(rng, n, min(k, n))
+    V = rng.standard_normal((*shape, n)) * 10.0 ** rng.integers(-100, 101)
+    rows = V.reshape(-1, n)
+    if zero:
+        rows[rng.integers(len(rows))] = 0.0
+        with pytest.raises(DomainError, match="cannot measure the angle of the zero vector"):
+            rd.vector_subspace_angles(V, S)
+        return
+    angles = rd.vector_subspace_angles(V, S)
+    singles = np.array([rd.vector_subspace_angle(v, S) for v in rows]).reshape(shape)
+    assert angles.shape == tuple(shape)
+    assert np.all((0.0 <= angles) & (angles <= np.pi / 2))
+    assert np.all(np.abs(angles - singles) <= 4 * np.spacing(singles))
