@@ -28,8 +28,9 @@ through buffers allocated once per flow; the right-hand side forms
 (G Phi) W^T with the dense G = gamma P - I. Only zero-reward flows on an
 exactly symmetric P stop early: they settle once a rounding bound proves that
 no later step can move Phi by a bit, and the heads then take RK4's own
-amplification in closed form. Every other trained flow computes every step of
-its grid.
+amplification in closed form, raised to step counts that each sample interval
+counts in blocks rather than walks. Every other trained flow computes every
+step of its grid.
 
 Heads split evenly over tasks follow, as their number grows, the flow of one
 averaged operator, ``build_multi_task_operator``: the mean of the task
@@ -54,7 +55,7 @@ import numpy as np
 from .errors import (ConfigurationError, DivergenceError, NumericalError, check_array,
                      check_count, check_instance, check_real)
 from .mdp import MarkovChain, exact_value
-from .report import Table, float_reprs
+from .report import Table, format_floats
 
 DEFAULT_STEP = 1e-3
 _DIVERGENCE_NORM = 1e12
@@ -290,9 +291,11 @@ def _rk4_integrate(rhs: Callable, y0: np.ndarray, times: np.ndarray, step: float
     From t = 2^52 step on, ``t += h`` need not advance t in float64, so a
     horizon that far is a ConfigurationError. ``settle(y, moved)``, if given,
     sees each computed step's start and end and may return ``tail(y, counts)``,
-    the state after counts[h] steps of each size h from y, which takes the rest
-    uncounted. It is the only early exit, and only zero-reward flows on an exactly
-    symmetric P get one: every other trained flow computes every step of its grid.
+    the state after counts[h] steps of each size h from y. The rest of the grid
+    is not computed, nor added to the step count: ``_interval_steps`` counts each
+    sample interval's steps in blocks in place of walking them. It is the only
+    early exit, and only zero-reward flows on an exactly symmetric P get one:
+    every other trained flow computes every step of its grid.
     """
     step = check_real("step", step, 0.0, low_open=True)
     if times[-1] >= 2.0 ** 52 * step:
@@ -303,13 +306,9 @@ def _rk4_integrate(rhs: Callable, y0: np.ndarray, times: np.ndarray, step: float
     path = np.empty((len(times),) + y.shape)
     t, steps, tail = 0.0, 0, None
     for i, target in enumerate(times):
-        rest = {}  # this sample interval's step sizes and their counts, for the tail
-        while t < target - 1e-12:
+        while tail is None and t < target - 1e-12:
             h = min(step, target - t)
             t += h
-            if tail is not None:
-                rest[h] = rest.get(h, 0) + 1
-                continue
             # a stage past float64's range is a divergence: the norm check below
             # sees the inf or NaN it leaves in the step's result
             with np.errstate(over="ignore", invalid="ignore"):
@@ -330,8 +329,37 @@ def _rk4_integrate(rhs: Callable, y0: np.ndarray, times: np.ndarray, step: float
                 raise DivergenceError(f"flow diverged at t = {t:.6g}", time=t)
             tail = settle(y, moved) if settle else None
             y, moved = moved, y
-        path[i] = y = tail(y, rest) if rest else y
+        if tail is not None:
+            t, rest = _interval_steps(t, target, step)
+            y = tail(y, rest) if rest else y
+        path[i] = y
     return path, steps
+
+
+_TAIL_BLOCK = 2 ** 16  # grid steps per cumsum block: 512 KiB of times
+
+
+def _interval_steps(t, target, step: float) -> tuple:
+    """The end time and the {h: count} of the grid steps ``_rk4_integrate`` takes from t
+    to ``target``, in its order, bit for bit those of its loop h = min(step, target - t),
+    t += h. The full steps' times are one ``np.cumsum`` per block of at most 2^16 steps,
+    which adds in order as ``t += h`` does; the shortened steps at the end are few."""
+    counts, full, limit = {}, 0, target - 1e-12
+    while t < limit and target - t >= step:
+        size = min(int((target - t) / step) + 1, _TAIL_BLOCK)
+        ts = np.full(size + 1, step)
+        ts[0] = t
+        np.cumsum(ts, out=ts)  # ts[j]: the time after j more full steps
+        full_ok = (ts[:size] < limit) & (target - ts[:size] >= step)  # a prefix of True
+        taken = size if full_ok.all() else int(full_ok.argmin())
+        full, t = full + taken, ts[taken]
+    if full:
+        counts[step] = full
+    while t < limit:
+        h = min(step, target - t)
+        t += h
+        counts[h] = counts.get(h, 0) + 1
+    return t, counts
 
 
 def _trained_heads_rhs(G: np.ndarray, rewards: np.ndarray, alpha: float, beta: float,
@@ -670,6 +698,6 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         return header + Table(["t", *(f"v_{i}" for i in range(n))],
                               np.column_stack([traj.times, traj.values()])).to_csv()
     prefixes = np.array([f",{i},{j}," for i in range(n) for j in range(k)], dtype=object)
-    rows = ["\n".join((row[0] + prefixes + row[1:]).tolist()) + "\n" for row in float_reprs(
+    rows = ["\n".join((row[0] + prefixes + row[1:]).tolist()) + "\n" for row in format_floats(
         np.column_stack([traj.times, traj.states.reshape(count, n * k)]))]
     return "".join([header, "t,entry_row,entry_col,value\n", *rows])

@@ -14,7 +14,7 @@ caller states a verdict. ``write_bundle`` is the one writer of this layout:
 experiment from the recorded config reproduces every table byte for byte.
 Files are written atomically (temp file, then rename). A CSV cell is Python's
 shortest round-trip ``repr`` of its float64, each distinct bit pattern
-formatted once per file (``float_reprs``).
+formatted once per file (``format_floats``).
 """
 
 from __future__ import annotations
@@ -70,11 +70,12 @@ class Check:
         }
 
 
-def float_reprs(array: np.ndarray) -> np.ndarray:
-    """The ``repr`` of every float64 in ``array``, as an object array of its shape, made once
-    per distinct bit pattern: -0.0 and 0.0 stay apart, as do NaNs with different payloads."""
+def format_floats(array: np.ndarray, fmt=repr) -> np.ndarray:
+    """``fmt`` of every float64 in ``array``, as an object array of its shape, called once
+    per distinct bit pattern: -0.0 and 0.0 stay apart, as do NaNs with different payloads.
+    CSV cells take ``repr``, SVG numbers ``"{:.6g}".format``."""
     bits, inverse = np.unique(np.asarray(array, np.float64).view(np.int64), return_inverse=True)
-    return np.frompyfunc(repr, 1, 1)(bits.view(np.float64))[inverse].reshape(np.shape(array))
+    return np.frompyfunc(fmt, 1, 1)(bits.view(np.float64))[inverse].reshape(np.shape(array))
 
 
 @dataclass
@@ -91,7 +92,7 @@ class Table:
         self.rows = check_array("rows", self.rows, ("T", width), finite=False)
 
     def to_csv(self) -> str:
-        lines = map(",".join, float_reprs(self.rows).tolist())
+        lines = map(",".join, format_floats(self.rows).tolist())
         return "\n".join([",".join(self.columns), *lines]) + "\n"
 
 

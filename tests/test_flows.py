@@ -1,5 +1,7 @@
 import re
+import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -609,6 +611,132 @@ def test_zero_reward_heads_settle_into_rk4s_own_amplification(seed, n, k, m, gam
     for state, head, (phi, h) in zip(traj.states, heads, samples):
         assert np.array_equal(state, phi)
         assert np.abs(head - h).max() <= 1e-12 * np.abs(h).max()
+
+
+def walked_interval(t, target, step):
+    """End time and {h: count} of a settled interval, walked one grid step at a time: the
+    loop ``_rk4_integrate`` ran over its settled tail before the tail was counted in blocks."""
+    counts = {}
+    while t < target - 1e-12:
+        h = min(step, target - t)
+        t += h
+        counts[h] = counts.get(h, 0) + 1
+    return t, counts
+
+
+def walked_rk4_integrate(rhs, y0, times, step, settle=None):
+    """``_rk4_integrate`` as it was before its settled tail was counted in blocks: every
+    grid step after the settle is a Python iteration that adds h to t and counts it."""
+    y = np.array(y0, dtype=float, order="C")
+    moved, stage, total = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    path = np.empty((len(times),) + y.shape)
+    t, steps, tail = 0.0, 0, None
+    for i, target in enumerate(times):
+        rest = {}
+        while t < target - 1e-12:
+            h = min(step, target - t)
+            t += h
+            if tail is not None:
+                rest[h] = rest.get(h, 0) + 1
+                continue
+            k1 = rhs(y)
+            np.add(y, np.multiply(0.5 * h, k1, out=stage), out=stage)
+            k2 = rhs(stage)
+            np.add(y, np.multiply(0.5 * h, k2, out=stage), out=stage)
+            k3 = rhs(stage)
+            np.add(y, np.multiply(h, k3, out=stage), out=stage)
+            k4 = rhs(stage)
+            np.add(k1, np.multiply(2.0, k2, out=total), out=total)
+            total += np.multiply(2.0, k3, out=k3)
+            total += k4
+            np.add(y, np.multiply(h / 6.0, total, out=total), out=moved)
+            steps += 1
+            tail = settle(y, moved) if settle else None
+            y, moved = moved, y
+        path[i] = y = tail(y, rest) if rest else y
+    return path, steps
+
+
+def _bits(t, counts):
+    return float(t).hex(), [(float(h).hex(), count) for h, count in counts.items()]
+
+
+@example(start=0.0, step=1.0, units=[0.25, 0.5, 0.75], block=2 ** 16)  # step past the horizon
+@example(start=0.0, step=0.1, units=[3.0, 0.5, 10.0, 0.0], block=2)  # 0.1 * 3 > 0.3 in float64
+@example(start=1e4, step=1e-3, units=[1000.0, 1000.5, 3.0], block=7)  # ulp(t) > 1e-12
+@example(start=1e7, step=1e-3, units=[999.9, 0.25, 1000.0], block=2 ** 16)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(start=st.sampled_from([0.0, 0.3, 1.0, 150.3, 1e4, 12345.678, 1e6, 1e7]),
+       step=st.sampled_from([1e-3, 0.1, 0.125, 0.7, 1.0, 3.0]) | st.floats(1e-3, 5.0),
+       units=st.lists(st.floats(0.0, 1500.0) | st.floats(0.0, 1.0), min_size=1, max_size=6),
+       block=st.sampled_from([1, 2, 7, 2 ** 16]))
+def test_a_settled_interval_counts_the_steps_that_its_walk_takes(start, step, units, block):
+    # over an increasing grid from ``start``, sample gaps of ``units`` steps (shorter than
+    # one step, not multiples of it, uneven), the counted schedule of each interval, its
+    # last shortened steps and its end time equal the walk's bit for bit, whatever the
+    # block size; at t of 1e4 and more, ulp(t) > 1e-12, so time can stop short of a sample
+    targets = start + np.cumsum(np.array(units) * step)
+    t = start
+    with mock.patch.object(flows, "_TAIL_BLOCK", block):
+        for target in targets:
+            walked = walked_interval(t, target, step)
+            assert _bits(*flows._interval_steps(t, target, step)) == _bits(*walked)
+            t = walked[0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), k=st.integers(1, 4),
+       m=st.integers(1, 4), alpha=st.sampled_from([0.25, 1.0, 3.0]),
+       beta=st.sampled_from([0.5, 1.0, 2.0]), reach=st.floats(0.25, 2.5))
+def test_a_settled_flow_equals_its_walked_tail_bit_for_bit(seed, n, k, m, alpha, beta, reach):
+    # zero-reward heads of 1e-3 on a symmetric chain settle early (as in the test above);
+    # samples off the step grid, some closer than one step and some far past the settle,
+    # give the tail every kind of interval. States, heads and counters equal those of the
+    # integrator that walked its settled grid one step at a time
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    chain = rd.MarkovChain(symmetric_transition(rng, n), np.zeros(n), 0.9)
+    phi0 = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    w = 1e-3 * rng.standard_normal((m, k))
+    G = chain.gamma * chain.transition - np.eye(n)
+    mu = np.linalg.eigvalsh(beta * phi0.T @ (G @ phi0))
+    step, horizon = reach / -mu[0], 40.0 / -mu[-1]
+    times = np.sort(np.concatenate([rng.uniform(0.0, horizon, 4), [horizon, horizon + step / 3],
+                                    horizon * rng.uniform(2.5, 4.0, 2)]))
+    state0 = rd.EnsembleState(phi0, w)
+    traj, heads = flows._multi_head_flow(chain, state0, alpha, beta, times, step)
+    with mock.patch.object(flows, "_rk4_integrate", walked_rk4_integrate):
+        walked, walked_heads = flows._multi_head_flow(chain, state0, alpha, beta, times, step)
+    t, grid = 0.0, 0
+    for target in times:
+        t, counts = walked_interval(t, target, step)
+        grid += sum(counts.values())
+    assert traj.meta["rk4_steps"] < grid  # the flow did settle
+    assert traj.states.tobytes() == walked.states.tobytes()
+    assert heads.tobytes() == walked_heads.tobytes()
+    assert traj.meta == walked.meta
+
+
+def test_a_long_settled_interval_is_counted_in_bounded_memory():
+    # t = 1000 at step 1e-3 is 10^6 grid steps in one sample interval. Heads of 1e-3 on
+    # the zero-reward symmetric chain settle within a few steps, and the rest is counted
+    # in blocks of 2^16 times (512 KiB each): the peak stays under 2 MB, where one
+    # cumsum over the interval would allocate 8 MB for its times alone
+    chain = chain_uniform().with_reward(np.zeros(30))
+    rng = np.random.default_rng(6)
+    state0 = rd.EnsembleState(rng.standard_normal((30, 2)), 1e-3 * rng.standard_normal((3, 2)))
+    tracemalloc.start()
+    try:
+        traj = rd.ensemble_flow(chain, state0, 1.0, 1.0, [0.0, 1000.0], step=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.meta["rk4_steps"] < 1000
+    assert peak < 2_000_000
+    with mock.patch.object(flows, "_rk4_integrate", walked_rk4_integrate):
+        walked = rd.ensemble_flow(chain, state0, 1.0, 1.0, [0.0, 1000.0], step=1e-3)
+    assert traj.states.tobytes() == walked.states.tobytes()
+    assert traj.meta == walked.meta
 
 
 def two_class_chain():

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import re
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 import repdyn as rd
 from repdyn.errors import ConfigurationError
 from repdyn.flows import Trajectory, trajectory_to_csv
+from repdyn import svg
 from repdyn.report import write_bundle
 from repdyn.svg import emit_svg
 
@@ -274,3 +277,158 @@ def test_csv_writers_match_the_oracle_on_a_pool_of_special_values(data, count, n
     if times[0] == 0.0 and data.draw(st.booleans()):
         times[0] = -0.0
     _assert_writers_match_the_oracle(times, np.array(picks).reshape(count, n, k))
+
+
+# the figures as they were drawn before _cells colored its grid in one numpy pass and
+# _line formatted each distinct number once: references for byte identity
+_OLD_RAMP = [(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 37)]
+
+
+def old_color(u: float) -> str:
+    u = min(max(u, 0.0), 1.0)
+    pos = u * (len(_OLD_RAMP) - 1)
+    i = min(int(pos), len(_OLD_RAMP) - 2)
+    frac = pos - i
+    rgb = [round(a + (b - a) * frac) for a, b in zip(_OLD_RAMP[i], _OLD_RAMP[i + 1])]
+    return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
+
+
+def old_cells(grid, cell, stroke, title):
+    rows, cols = grid.shape
+    width, height = cols * cell + 20, rows * cell + 50
+    values = grid[~np.isnan(grid)]
+    lo, hi = float(values.min()), float(values.max())
+    span = hi - lo
+    out = [svg._header(width, height)]
+    if title:
+        out.append(f'<text x="10" y="16" font-size="12">{title}</text>\n')
+    for i, row in enumerate(grid.tolist()):
+        for j, value in enumerate(row):
+            u = 0.5 if span == 0.0 else (value - lo) / span
+            fill = "#222" if math.isnan(value) else old_color(u)
+            out.append(f'<rect x="{10 + j * cell}" y="{25 + i * cell}" width="{cell}" '
+                       f'height="{cell}" fill="{fill}"{stroke}/>\n')
+    legend = (f"range [{lo:.6g}, {hi:.6g}]" if span
+              else f"constant {lo:.6g} (degenerate range)")
+    out.append(f'<text x="10" y="{height - 8}" font-size="11">{legend}</text>\n</svg>\n')
+    return "".join(out)
+
+
+def old_line(table, title):
+    x, ys = table[:, 0], table[:, 1:]
+    width, height, pad = 480, 320, 40
+    x0, x1 = float(x.min()), float(x.max())
+    y0, y1 = float(ys.min()), float(ys.max())
+    xspan, yspan = (x1 - x0) or 1.0, (y1 - y0) or 1.0
+    px = (pad + (x - x0) / xspan * (width - 2 * pad)).tolist()
+    py = (height - pad - (ys - y0) / yspan * (height - 2 * pad)).T.tolist()
+    out = [svg._header(width, height)]
+    if title:
+        out.append(f'<text x="{pad}" y="16" font-size="12">{title}</text>\n')
+    out.append(f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" '
+               f'height="{height - 2 * pad}" fill="none" stroke="#888"/>\n')
+    for k, curve in enumerate(py):
+        u = 0.5 if ys.shape[1] == 1 else k / (ys.shape[1] - 1)
+        pts = " ".join(map("{:.6g},{:.6g}".format, px, curve))
+        out.append(f'<polyline points="{pts}" fill="none" stroke="{old_color(u)}" '
+                   'stroke-width="1"/>\n')
+    out.append(f'<text x="{pad}" y="{height - 8}" font-size="11">x [{x0:.6g}, {x1:.6g}] '
+               f"y [{y0:.6g}, {y1:.6g}]</text>\n</svg>\n")
+    return "".join(out)
+
+
+def old_svg(table, kind, coords=None, shape=None, title=""):
+    table = np.asarray(table, dtype=float)
+    if kind == "heatmap":
+        matrix = np.atleast_2d(table)
+        return old_cells(matrix, max(6, min(40, 440 // max(matrix.shape))), "", title)
+    if kind == "line":
+        return old_line(np.atleast_2d(table), title)
+    return old_cells(svg._grid(table.reshape(-1), coords, shape), 28,
+                     ' stroke="#555" stroke-width="0.5"', title)
+
+
+def _rounding_ties(u: float) -> list:
+    # the channel values of the ramp at u that land exactly on k + 0.5 before rounding
+    pos = min(max(u, 0.0), 1.0) * 4
+    i = min(int(pos), 3)
+    channels = [a + (b - a) * (pos - i) for a, b in zip(_OLD_RAMP[i], _OLD_RAMP[i + 1])]
+    return [c for c in channels if c % 1.0 == 0.5]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(us=st.lists(st.floats(-2.0, 3.0) | st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
+                   | st.integers(0, 1024).map(lambda m: m / 1024), min_size=1, max_size=20))
+def test_colors_equal_the_scalar_ramp_bit_for_bit(us):
+    assert svg._colors(np.array(us)).tolist() == [old_color(u) for u in us]
+
+
+def test_the_color_sweep_holds_the_ramp_stops_the_clipped_ends_and_rounding_ties():
+    # every dyadic u = m / 1024 (the stops and every channel's .5 ties among them)
+    # and values outside [0, 1]
+    us = [m / 1024 for m in range(1025)] + [-1.0, -1e-300, -0.0, 1.0 + 2 ** -52, 7.5]
+    ties = [c for u in us for c in _rounding_ties(u)]
+    # half to even rounds some ties down and some up
+    assert len(ties) >= 16 and {math.floor(c) % 2 for c in ties} == {0, 1}
+    assert {0.0, 0.25, 0.5, 0.75, 1.0} <= set(us)
+    assert svg._colors(np.array(us)).tolist() == [old_color(u) for u in us]
+    assert svg._colors(np.array([[0.0, 1.0]])).shape == (1, 2)
+
+
+_FIGURE_TABLES = {
+    "signed-zeros": np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], [0.5, -0.0, 0.0]]),
+    "repeated-rows": np.repeat(np.array([[0.0, 0.3, -1.7, 2.5]]), 5, axis=0),
+    "constant": np.full((3, 4), 2.0),
+    "one-curve": np.column_stack([np.linspace(0.0, 10.0, 11), np.linspace(1.0, -1.0, 11)]),
+    "wide-range": np.array([[-1e300, 5e-324, 1e300], [0.1, -0.0, 3.0]]),
+    # halving these would round 1 and 5 ulps down to 0 and 2, and 3 up to 2
+    "subnormals": np.array([[1.0, 3.0], [5.0, 3.0]]) * 5e-324,
+}
+
+
+@pytest.mark.parametrize("kind", ["heatmap", "line"])
+@pytest.mark.parametrize("name", sorted(_FIGURE_TABLES))
+def test_heatmaps_and_lines_equal_the_per_cell_drawing(name, kind):
+    table = _FIGURE_TABLES[name]
+    if kind == "line":  # a projection-like table: a time column, then rows that repeat
+        table = np.column_stack([np.arange(len(table)) * 0.5, table])
+    assert emit_svg(table, kind, title=name) == old_svg(table, kind, title=name)
+
+
+def test_gridworlds_with_walls_equal_the_per_cell_drawing():
+    coords = rd.four_rooms_coords()
+    rng = np.random.default_rng(1)
+    for vector in (rng.standard_normal(105), np.zeros(105), np.repeat([0.0, -0.0, 1.0], 35)):
+        assert emit_svg(vector, "gridworld", coords=coords, shape=(11, 11)) == old_svg(
+            vector, "gridworld", coords=coords, shape=(11, 11))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 5),
+       kind=st.sampled_from(["heatmap", "line"]))
+def test_figures_of_special_values_equal_the_per_cell_drawing(data, rows, cols, kind):
+    pool = [0.0, -0.0, 0.1, -1.0, 2.5, 1e300, -1e300, 5e-324, 1e-310, 7.0]
+    table = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=rows * cols,
+                                        max_size=rows * cols))).reshape(rows, cols)
+    if kind == "line":
+        table = np.column_stack([np.arange(rows) * 0.5, table])
+    assert emit_svg(table, kind) == old_svg(table, kind)
+
+
+@pytest.mark.parametrize("kind, table, extra", [
+    ("heatmap", np.array([[-1e308, 1e308]]), {}),
+    ("heatmap", np.array([[-1.7976931348623157e308], [0.0], [1.7976931348623157e308]]), {}),
+    ("gridworld", np.array([-1e308, 0.0, 1e308]), {"coords": [(0, 0), (0, 2), (1, 1)],
+                                                    "shape": (2, 3)}),
+    ("line", np.array([[-1e308, -1e308], [1e308, 1e308]]), {}),
+    ("line", np.array([[0.0, -1.7976931348623157e308, 1.0],
+                       [1.0, 1.7976931348623157e308, 2.0]]), {}),
+], ids=["heatmap", "heatmap-float64-extremes", "gridworld", "line", "line-y-only"])
+def test_a_finite_table_whose_range_overflows_float64_draws_without_nan(kind, table, extra):
+    # hi - lo is inf: positions and colors come from the halved values, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = emit_svg(table, kind, **extra)
+    assert "nan" not in text and "inf" not in text
+    assert ("rgb(68,1,84)" in text and "rgb(253,231,37)" in text) if kind != "line" else (
+        'points="40,' in text)
