@@ -8,7 +8,6 @@ from its own config reproduces the tables byte for byte.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping
 
 import numpy as np
@@ -23,8 +22,7 @@ CHAIN_N = 30
 CHAIN_SLIP = 0.01
 CHAIN_LEFT_REWARD = 2.0
 CHAIN_RIGHT_REWARD = 1.0
-MC_BLOCK = 8192  # Monte Carlo draws (rows or columns) worked on at once; limit-checks'
-# reward-weight products take MC_BLOCK // 256 = 32 samples: 128 raised peak memory by 3 MB
+MC_BLOCK = 8192  # bayes-opt's Monte Carlo draws (subspaces or rewards) worked on at once
 WEIGHT_K = 10  # head dimension of limit-checks' second-moment identity
 
 
@@ -60,9 +58,8 @@ def _finalize_config(defaults: dict, config: dict | None) -> dict:
 def _stream(seed: int, label: str, *extra) -> np.random.Generator:
     """Independent substream keyed by (seed, label, indices).
 
-    A Monte Carlo family pooled into one statistic reads one stream per label
-    in sample order. Index keys serve draws made in threads, which must not
-    depend on the worker count, and draws that are a table row's coordinates.
+    A Monte Carlo family pooled into one statistic reads one stream per label.
+    Index keys serve draws that are a table row's coordinates.
     """
     # the label as one uint32 word array hashes the same words as one int per character
     label_words = np.array([ord(c) for c in label], dtype=np.uint32)
@@ -96,6 +93,21 @@ def two_state_chain(gamma: float = 0.9) -> mdp.MarkovChain:
 def _normalized_phi0(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     g = rng.standard_normal((n, k))
     return g / np.linalg.norm(g)
+
+
+def _wishart_factors(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndarray:
+    """(count, k, min(n, k)) stack of lower-trapezoidal L with L L^T ~ Wishart_k(n, I).
+
+    Bartlett's decomposition: Gram-Schmidt on the rows of a standard normal
+    (k, n) matrix leaves row i a chi(n - i) length on the diagonal and N(0, 1)
+    coordinates below it; rows past the n-th are coordinates only (rank n).
+    """
+    d = min(n, k)
+    L = np.zeros((count, k, d))
+    L[:, range(d), range(d)] = np.sqrt(rng.chisquare(n - np.arange(d, dtype=float), (count, d)))
+    rows, cols = np.tril_indices(k, -1, d)
+    L[:, rows, cols] = rng.standard_normal((count, len(rows)))
+    return L
 
 
 def frozen_ensemble_span(
@@ -413,57 +425,35 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
     M. Also verifies the second-moment identity sum_m w^m (w^m)^T -> I and,
     from one family of reward-weight products Z = sum_m r^m (w^m)^T, that the
     columns of Z have covariance I and those of the limiting features Psi Z
-    have covariance Psi Psi^T. The second-moment seeds draw on a thread pool
-    while this thread runs the flows, a seed's limit (heads I_K) and finite-M
-    flows as one stack, and draws the reward-weight products in blocks.
+    have covariance Psi Psi^T. A seed's limit (heads I_K) and finite-M flows
+    run as one stack. Each Gaussian statistic is drawn from its exact law
+    through one Bartlett factor (``_wishart_factors``) in place of its heads.
     """
     cfg = _finalize_config(LIMIT_CHECKS_DEFAULTS, config)
     m_list, n_seeds, K, wk, wm = cfg["M_list"], cfg["n_seeds"], cfg["K"], WEIGHT_K, cfg["weight_M"]
     if len(set(m_list)) != len(m_list):  # a repeat would compare an M's gaps with themselves
         raise ConfigurationError(f"M_list entries must be distinct, got {m_list!r}")
+    # each count sized by the largest array it shapes, given the counts sized before it:
+    # a seed's K x K head second moments, the heads, the trajectory_gaps table, the factors
+    check_count("K", K, floats=(len(m_list) + 1) * K)
+    for m in m_list:
+        check_count("M_list", m, floats=K)
+    check_count("n_seeds", n_seeds, floats=3 * len(m_list))
+    check_count("weight_seeds", cfg["weight_seeds"], floats=wk * wk)
+    check_count("rewmat_seeds", cfg["rewmat_seeds"], floats=K * max(CHAIN_N, min(64, K)))
     bundle = ReportBundle("limit-checks", dict(cfg))
     chain = chain_uniform(cfg["gamma"]).with_reward(np.zeros(CHAIN_N))
     times = np.linspace(0.0, 5.0, 26)
 
-    # second-moment identity of frozen heads; the weights are drawn in row
-    # blocks from one generator, the same draws as one (weight_M, K) sample.
-    # Each seed runs whole in one thread, so the errors match at any worker count.
-    from concurrent.futures import ThreadPoolExecutor
-
-    def second_moment_error(i: int) -> float:
-        rng = _stream(cfg["seed"], "weight identity", i)
-        second = np.zeros((wk, wk))
-        for start in range(0, wm, MC_BLOCK):
-            w = flows.sample_weights(min(MC_BLOCK, wm - start), wk, 1.0 / wm, rng)
-            second += w.T @ w
-        return float(np.linalg.norm(second - np.eye(wk)))
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    pool = ThreadPoolExecutor(min(cpus or 1, cfg["weight_seeds"]))
-    try:  # an error here cancels the seeds not yet started and joins the pool
-        errs = pool.map(second_moment_error, range(cfg["weight_seeds"]))
-        gaps = np.empty((len(m_list), n_seeds))  # sup-Frobenius gap per M and seed
-        for i in range(n_seeds):
-            phi0 = _normalized_phi0(_stream(cfg["seed"], "phi0", i), CHAIN_N, K)
-            heads = [np.eye(K)] + [flows.sample_weights(m, K, 1.0 / m, _stream(
-                cfg["seed"], "heads", i, m)) for m in m_list]
-            limit, *finite = flows.frozen_ensemble_flows(
-                chain, [flows.EnsembleState(phi0, w) for w in heads], 1.0, times).swapaxes(0, 1)
-            gaps[:, i] = [max(float(np.linalg.norm(s - ref)) for s, ref in zip(states, limit))
-                          for states in finite]
-        # reward-weight products Z: b samples are one (b n, 64) reward draw and one
-        # (b 64, K) head draw, the same draws of each stream as b samples one by one
-        pooled = np.empty((cfg["rewmat_seeds"], K, CHAIN_N))  # rows are columns of Z
-        rewards = _stream(cfg["seed"], "reward matrix")
-        weights = _stream(cfg["seed"], "reward matrix heads")
-        for start in range(0, len(pooled), MC_BLOCK // 256):
-            b = min(MC_BLOCK // 256, len(pooled) - start)
-            r = flows.sample_cumulants(64, b * CHAIN_N, rewards).reshape(b, CHAIN_N, 64)
-            w = flows.sample_weights(b * 64, K, 1.0 / 64, weights).reshape(b, 64, K)
-            pooled[start:start + b] = (r @ w).transpose(0, 2, 1)
-        errs = list(errs)
-    finally:
-        pool.shutdown(cancel_futures=True)
+    gaps = np.empty((len(m_list), n_seeds))  # sup-Frobenius gap per M and seed
+    for i in range(n_seeds):
+        phi0 = _normalized_phi0(_stream(cfg["seed"], "phi0", i), CHAIN_N, K)
+        heads = [np.eye(K)] + [flows.sample_weights(m, K, 1.0 / m, _stream(
+            cfg["seed"], "heads", i, m)) for m in m_list]
+        limit, *finite = flows.frozen_ensemble_flows(
+            chain, [flows.EnsembleState(phi0, w) for w in heads], 1.0, times).swapaxes(0, 1)
+        gaps[:, i] = [max(float(np.linalg.norm(s - ref)) for s, ref in zip(states, limit))
+                      for states in finite]
 
     bundle.add_table("trajectory_gaps", ["M", "seed", "gap"], np.column_stack([
         np.tile(m_list, n_seeds), np.repeat(np.arange(n_seeds), len(m_list)), gaps.T.ravel()]))
@@ -488,14 +478,22 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
         bundle.add_check("single_head_reduces_to_joint_flow", diff, 1e-12,
                          table="trajectory_gaps")
 
+    # second-moment identity of frozen heads: L L^T / weight_M, one factor per seed
+    L = _wishart_factors(_stream(cfg["seed"], "weight identity"), cfg["weight_seeds"], wm, wk)
+    errs = np.linalg.norm(L @ L.swapaxes(1, 2) / wm - np.eye(wk), axis=(1, 2))
     bundle.add_table("weight_second_moment", ["seed", "error"],
                      np.column_stack([np.arange(cfg["weight_seeds"]), errs]))
     bundle.add_check("weight_second_moment_identity", max(errs), cfg["weight_tol"],
                      table="weight_second_moment")
 
-    # reward-weight product limit: columns of sum_m r^m (w^m)^T have covariance I
+    # reward-weight product limit: columns of sum_m r^m (w^m)^T have covariance I.
+    # Z = R W, R (n, 64) standard normal and W (64, K) of variance 1/64; 64 W^T W
+    # is L L^T, so Z^T = L G^T / 8 with G (n, min(64, K)) standard normal
+    rng = _stream(cfg["seed"], "reward matrix")
+    L = _wishart_factors(rng, cfg["rewmat_seeds"], 64, K)
+    g = rng.standard_normal((cfg["rewmat_seeds"], CHAIN_N, L.shape[2]))
+    pooled = (L @ g.swapaxes(1, 2) / 8.0).reshape(-1, CHAIN_N)  # rows are columns of Z
     sigma = np.eye(CHAIN_N)
-    pooled = pooled.reshape(-1, CHAIN_N)
     emp = pooled.T @ pooled / pooled.shape[0]
     rew_err = float(np.linalg.norm(emp - sigma) / np.linalg.norm(sigma))
     bundle.add_table("reward_matrix_covariance_error", ["relative_error"],

@@ -335,6 +335,17 @@ OUT_OF_RANGE_OVERRIDES = [
      "t_max must be a finite real number in (0, 9.0072e+15), got 1e+17"),
     ("four-rooms", "t_max=1e308",
      "t_max must be a finite real number in (0, 9.0072e+15), got 1e+308"),
+    # each limit-checks count is sized by the largest array it shapes before any draw
+    ("limit-checks", "n_seeds=99999999999999999999",
+     "n_seeds 99999999999999999999 asks for 599999999999999999994 float64 entries"),
+    ("limit-checks", "K=99999999999999999999",
+     "K 99999999999999999999 asks for 29999999999999999999400000000000000000003 float64"),
+    ("limit-checks", "rewmat_seeds=99999999999999999999",
+     "rewmat_seeds 99999999999999999999 asks for 11999999999999999999880 float64 entries"),
+    ("limit-checks", "weight_seeds=99999999999999999999",
+     "weight_seeds 99999999999999999999 asks for 9999999999999999999900 float64 entries"),
+    ("limit-checks", "M_list=99999999999999999999",
+     "M_list 99999999999999999999 asks for 399999999999999999996 float64 entries"),
 ]
 
 

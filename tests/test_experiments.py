@@ -1,18 +1,18 @@
 import concurrent.futures
 import json
-import os
 import threading
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repdyn as rd
 from repdyn import experiments, flows
-from repdyn.errors import ConfigurationError, NumericalError
+from repdyn.errors import ConfigurationError
 from repdyn.experiments import (EXPERIMENT_DEFAULTS, EXPERIMENTS, WEIGHT_K, _mix_policy,
-                                _stream, chain_uniform)
+                                _stream, _wishart_factors, chain_uniform)
 
 # light overrides so the whole module stays fast; the acceptance suite runs
 # the full-size configurations
@@ -149,14 +149,14 @@ def test_substreams_hash_the_words_of_the_flat_key_list(seed, label, extra):
             == flat.bit_generator.random_raw(4)).all()
 
 
-# a reduced limit-checks whose second-moment block has several seeds to spread
-LIMIT_WORKERS_CONFIG = {"M_list": (100,), "n_seeds": 1, "weight_M": 20000, "weight_seeds": 4,
-                        "rewmat_seeds": 50}
+# a reduced limit-checks with several second-moment seeds and a few reward-weight products
+LIMIT_SMALL_CONFIG = {"M_list": (100,), "n_seeds": 1, "weight_M": 20000, "weight_seeds": 4,
+                      "rewmat_seeds": 50}
 
 
 @pytest.mark.parametrize("run, config", [
     (rd.run_two_state, {"gamma": np.float32(0.9), "seed": np.int64(3)}),
-    (rd.run_limit_checks, {**LIMIT_WORKERS_CONFIG, "M_list": (np.int64(100), 200)}),
+    (rd.run_limit_checks, {**LIMIT_SMALL_CONFIG, "M_list": (np.int64(100), 200)}),
 ], ids=["two-state", "limit-checks"])
 def test_numpy_numbers_in_a_config_are_stored_as_python_numbers(run, config, tmp_path):
     bundle = run(config)
@@ -167,80 +167,6 @@ def test_numpy_numbers_in_a_config_are_stored_as_python_numbers(run, config, tmp
         entries = list(stored) if isinstance(stored, tuple) else [stored]
         assert {type(x) for x in entries} <= {int, float} and stored == value
         assert saved[key] == (entries if isinstance(stored, tuple) else stored)
-
-
-def _limit_checks_on(cpus, monkeypatch, out):
-    """Bundle files of the reduced limit-checks as a process on ``cpus`` CPUs saves them."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    workers = []
-
-    class Pool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-    bundle = rd.run_limit_checks(LIMIT_WORKERS_CONFIG)
-    bundle.save(out)
-    assert workers == [cpus]
-    return bundle, {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
-
-
-def test_limit_checks_is_byte_identical_on_one_and_two_workers(monkeypatch, tmp_path):
-    one, files_one = _limit_checks_on(1, monkeypatch, tmp_path / "one")
-    _, files_two = _limit_checks_on(2, monkeypatch, tmp_path / "two")
-    assert files_one == files_two
-    # seed i's error comes from the substream keyed "weight identity", i, in seed order
-    wk, wm = WEIGHT_K, LIMIT_WORKERS_CONFIG["weight_M"]
-    expected = []
-    for i in range(LIMIT_WORKERS_CONFIG["weight_seeds"]):
-        flat = np.random.default_rng([0] + [ord(c) for c in "weight identity"] + [i])
-        w = flat.normal(0.0, np.sqrt(1.0 / wm), size=(wm, wk))
-        expected.append(np.linalg.norm(w.T @ w - np.eye(wk)))
-    np.testing.assert_allclose(one.tables["weight_second_moment"].rows[:, 1], expected,
-                               rtol=1e-12)
-
-
-def test_limit_checks_rejects_a_bad_config_before_its_pool_starts(monkeypatch):
-    pools = []
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                        lambda *args: pools.append(args))
-    with pytest.raises(ConfigurationError, match="M_list entries must be distinct"):
-        rd.run_limit_checks({**LIMIT_WORKERS_CONFIG, "M_list": (100, 100)})
-    assert pools == []
-
-
-def test_an_error_in_the_flows_cancels_the_waiting_seeds_and_joins_the_pool(monkeypatch):
-    # the seeds wait until the pool's shutdown has cancelled those not yet started,
-    # so at most one seed per worker runs; a pool left to finish would run all 12
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    released, started = threading.Event(), []
-
-    class Pool(concurrent.futures.ThreadPoolExecutor):
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            super().shutdown(wait=False, cancel_futures=cancel_futures)
-            released.set()
-            super().shutdown(wait=wait)
-
-    def stream(seed, label, *extra):
-        if label == "weight identity":
-            started.append(extra)
-            released.wait(10.0)  # a pool never shut down would hold them forever
-        return _stream(seed, label, *extra)
-
-    def broken_flows(*args):
-        raise NumericalError("the flows broke")
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(experiments, "_stream", stream)
-    monkeypatch.setattr(flows, "frozen_ensemble_flows", broken_flows)
-    before = threading.active_count()
-    with pytest.raises(NumericalError, match="the flows broke"):
-        rd.run_limit_checks({**LIMIT_WORKERS_CONFIG, "weight_seeds": 12})
-    assert threading.active_count() == before
-    assert len(started) <= 2
 
 
 def _flat_stream(label, seed=0):
@@ -260,28 +186,129 @@ def _chain_resolvent(gamma=0.9):
     return np.linalg.inv(np.eye(len(P)) - gamma * P)
 
 
-def test_limit_checks_pooled_statistics_read_one_stream_per_label():
-    # 50 samples: the products are drawn 32 at a time, so the last block is partial
-    cfg = LIMIT_WORKERS_CONFIG
-    assert cfg["rewmat_seeds"] % 32
+def _bartlett_reference(rng, count, n, k):
+    """Bartlett factors assembled entry by entry: the (count, d) chi-square draw, then the
+    entries below the diagonal of each factor, row by row, from one standard normal draw."""
+    d = min(n, k)
+    chi2 = rng.chisquare([n - i for i in range(d)], size=(count, d))
+    below = rng.standard_normal((count, sum(min(i, d) for i in range(k))))
+    L = np.zeros((count, k, d))
+    for s in range(count):
+        entries = iter(below[s])
+        for i in range(k):
+            for j in range(min(i, d)):
+                L[s, i, j] = next(entries)
+            if i < d:
+                L[s, i, i] = np.sqrt(chi2[s, i])
+    return L
+
+
+def _moments_agree(x, mean, variance, se=5.0):
+    """The sample mean and variance of x lie within ``se`` standard errors of the given law's."""
+    count, centred = len(x), x - mean
+    assert abs(x.mean() - mean) <= se * np.sqrt(variance / count)
+    fourth = np.mean(centred ** 4)  # the variance estimate's standard error from its sample
+    assert abs(np.mean(centred ** 2) - variance) <= se * np.sqrt((fourth - variance ** 2) / count)
+
+
+def _laws_agree(a, b):
+    """Two samples of one statistic pass a two-sample Kolmogorov-Smirnov test."""
+    assert scipy.stats.ks_2samp(a, b).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n, k", [(64, 4), (3, 5), (1, 10)])
+def test_wishart_factors_have_the_law_of_a_gaussian_gram_matrix(n, k):
+    # oracle: X^T X of a standard normal (n, k) X is Wishart_k(n, I), with E = n I,
+    # Var = 2n on the diagonal and n off it; n < k is the singular case
+    count = 20000
+    L = _wishart_factors(np.random.default_rng([n, k, 1]), count, n, k)
+    assert L.shape == (count, k, min(n, k))
+    assert (np.triu(L, 1) == 0).all() and (np.diagonal(L, axis1=1, axis2=2) > 0).all()
+    factored = L @ L.swapaxes(1, 2)
+    x = np.random.default_rng([n, k, 2]).standard_normal((count, n, k))
+    direct = x.swapaxes(1, 2) @ x
+    for i, j in zip(*np.triu_indices(k)):
+        _laws_agree(factored[:, i, j], direct[:, i, j])
+        _moments_agree(factored[:, i, j], n * (i == j), n * (1 + (i == j)))
+    trace = np.trace(factored, axis1=1, axis2=2)
+    _laws_agree(trace, np.trace(direct, axis1=1, axis2=2))
+    _moments_agree(trace, n * k, 2 * n * k)  # a sum of k independent chi2(n)
+
+
+@pytest.mark.parametrize("heads, K", [(64, 4), (3, 5)])
+def test_factored_reward_weight_products_have_the_law_of_direct_products(heads, K):
+    # oracle: Z = R W, R (n, heads) standard normal and W (heads, K) of variance 1/heads.
+    # Each entry has mean 0 and variance 1; Z_00 Z_10 (rows tied through W) and
+    # Z_00 Z_01 (one row) have mean 0 and variance 1 + 2 / heads
+    count, n = 20000, 3
+    rng = np.random.default_rng([heads, K, 1])
+    L = _wishart_factors(rng, count, heads, K)
+    factored = (L @ rng.standard_normal((count, n, L.shape[2])).swapaxes(1, 2)
+                / np.sqrt(heads)).swapaxes(1, 2)
+    rng = np.random.default_rng([heads, K, 2])
+    direct = (rng.standard_normal((count, n, heads))
+              @ rng.normal(0.0, np.sqrt(1.0 / heads), (count, heads, K)))
+    assert factored.shape == direct.shape == (count, n, K)
+    for stat, variance in [(lambda z: z[:, 0, 0], 1.0), (lambda z: z[:, 2, K - 1], 1.0),
+                           (lambda z: z[:, 0, 0] * z[:, 1, 0], 1.0 + 2.0 / heads),
+                           (lambda z: z[:, 0, 0] * z[:, 0, 1], 1.0 + 2.0 / heads)]:
+        _laws_agree(stat(factored), stat(direct))
+        _moments_agree(stat(factored), 0.0, variance)
+    _laws_agree((factored ** 2).sum(axis=(1, 2)), (direct ** 2).sum(axis=(1, 2)))
+
+
+def test_limit_checks_tables_equal_their_draws_from_the_named_streams():
+    cfg = LIMIT_SMALL_CONFIG
     bundle = rd.run_limit_checks(cfg)
-    s, K, n = cfg["rewmat_seeds"], EXPERIMENT_DEFAULTS["limit-checks"]["K"], 30
-    # sample i is draw i of "reward matrix" (64 rewards) and of "reward matrix heads",
-    # bit for bit whatever the block size
-    r = _flat_stream("reward matrix").standard_normal((s, n, 64))
-    w = _flat_stream("reward matrix heads").normal(0.0, 0.125, size=(s, 64, K))
-    rew_err, emp = _relative_covariance_error(r @ w, np.eye(n))
+    wm, s, K, n = cfg["weight_M"], cfg["rewmat_seeds"], EXPERIMENT_DEFAULTS["limit-checks"]["K"], 30
+    # seed i's second moment is factor i of the "weight identity" stream over weight_M
+    L = _bartlett_reference(_flat_stream("weight identity"), cfg["weight_seeds"], wm, WEIGHT_K)
+    errs = [np.linalg.norm(f @ f.T / wm - np.eye(WEIGHT_K)) for f in L]
+    np.testing.assert_allclose(bundle.tables["weight_second_moment"].rows,
+                               np.column_stack([np.arange(cfg["weight_seeds"]), errs]),
+                               rtol=1e-12)
+    # "reward matrix" holds the rewmat_seeds factors of 64 heads, then the (n, K) normals
+    rng = _flat_stream("reward matrix")
+    L = _bartlett_reference(rng, s, 64, K)
+    z = L @ rng.standard_normal((s, n, K)).swapaxes(1, 2) / 8.0  # (s, K, n): Z^T
+    rew_err, emp = _relative_covariance_error(z.swapaxes(1, 2), np.eye(n))
     assert bundle.tables["reward_matrix_covariance_error"].rows[0, 0] == rew_err
     # the limiting features are those same columns through psi: Psi emp Psi^T
     psi = rd.resolvent(chain_uniform().transition, 0.9)
     assert (bundle.tables["limit_covariance_empirical"].rows == psi @ emp @ psi.T).all()
     # and their pooled covariance, taken from the features themselves
     psi = _chain_resolvent()
-    cov_err, features = _relative_covariance_error(psi @ (r @ w), psi @ psi.T)
+    cov_err, features = _relative_covariance_error(psi @ z.swapaxes(1, 2), psi @ psi.T)
     np.testing.assert_allclose(bundle.tables["limit_covariance_error"].rows[0, 0],
                                cov_err, rtol=1e-10)
     np.testing.assert_allclose(bundle.tables["limit_covariance_empirical"].rows, features,
                                rtol=1e-10, atol=1e-12)
+
+
+def test_limit_checks_starts_no_thread(monkeypatch):
+    # the check values come from Bartlett factors on the calling thread, with no pool
+    def no_pool(*args, **kwargs):
+        raise AssertionError("limit-checks built a ThreadPoolExecutor")
+
+    counts, frozen = [], flows.frozen_ensemble_flows
+
+    def counted(*args, **kwargs):  # the thread count while the flows run
+        counts.append(threading.active_count())
+        return frozen(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(flows, "frozen_ensemble_flows", counted)
+    before = threading.active_count()
+    rd.run_limit_checks({**LIMIT_SMALL_CONFIG, "n_seeds": 2, "weight_seeds": 12})
+    assert counts == [before, before] and threading.active_count() == before
+
+
+def test_limit_checks_refuses_a_repeated_M_list_before_any_draw(monkeypatch):
+    streams = []
+    monkeypatch.setattr(experiments, "_stream", lambda *key: streams.append(key))
+    with pytest.raises(ConfigurationError, match="M_list entries must be distinct"):
+        rd.run_limit_checks({**LIMIT_SMALL_CONFIG, "M_list": (100, 100)})
+    assert streams == []
 
 
 def test_bayes_opt_statistics_read_one_stream_per_label():
