@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import os
 import threading
 
 import numpy as np
@@ -257,16 +258,34 @@ def test_factored_reward_weight_products_have_the_law_of_direct_products(heads, 
     _laws_agree((factored ** 2).sum(axis=(1, 2)), (direct ** 2).sum(axis=(1, 2)))
 
 
-def test_limit_checks_tables_equal_their_draws_from_the_named_streams():
-    cfg = LIMIT_SMALL_CONFIG
-    bundle = rd.run_limit_checks(cfg)
-    wm, s, K, n = cfg["weight_M"], cfg["rewmat_seeds"], EXPERIMENT_DEFAULTS["limit-checks"]["K"], 30
+def _limit_checks_files_on(cpus, monkeypatch, out):
+    """Bundle files of the reduced limit-checks as a process on ``cpus`` CPUs saves them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    bundle = rd.run_limit_checks(LIMIT_SMALL_CONFIG)
+    bundle.save(out)
+    return bundle, {f.name: f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
+
+
+def test_limit_checks_is_byte_identical_on_one_and_two_workers(monkeypatch, tmp_path):
+    # the files do not depend on how many CPUs the process may use
+    one, files_one = _limit_checks_files_on(1, monkeypatch, tmp_path / "one")
+    _, files_two = _limit_checks_files_on(2, monkeypatch, tmp_path / "two")
+    assert files_one and files_one == files_two
     # seed i's second moment is factor i of the "weight identity" stream over weight_M
+    cfg = LIMIT_SMALL_CONFIG
+    wm = cfg["weight_M"]
     L = _bartlett_reference(_flat_stream("weight identity"), cfg["weight_seeds"], wm, WEIGHT_K)
     errs = [np.linalg.norm(f @ f.T / wm - np.eye(WEIGHT_K)) for f in L]
-    np.testing.assert_allclose(bundle.tables["weight_second_moment"].rows,
+    np.testing.assert_allclose(one.tables["weight_second_moment"].rows,
                                np.column_stack([np.arange(cfg["weight_seeds"]), errs]),
                                rtol=1e-12)
+
+
+def test_limit_checks_pooled_statistics_read_one_stream_per_label():
+    cfg = LIMIT_SMALL_CONFIG
+    bundle = rd.run_limit_checks(cfg)
+    s, K, n = cfg["rewmat_seeds"], EXPERIMENT_DEFAULTS["limit-checks"]["K"], 30
     # "reward matrix" holds the rewmat_seeds factors of 64 heads, then the (n, K) normals
     rng = _flat_stream("reward matrix")
     L = _bartlett_reference(rng, s, 64, K)
