@@ -246,6 +246,8 @@ def run_four_rooms_features(config: dict | None = None) -> ReportBundle:
     cfg = _finalize_config(FOUR_ROOMS_DEFAULTS, config)
     if not 1 <= cfg["K"] <= 105:
         raise ConfigurationError("K must lie between 1 and the 105 four-rooms states")
+    for key in ("M", "check_M"):  # each sizes an (M, K) head draw
+        check_count(key, cfg[key], floats=cfg["K"])
     # above 2^53 the unit-spaced sample times are no longer distinct floats
     t_max = check_real("t_max", cfg["t_max"], 0.0, 2.0 ** 53, low_open=True, high_open=True)
     check_t = check_real("check_t", cfg["check_t"], 0.0)
@@ -426,15 +428,15 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
     from one family of reward-weight products Z = sum_m r^m (w^m)^T, that the
     columns of Z have covariance I and those of the limiting features Psi Z
     have covariance Psi Psi^T. A seed's limit (heads I_K) and finite-M flows
-    run as one stack. Each Gaussian statistic is drawn from its exact law
-    through one Bartlett factor (``_wishart_factors``) in place of its heads.
+    run as one stack. The finite-M heads and each Gaussian statistic are drawn
+    from their exact laws through Bartlett factors (``_wishart_factors``).
     """
     cfg = _finalize_config(LIMIT_CHECKS_DEFAULTS, config)
     m_list, n_seeds, K, wk, wm = cfg["M_list"], cfg["n_seeds"], cfg["K"], WEIGHT_K, cfg["weight_M"]
     if len(set(m_list)) != len(m_list):  # a repeat would compare an M's gaps with themselves
         raise ConfigurationError(f"M_list entries must be distinct, got {m_list!r}")
-    # each count sized by the largest array it shapes, given the counts sized before it:
-    # a seed's K x K head second moments, the heads, the trajectory_gaps table, the factors
+    # each count sized by the largest array it shapes, given the counts sized before it: a seed's
+    # K x K head second moments, trajectory_gaps, the factors. M_list keeps (M, K) heads' bound
     check_count("K", K, floats=(len(m_list) + 1) * K)
     for m in m_list:
         check_count("M_list", m, floats=K)
@@ -448,12 +450,12 @@ def run_limit_checks(config: dict | None = None) -> ReportBundle:
     gaps = np.empty((len(m_list), n_seeds))  # sup-Frobenius gap per M and seed
     for i in range(n_seeds):
         phi0 = _normalized_phi0(_stream(cfg["seed"], "phi0", i), CHAIN_N, K)
-        heads = [np.eye(K)] + [flows.sample_weights(m, K, 1.0 / m, _stream(
-            cfg["seed"], "heads", i, m)) for m in m_list]
-        limit, *finite = flows.frozen_ensemble_flows(
-            chain, [flows.EnsembleState(phi0, w) for w in heads], 1.0, times).swapaxes(0, 1)
-        gaps[:, i] = [max(float(np.linalg.norm(s - ref)) for s, ref in zip(states, limit))
-                      for states in finite]
+        # at zero reward M heads act only through sum_m w w^T ~ Wishart_K(M, I) / M = L L^T / M
+        heads = [np.eye(K)] + [_wishart_factors(_stream(cfg["seed"], "heads", i, m), 1, m, K)[0].T
+                               / np.sqrt(m) for m in m_list]
+        paths = flows.frozen_ensemble_flows(  # (T, 1 + len(M_list), n, K), the limit first
+            chain, [flows.EnsembleState(phi0, w) for w in heads], 1.0, times)
+        gaps[:, i] = np.linalg.norm(paths[:, 1:] - paths[:, :1], axis=(-2, -1)).max(axis=0)
 
     bundle.add_table("trajectory_gaps", ["M", "seed", "gap"], np.column_stack([
         np.tile(m_list, n_seeds), np.repeat(np.arange(n_seeds), len(m_list)), gaps.T.ravel()]))
@@ -625,6 +627,7 @@ def run_multi_task(config: dict | None = None) -> ReportBundle:
     M, K = cfg["M"], cfg["K"]
     if K > CHAIN_N:
         raise ConfigurationError(f"K must lie in 1..{CHAIN_N}, got {K}")
+    check_count("M", M, floats=K)  # the (M, K) heads
     chains = [chain_drift(check_real("discounts", g, 0.0, 1.0, high_open=True),
                           check_real("mixes", p, 0.0, 1.0)).with_reward(np.zeros(CHAIN_N))
               for g, p in zip(cfg["discounts"], cfg["mixes"])]

@@ -346,6 +346,13 @@ OUT_OF_RANGE_OVERRIDES = [
      "weight_seeds 99999999999999999999 asks for 9999999999999999999900 float64 entries"),
     ("limit-checks", "M_list=99999999999999999999",
      "M_list 99999999999999999999 asks for 399999999999999999996 float64 entries"),
+    # four-rooms' and multi-task's head counts are sized by their (M, K) heads
+    ("four-rooms", "M=99999999999999999999",
+     "M 99999999999999999999 asks for 999999999999999999990 float64 entries"),
+    ("four-rooms", "check_M=99999999999999999999",
+     "check_M 99999999999999999999 asks for 999999999999999999990 float64 entries"),
+    ("multi-task", "M=99999999999999999999",
+     "M 99999999999999999999 asks for 399999999999999999996 float64 entries"),
 ]
 
 

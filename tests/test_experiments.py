@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -328,6 +329,62 @@ def test_limit_checks_refuses_a_repeated_M_list_before_any_draw(monkeypatch):
     with pytest.raises(ConfigurationError, match="M_list entries must be distinct"):
         rd.run_limit_checks({**LIMIT_SMALL_CONFIG, "M_list": (100, 100)})
     assert streams == []
+
+
+def _limit_gap_chain_and_times():
+    """limit-checks' zero-reward chain and the sample times of its gap flows."""
+    return chain_uniform(0.9).with_reward(np.zeros(30)), np.linspace(0.0, 5.0, 26)
+
+
+@pytest.mark.parametrize("M", [1, 3, 100])
+def test_zero_reward_frozen_flow_sees_its_heads_only_through_their_gram_matrix(M):
+    # the premise of limit-checks' factored gap heads: any factor F with F^T F = w^T w
+    # gives the same flow, whether it has K rows (a symmetric root) or min(M, K) (QR's R)
+    K = 4
+    chain, times = _limit_gap_chain_and_times()
+    phi0 = np.random.default_rng([M, 2]).standard_normal((30, K))
+    w = flows.sample_weights(M, K, 1.0 / M, [M, 1])
+    lam, V = np.linalg.eigh(w.T @ w)
+    root = (V * np.sqrt(np.clip(lam, 0.0, None))) @ V.T
+    heads = [w, root, np.linalg.qr(w, mode="r")]
+    assert [h.shape[0] for h in heads] == [M, K, min(M, K)]
+    paths = flows.frozen_ensemble_flows(
+        chain, [flows.EnsembleState(phi0, h) for h in heads], 1.0, times)
+    for member in (1, 2):
+        np.testing.assert_allclose(paths[:, member], paths[:, 0], rtol=0, atol=1e-12)
+
+
+def test_limit_checks_gap_heads_are_bartlett_factors_of_the_heads_stream():
+    cfg = {**LIMIT_SMALL_CONFIG, "M_list": (3, 100, 1), "n_seeds": 2, "seed": 5}
+    K = EXPERIMENT_DEFAULTS["limit-checks"]["K"]
+    rows = rd.run_limit_checks(cfg).tables["trajectory_gaps"].rows
+    chain, times = _limit_gap_chain_and_times()
+    expected = []
+    for i in range(cfg["n_seeds"]):
+        phi0 = np.random.default_rng([5] + [ord(c) for c in "phi0"] + [i]).standard_normal((30, K))
+        phi0 /= np.linalg.norm(phi0)
+        limit = flows.ensemble_flow(chain, flows.EnsembleState(phi0, np.eye(K)), 1.0, 0.0, times)
+        for m in cfg["M_list"]:
+            # each M's heads: L^T / sqrt(M), L the Bartlett factor of the (seed, "heads", i, M) key
+            key = [5] + [ord(c) for c in "heads"] + [i, m]
+            heads = _bartlett_reference(np.random.default_rng(key), 1, m, K)[0].T / np.sqrt(m)
+            finite = flows.ensemble_flow(chain, flows.EnsembleState(phi0, heads), 1.0, 0.0, times)
+            gap = max(np.linalg.norm(s - ref) for s, ref in zip(finite.states, limit.states))
+            expected.append([m, i, gap])
+    np.testing.assert_allclose(rows, expected, rtol=1e-12)
+
+
+def test_limit_checks_gap_cost_does_not_grow_with_the_head_count():
+    # a Bartlett factor costs the same at any M; (10^12, 4) drawn heads would not fit in memory
+    cfg = {**LIMIT_SMALL_CONFIG, "M_list": (100, 10**12), "n_seeds": 2}
+    start = time.perf_counter()
+    bundle = rd.run_limit_checks(cfg)
+    assert time.perf_counter() - start < 1.0
+    gaps = bundle.tables["trajectory_gaps"].rows[:, 2].reshape(cfg["n_seeds"], 2)
+    assert (gaps[:, 1] < 1e-3 * gaps[:, 0]).all()  # the gap falls like 1/sqrt(M): by ~1e-5
+    checks = {c.name: c for c in bundle.checks}
+    assert checks["gap_shrinks_with_M_per_seed"].passed
+    assert checks["largest_M_gap_below_tolerance"].passed
 
 
 def test_bayes_opt_statistics_read_one_stream_per_label():
